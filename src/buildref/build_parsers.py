@@ -45,12 +45,6 @@ class XmlMalformedError(Exception):
         self.reason = reason
 
 
-class UnbalancedBracesError(Exception):
-    def __init__(self, line: int):
-        super().__init__(f"unbalanced braces starting at line {line}")
-        self.line = line
-
-
 # Ordering constructs recognized for task scheduling.
 ORDERING_KEYWORDS = ("dependsOn", "mustRunAfter", "finalizedBy", "depends")
 
@@ -62,9 +56,6 @@ class BuildElement:
     body_tokens: tuple[str, ...]
     attributes: Mapping[str, str]
     span: tuple[int, int]  # 1-based inclusive (start_line, end_line)
-
-    def attr(self, key: str, default: str = "") -> str:
-        return self.attributes.get(key, default)
 
     @property
     def is_ordering_only(self) -> bool:
@@ -117,49 +108,12 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _strip_groovy_comments(text: str) -> str:
-    """Blank out // and /* */ comments, preserving line structure and strings."""
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            quote = c
-            triple = text[i : i + 3] == quote * 3
-            i += 3 if triple else 1
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if triple and text[i : i + 3] == quote * 3:
-                    i += 3
-                    break
-                if not triple and (text[i] == quote or text[i] == "\n"):
-                    i += 1
-                    break
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                out[i] = " "
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    out[i] = " "
-                i += 1
-            if i < n:
-                out[i] = out[i + 1] = " "
-                i += 2
-            continue
-        i += 1
-    return "".join(out)
-
-
-def _mask_strings(text: str) -> str:
-    """Blank out string contents (quotes included) for bracket counting."""
-    out = list(text)
+def _scan_groovy(text: str) -> tuple[str, str]:
+    """One pass over a script: (text with // and /* */ comments blanked, that
+    text with string literals, quotes included, blanked as well). Both keep
+    every newline, so lines stay aligned with the source."""
+    stripped = list(text)
+    masked = list(text)
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -179,11 +133,25 @@ def _mask_strings(text: str) -> str:
                     break
                 i += 1
             for k in range(start, min(i, n)):
-                if out[k] != "\n":
-                    out[k] = " "
+                if text[k] != "\n":
+                    masked[k] = " "
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                stripped[i] = masked[i] = " "
+                i += 1
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "*":
+            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
+                if text[i] != "\n":
+                    stripped[i] = masked[i] = " "
+                i += 1
+            if i < n:
+                stripped[i] = stripped[i + 1] = masked[i] = masked[i + 1] = " "
+                i += 2
             continue
         i += 1
-    return "".join(out)
+    return "".join(stripped), "".join(masked)
 
 
 # --- XML backbone ----------------------------------------------------------
@@ -214,9 +182,13 @@ class _XmlNode:
         return node.text.strip() if node is not None else ""
 
     def iter(self) -> Iterator["_XmlNode"]:
-        yield self
-        for c in self.children:
-            yield from c.iter()
+        """This node and its descendants in document order (no recursion, so
+        nesting depth is not limited by the interpreter's stack)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 def _parse_xml(content: str) -> _XmlNode:
@@ -247,6 +219,10 @@ def _parse_xml(content: str) -> _XmlNode:
         parser.Parse(content, True)
     except xml.parsers.expat.ExpatError as exc:
         raise XmlMalformedError(exc.lineno, str(exc)) from exc
+    finally:
+        # the handlers close over the parser; unhooking them breaks that cycle
+        # so the tree is freed with its model, not at the next cyclic collection
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
     if not root:
         raise XmlMalformedError(1, "no root element")
     return root[0]
@@ -254,13 +230,19 @@ def _parse_xml(content: str) -> _XmlNode:
 
 def _xml_inner_text(node: _XmlNode) -> str:
     parts = [node.text]
-    for child in node.children:
-        parts.append(f"<{child.tag}")
-        for k, v in child.attrib.items():
+    stack: list = list(reversed(node.children))  # nodes to open, or end tags
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(f"<{item.tag}")
+        for k, v in item.attrib.items():
             parts.append(f' {k}="{v}"')
         parts.append(">")
-        parts.append(_xml_inner_text(child))
-        parts.append(f"</{child.tag}>")
+        parts.append(item.text)
+        stack.append(f"</{item.tag}>")
+        stack.extend(reversed(item.children))
     return "".join(parts)
 
 
@@ -555,12 +537,15 @@ def _statements(lines: list[str], masked: list[str], offset: int) -> Iterator[tu
         i = j + 1
 
 
-def _block_body(stmt_lines: list[str], masked_lines: list[str]) -> tuple[Optional[str], int]:
-    """Return (body text inside the outermost braces, body line offset)."""
+def _block_body(
+    stmt_lines: list[str], masked_lines: list[str]
+) -> tuple[Optional[str], str, int]:
+    """Return (body text inside the outermost braces, the same slice of the
+    masked text, body line offset)."""
     joined_masked = "\n".join(masked_lines)
     start = joined_masked.find("{")
     if start == -1:
-        return None, 0
+        return None, "", 0
     depth = 0
     end = -1
     for idx in range(start, len(joined_masked)):
@@ -576,7 +561,7 @@ def _block_body(stmt_lines: list[str], masked_lines: list[str]) -> tuple[Optiona
         end = len(joined_masked)
     joined = "\n".join(stmt_lines)
     body = joined[start + 1 : end]
-    return body, joined[:start].count("\n")
+    return body, joined_masked[start + 1 : end], joined[:start].count("\n")
 
 
 def _value_attrs(raw_value: str) -> dict[str, str]:
@@ -589,9 +574,9 @@ def _value_attrs(raw_value: str) -> dict[str, str]:
 
 class _GradleParser:
     def __init__(self, content: str):
-        stripped = _strip_groovy_comments(content)
+        stripped, masked = _scan_groovy(content)
         self.lines = stripped.split("\n")
-        self.masked = _mask_strings(stripped).split("\n")
+        self.masked = masked.split("\n")
         self.elements: list[BuildElement] = []
         self.links: list[ModuleLink] = []
         self.warnings: list[str] = []
@@ -756,9 +741,7 @@ class _GradleParser:
         if decl_m:
             attrs["dependsOn"] = decl_m.group(1).strip()
 
-        body, body_offset = _block_body(
-            self.lines[start : end + 1], self.masked[start : end + 1]
-        )
+        body, _, _ = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
         body_text = body if body is not None else rest
         kept_lines = []
         for line in body_text.split("\n"):
@@ -786,7 +769,7 @@ class _GradleParser:
         )
 
     def _parse_plugins_block(self, start: int, end: int) -> None:
-        body, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
+        body, _, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
         if body is None:
             return
         for idx, line in enumerate(body.split("\n")):
@@ -806,12 +789,13 @@ class _GradleParser:
                 )
 
     def _parse_dependencies_block(self, start: int, end: int) -> None:
-        body, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
+        body, masked_body, offset = _block_body(
+            self.lines[start : end + 1], self.masked[start : end + 1]
+        )
         if body is None:
             return
         body_lines = body.split("\n")
-        masked_body = _mask_strings(body).split("\n")
-        for s, e, _ in _statements(body_lines, masked_body, 0):
+        for s, e, _ in _statements(body_lines, masked_body.split("\n"), 0):
             stmt = "\n".join(body_lines[s : e + 1]).strip()
             span = (start + offset + s + 1, start + offset + e + 1)
             dep = self._dependency_from(stmt, span)
@@ -861,7 +845,7 @@ class _GradleParser:
         return None
 
     def _parse_ext_block(self, start: int, end: int) -> None:
-        body, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
+        body, _, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
         if body is None:
             return
         for idx, line in enumerate(body.split("\n")):

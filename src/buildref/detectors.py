@@ -5,15 +5,22 @@ Each category detector compares the before/after build models of one commit
 binary: a static detection always has confidence 1.0. Several rules firing on
 one commit is normal; nothing is ranked or suppressed beyond exact-duplicate
 removal.
+
+Derived data is built once per commit and shared: `CommitContext` holds one
+index per model (named elements, body-token counts, name reference counts),
+the element pairing of every before-path and the commit's one move list, each
+built on first use. The detectors are pure queries over it.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import posixpath
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .build_parsers import (
@@ -22,17 +29,19 @@ from .build_parsers import (
     BuildModel,
     ElementKind,
     HierarchyGraph,
+    XmlMalformedError,
     infer_hierarchy,
     parse_build_file,
     tokenize,
 )
-from .mining import ChangeKind, CommitRecord, FileDiff
+from .mining import BuildSystem, ChangeKind, CommitRecord, FileDiff, classify_build_file
 from . import taxonomy
 
 logger = logging.getLogger(__name__)
 
 SUBROUTINE_KINDS = (ElementKind.TASK, ElementKind.TARGET, ElementKind.METHOD)
 VALUE_KINDS = (ElementKind.VARIABLE, ElementKind.PROPERTY)
+MIN_FRAGMENT_TOKENS = 5  # smallest new unit or unnamed block that counts as extracted
 
 
 @dataclass(frozen=True)
@@ -41,13 +50,12 @@ class DetectorConfig:
 
     move_similarity: float = 0.7
     rename_similarity: float = 0.8
-    min_fragment_tokens: int = 5
 
 
 DEFAULT_CONFIG = DetectorConfig()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Evidence:
     path: str
     span: tuple[int, int]
@@ -87,6 +95,101 @@ def containment(part: Sequence[str], whole: Sequence[str]) -> float:
     return shared / len(part)
 
 
+def _token_matches_name(token: str, name: str) -> bool:
+    return (
+        token == name
+        or token == f"${name}"
+        or f"${{{name}}}" in token
+        or f"@{{{name}}}" in token
+    )
+
+
+class _ModelIndex:
+    """What the detectors ask of one model; each part is built on first use."""
+
+    def __init__(self, model: BuildModel):
+        self.model = model
+
+    @cached_property
+    def named(self) -> dict[tuple[ElementKind, str], list[BuildElement]]:
+        index: dict[tuple[ElementKind, str], list[BuildElement]] = {}
+        for el in self.model.elements:
+            if el.name:
+                index.setdefault((el.kind, el.name), []).append(el)
+        return index
+
+    @cached_property
+    def tokens(self) -> Counter:
+        """Body tokens of every element, with multiplicity."""
+        return Counter(t for el in self.model.elements for t in el.body_tokens)
+
+    @cached_property
+    def _references(self) -> tuple[Counter, Counter, dict[int, int]]:
+        """Reference counts over body tokens and tokenized attribute values.
+
+        A plain token refers to itself and, after a leading `$`, to the rest.
+        A token embedding `${...}` or `@{...}` refers to every substring from
+        such an opener to any later `}`, quadratically many names, so these
+        few tokens are kept with their counts and matched per query. `own`
+        counts, per named element, its tokens that refer to its own name.
+        """
+        plain: Counter = Counter()
+        own: dict[int, int] = {}
+        for el in self.model.elements:
+            tokens = el.body_tokens
+            for value in el.attributes.values():
+                tokens += tokenize(value)
+            plain.update(tokens)
+            name = el.name
+            # scan only elements with a token that can refer to their name
+            if name and (name in tokens or f"${name}" in tokens or "{" in "".join(tokens)):
+                own[id(el)] = sum(1 for t in tokens if _token_matches_name(t, name))
+        embedding = Counter({t: plain.pop(t) for t in list(plain) if "${" in t or "@{" in t})
+        for tok, n in [(t, n) for t, n in plain.items() if t.startswith("$")]:
+            plain[tok[1:]] += n
+        return plain, embedding, own
+
+    def reference_count(self, name: str, exclude: Optional[BuildElement] = None) -> int:
+        """Tokens of the model that refer to `name`, leaving out those of
+        `exclude` (an element of this model named `name`)."""
+        plain, embedding, own = self._references
+        count = plain[name] + sum(
+            n for tok, n in embedding.items() if _token_matches_name(tok, name)
+        )
+        if exclude is not None:
+            count -= own.get(id(exclude), 0)
+        return count
+
+    def references(self, name: str, exclude: Optional[BuildElement] = None) -> bool:
+        if self.reference_count(name, exclude):
+            return True
+        return any(name in link.target for link in self.model.module_links)
+
+
+@dataclass
+class _FileChanges:
+    added: list[BuildElement] = field(default_factory=list)
+    removed: list[BuildElement] = field(default_factory=list)
+    modified: list[tuple[BuildElement, BuildElement]] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class _Move:
+    kind: ElementKind
+    name: str
+    src_path: str
+    dst_path: str
+    src_el: BuildElement
+    dst_el: BuildElement
+
+    @property
+    def evidence(self) -> tuple[Evidence, Evidence]:
+        return (
+            Evidence(self.src_path, self.src_el.span, "source"),
+            Evidence(self.dst_path, self.dst_el.span, "destination"),
+        )
+
+
 @dataclass(frozen=True)
 class CommitContext:
     commit: CommitRecord
@@ -96,13 +199,8 @@ class CommitContext:
     after_hierarchy: HierarchyGraph
 
     @classmethod
-    def from_commit(
-        cls,
-        commit: CommitRecord,
-        extra_files: Optional[Mapping[str, str]] = None,
-    ) -> "CommitContext":
-        """Parse every touched build-file version (plus optional untouched
-        sibling files from the same tree snapshots) into models."""
+    def from_commit(cls, commit: CommitRecord) -> "CommitContext":
+        """Parse every touched build-file version into models."""
         before: dict[str, BuildModel] = {}
         after: dict[str, BuildModel] = {}
         for fd in commit.file_diffs:
@@ -110,10 +208,6 @@ class CommitContext:
                 before[fd.old_path or fd.path] = _safe_parse(fd.old_path or fd.path, fd.before_content)
             if fd.after_content is not None:
                 after[fd.path] = _safe_parse(fd.path, fd.after_content)
-        for path, content in sorted((extra_files or {}).items()):
-            model = _safe_parse(path, content)
-            before.setdefault(path, model)
-            after.setdefault(path, model)
         return cls(
             commit=commit,
             before_models=before,
@@ -125,16 +219,74 @@ class CommitContext:
     def diff_for(self, path: str) -> Optional[FileDiff]:
         return next((d for d in self.commit.file_diffs if d.path == path), None)
 
+    # Derived data: built by the first detector that asks, then shared.
+
+    @cached_property
+    def before_index(self) -> dict[str, _ModelIndex]:
+        return {path: _ModelIndex(m) for path, m in self.before_models.items()}
+
+    @cached_property
+    def after_index(self) -> dict[str, _ModelIndex]:
+        return {path: _ModelIndex(m) for path, m in self.after_models.items()}
+
+    @cached_property
+    def shared_paths(self) -> list[str]:
+        return sorted(set(self.before_models) & set(self.after_models))
+
+    @cached_property
+    def changes(self) -> dict[str, _FileChanges]:
+        """Element pairing of every before-path; everything is removed when
+        the path has no after-version."""
+        out = {}
+        for path, b_index in self.before_index.items():
+            a_index = self.after_index.get(path)
+            out[path] = (
+                _element_changes(b_index, a_index)
+                if a_index is not None
+                else _FileChanges(removed=list(b_index.model.elements))
+            )
+        return out
+
+    @cached_property
+    def moves(self) -> list[_Move]:
+        """Named elements (raw blocks aside) that vanished from one file and
+        appeared in another."""
+        moves: list[_Move] = []
+        for src_path in sorted(self.before_index):
+            a_index = self.after_index.get(src_path)
+            a_named = a_index.named if a_index else {}
+            for el in self.before_index[src_path].model.elements:
+                if el.kind is ElementKind.RAW_BLOCK or not el.name:
+                    continue
+                if (el.kind, el.name) in a_named:
+                    continue  # still present: not a move away
+                for dst_path in sorted(self.after_index):
+                    if dst_path == src_path:
+                        continue
+                    dst_candidates = self.after_index[dst_path].named.get((el.kind, el.name))
+                    if not dst_candidates:
+                        continue
+                    dst_before = self.before_index.get(dst_path)
+                    if dst_before and (el.kind, el.name) in dst_before.named:
+                        continue  # destination already had it
+                    moves.append(
+                        _Move(el.kind, el.name, src_path, dst_path, el, dst_candidates[0])
+                    )
+        return moves
+
+    @cached_property
+    def moved_sources(self) -> set[int]:
+        return {id(m.src_el) for m in self.moves}
+
+    def moves_of(self, kinds: Sequence[ElementKind]) -> list[_Move]:
+        return [m for m in self.moves if m.kind in kinds]
+
 
 def _safe_parse(path: str, content: str) -> BuildModel:
-    from .build_parsers import XmlMalformedError
-
     try:
         return parse_build_file(path, content)
     except XmlMalformedError as exc:
         logger.warning("%s: %s; treating file as one opaque block", path, exc)
-        from .mining import classify_build_file, BuildSystem
-
         return BuildModel(
             build_system=classify_build_file(path) or BuildSystem.GRADLE,
             elements=(
@@ -154,14 +306,6 @@ def _safe_parse(path: str, content: str) -> BuildModel:
 
 # --- shared machinery --------------------------------------------------------
 
-def _named_index(model: BuildModel) -> dict[tuple[ElementKind, str], list[BuildElement]]:
-    index: dict[tuple[ElementKind, str], list[BuildElement]] = {}
-    for el in model.elements:
-        if el.name:
-            index.setdefault((el.kind, el.name), []).append(el)
-    return index
-
-
 def _non_ordering_attrs(el: BuildElement) -> dict[str, str]:
     return {
         k: v
@@ -174,18 +318,11 @@ def _ordering_attrs(el: BuildElement) -> dict[str, str]:
     return {k: v for k, v in el.attributes.items() if k in ORDERING_KEYWORDS}
 
 
-@dataclass
-class _FileChanges:
-    added: list[BuildElement] = field(default_factory=list)
-    removed: list[BuildElement] = field(default_factory=list)
-    modified: list[tuple[BuildElement, BuildElement]] = field(default_factory=list)
-
-
-def _element_changes(before: BuildModel, after: BuildModel) -> _FileChanges:
+def _element_changes(before: _ModelIndex, after: _ModelIndex) -> _FileChanges:
     """Pair elements across versions by (kind, name); unnamed ones by exact body."""
     changes = _FileChanges()
-    b_index = _named_index(before)
-    a_index = _named_index(after)
+    b_index = before.named
+    a_index = after.named
     for key in sorted(set(b_index) | set(a_index), key=lambda k: (k[0].value, k[1])):
         b_els = b_index.get(key, [])
         a_els = a_index.get(key, [])
@@ -196,63 +333,25 @@ def _element_changes(before: BuildModel, after: BuildModel) -> _FileChanges:
         changes.added.extend(a_els[len(b_els):])
 
     # unnamed elements pair only on an exact body match
-    a_unnamed = Counter((el.kind, el.body_tokens) for el in after.elements if not el.name)
-    for el in before.elements:
-        if el.name:
-            continue
-        key = (el.kind, el.body_tokens)
-        if a_unnamed.get(key, 0) > 0:
-            a_unnamed[key] -= 1
-        else:
-            changes.removed.append(el)
-    b_unnamed = Counter((el.kind, el.body_tokens) for el in before.elements if not el.name)
-    for el in after.elements:
-        if el.name:
-            continue
-        key = (el.kind, el.body_tokens)
-        if b_unnamed.get(key, 0) > 0:
-            b_unnamed[key] -= 1
-        else:
-            changes.added.append(el)
+    changes.removed.extend(_unpaired(before.model.elements, after.model.elements))
+    changes.added.extend(_unpaired(after.model.elements, before.model.elements))
     return changes
 
 
-@dataclass(frozen=True)
-class _Move:
-    kind: ElementKind
-    name: str
-    src_path: str
-    dst_path: str
-    src_el: BuildElement
-    dst_el: BuildElement
-
-
-def _moved_elements(ctx: CommitContext, kinds: Sequence[ElementKind]) -> list[_Move]:
-    """Named elements that vanished from one file and appeared in another."""
-    moves: list[_Move] = []
-    for src_path in sorted(ctx.before_models):
-        b_model = ctx.before_models[src_path]
-        a_model = ctx.after_models.get(src_path)
-        a_index = _named_index(a_model) if a_model else {}
-        for el in b_model.elements:
-            if el.kind not in kinds or not el.name:
-                continue
-            if (el.kind, el.name) in a_index:
-                continue  # still present: not a move away
-            for dst_path in sorted(ctx.after_models):
-                if dst_path == src_path:
-                    continue
-                dst_index = _named_index(ctx.after_models[dst_path])
-                dst_candidates = dst_index.get((el.kind, el.name))
-                if not dst_candidates:
-                    continue
-                dst_before = ctx.before_models.get(dst_path)
-                if dst_before and (el.kind, el.name) in _named_index(dst_before):
-                    continue  # destination already had it
-                moves.append(
-                    _Move(el.kind, el.name, src_path, dst_path, el, dst_candidates[0])
-                )
-    return moves
+def _unpaired(elements: Sequence[BuildElement], others: Sequence[BuildElement]) -> list[BuildElement]:
+    """Unnamed `elements` left once each has taken an unnamed element of
+    `others` with the same kind and body, if one is left."""
+    pool = Counter((el.kind, el.body_tokens) for el in others if not el.name)
+    out = []
+    for el in elements:
+        if el.name:
+            continue
+        key = (el.kind, el.body_tokens)
+        if pool[key] > 0:
+            pool[key] -= 1
+        else:
+            out.append(el)
+    return out
 
 
 def _relation(ctx: CommitContext, a: str, b: str) -> str:
@@ -278,60 +377,11 @@ def _dir_contains(outer: str, inner: str) -> bool:
     return inner.startswith(outer + "/")
 
 
-def _file_token_counter(model: Optional[BuildModel]) -> Counter:
-    counter: Counter = Counter()
-    if model is None:
-        return counter
-    for el in model.elements:
-        counter.update(el.body_tokens)
-    return counter
-
-
-def _token_matches_name(token: str, name: str) -> bool:
-    return (
-        token == name
-        or token == f"${name}"
-        or f"${{{name}}}" in token
-        or f"@{{{name}}}" in token
-    )
-
-
-def _model_references_name(model: BuildModel, name: str, exclude: Sequence[BuildElement] = ()) -> bool:
-    skip = {id(e) for e in exclude}
-    for el in model.elements:
-        if id(el) in skip:
-            continue
-        if any(_token_matches_name(t, name) for t in el.body_tokens):
-            return True
-        for value in el.attributes.values():
-            if any(_token_matches_name(t, name) for t in tokenize(value)):
-                return True
-    return any(name in link.target for link in model.module_links)
-
-
-def _reference_count(model: Optional[BuildModel], name: str, exclude: Sequence[BuildElement] = ()) -> int:
-    if model is None:
-        return 0
-    skip = {id(e) for e in exclude}
-    count = 0
-    for el in model.elements:
-        if id(el) in skip:
-            continue
-        count += sum(1 for t in el.body_tokens if _token_matches_name(t, name))
-        for value in el.attributes.values():
-            count += sum(1 for t in tokenize(value) if _token_matches_name(t, name))
-    return count
-
-
 def _literal_value(el: BuildElement) -> Optional[str]:
     if el.kind in VALUE_KINDS and el.attributes.get("literal") == "true":
         value = el.attributes.get("value", "")
         return value or None
     return None
-
-
-def _shared_paths(ctx: CommitContext) -> list[str]:
-    return sorted(set(ctx.before_models) & set(ctx.after_models))
 
 
 # --- category detectors --------------------------------------------------------
@@ -356,15 +406,9 @@ def _canonical_signature(el: BuildElement):
 def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
     renamed_sources: set[int] = set()
-    moves = _moved_elements(
-        ctx, (ElementKind.TASK, ElementKind.TARGET, ElementKind.METHOD,
-              ElementKind.DEPENDENCY, ElementKind.PROPERTY, ElementKind.VARIABLE,
-              ElementKind.PLUGIN)
-    )
-    moved_source_ids = {id(m.src_el) for m in moves}
 
     # Reformat Code: same semantic element multiset, different text.
-    for path in _shared_paths(ctx):
+    for path in ctx.shared_paths:
         diff = ctx.diff_for(path)
         if diff is None or diff.before_content == diff.after_content:
             continue
@@ -385,8 +429,8 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
 
     # Rename Field: same body, new name, within one file.
     rename_pairs: list[tuple[str, BuildElement, BuildElement, float]] = []
-    for path in _shared_paths(ctx):
-        changes = _element_changes(ctx.before_models[path], ctx.after_models[path])
+    for path in ctx.shared_paths:
+        changes = ctx.changes[path]
         candidates = []
         for b_el in changes.removed:
             if not b_el.name:
@@ -424,21 +468,18 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
     # blocks carry lexical pseudo-names, not referenceable identifiers, so
     # they are out of scope here.
     for path in sorted(ctx.before_models):
-        after_model = ctx.after_models.get(path)
-        after_index = _named_index(after_model) if after_model else {}
+        after_index = ctx.after_index.get(path)
+        after_named = after_index.named if after_index else {}
         for el in ctx.before_models[path].elements:
             if el.kind is ElementKind.RAW_BLOCK:
                 continue
-            if not el.name or (el.kind, el.name) in after_index:
+            if not el.name or (el.kind, el.name) in after_named:
                 continue
-            if id(el) in renamed_sources or id(el) in moved_source_ids:
+            if id(el) in renamed_sources or id(el) in ctx.moved_sources:
                 continue
-            if any(
-                _model_references_name(m, el.name, exclude=(el,))
-                for m in ctx.before_models.values()
-            ):
+            if any(m.references(el.name, exclude=el) for m in ctx.before_index.values()):
                 continue
-            if any(_model_references_name(m, el.name) for m in ctx.after_models.values()):
+            if any(m.references(el.name) for m in ctx.after_index.values()):
                 continue
             if _similar_added_elsewhere(ctx, el, config):
                 continue
@@ -454,12 +495,12 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
 
 def _similar_added_elsewhere(ctx: CommitContext, el: BuildElement, config: DetectorConfig) -> bool:
     for path in sorted(ctx.after_models):
-        before_model = ctx.before_models.get(path)
-        before_index = _named_index(before_model) if before_model else {}
+        before_index = ctx.before_index.get(path)
+        before_named = before_index.named if before_index else {}
         for candidate in ctx.after_models[path].elements:
             if candidate.kind is not el.kind:
                 continue
-            if candidate.name and (candidate.kind, candidate.name) in before_index:
+            if candidate.name and (candidate.kind, candidate.name) in before_named:
                 continue
             if jaccard(el.body_tokens, candidate.body_tokens) >= config.move_similarity:
                 return True
@@ -519,19 +560,12 @@ def detect_module_hierarchy(
 def _block_moved_from(
     ctx: CommitContext, src_path: str, new_model: BuildModel, config: DetectorConfig
 ) -> Optional[tuple[BuildElement, BuildElement]]:
-    before = ctx.before_models[src_path]
-    after = ctx.after_models.get(src_path)
-    changes = (
-        _element_changes(before, after)
-        if after is not None
-        else _FileChanges(removed=list(before.elements))
-    )
     best: Optional[tuple[float, BuildElement, BuildElement]] = None
-    for b_el in changes.removed:
+    for b_el in ctx.changes[src_path].removed:
         for n_el in new_model.elements:
             if n_el.kind is not b_el.kind:
                 continue
-            if not b_el.name and len(n_el.body_tokens) < config.min_fragment_tokens:
+            if not b_el.name and len(n_el.body_tokens) < MIN_FRAGMENT_TOKENS:
                 continue
             sim = jaccard(b_el.body_tokens, n_el.body_tokens)
             if sim >= config.move_similarity:
@@ -547,26 +581,22 @@ def detect_subroutine(
 ) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
 
-    for path in _shared_paths(ctx):
-        before, after = ctx.before_models[path], ctx.after_models[path]
-        changes = _element_changes(before, after)
-        out.update(_extract_subroutines(path, changes, config))
+    for path in ctx.shared_paths:
+        changes = ctx.changes[path]
+        out.update(_extract_subroutines(path, changes))
         out.update(_detect_dry(path, changes, config))
         scheduled = _detect_scheduling(path, changes)
         if scheduled:
             out.add(scheduled)
 
-    for move in _moved_elements(ctx, SUBROUTINE_KINDS):
+    for move in ctx.moves_of(SUBROUTINE_KINDS):
         relation = _relation(ctx, move.dst_path, move.src_path)
         if relation == "ancestor":
             out.add(
                 DetectedRefactoring(
                     type="Pull Up Method",
                     details=f"{move.kind.value} '{move.name}' pulled up from {move.src_path} to {move.dst_path}",
-                    evidence=(
-                        Evidence(move.src_path, move.src_el.span, "source"),
-                        Evidence(move.dst_path, move.dst_el.span, "destination"),
-                    ),
+                    evidence=move.evidence,
                 )
             )
         elif relation == "descendant":
@@ -574,18 +604,13 @@ def detect_subroutine(
                 DetectedRefactoring(
                     type="Push Down Task",
                     details=f"{move.kind.value} '{move.name}' pushed down from {move.src_path} to {move.dst_path}",
-                    evidence=(
-                        Evidence(move.src_path, move.src_el.span, "source"),
-                        Evidence(move.dst_path, move.dst_el.span, "destination"),
-                    ),
+                    evidence=move.evidence,
                 )
             )
     return out
 
 
-def _extract_subroutines(
-    path: str, changes: _FileChanges, config: DetectorConfig
-) -> set[DetectedRefactoring]:
+def _extract_subroutines(path: str, changes: _FileChanges) -> set[DetectedRefactoring]:
     """Extract Method / Extract Task: a fragment leaves a host element and
     reappears as a new named unit that the file now invokes."""
     out: set[DetectedRefactoring] = set()
@@ -594,7 +619,7 @@ def _extract_subroutines(
     ] + [(el, None) for el in changes.removed]
 
     for new_el in changes.added:
-        if not new_el.name or len(new_el.body_tokens) < config.min_fragment_tokens:
+        if not new_el.name or len(new_el.body_tokens) < MIN_FRAGMENT_TOKENS:
             continue
         if new_el.kind is ElementKind.METHOD:
             type_id = "Extract Method"
@@ -732,7 +757,7 @@ def detect_dependency(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
-    for move in _moved_elements(ctx, (ElementKind.DEPENDENCY,)):
+    for move in ctx.moves_of((ElementKind.DEPENDENCY,)):
         relation = _relation(ctx, move.dst_path, move.src_path)
         if relation == "ancestor":
             type_id = "Pull Up Dependency"
@@ -744,10 +769,7 @@ def detect_dependency(
             DetectedRefactoring(
                 type=type_id,
                 details=f"dependency {move.name} moved from {move.src_path} to {move.dst_path}",
-                evidence=(
-                    Evidence(move.src_path, move.src_el.span, "source"),
-                    Evidence(move.dst_path, move.dst_el.span, "destination"),
-                ),
+                evidence=move.evidence,
             )
         )
     return out
@@ -761,7 +783,7 @@ def detect_properties(
 ) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
 
-    for move in _moved_elements(ctx, (ElementKind.PROPERTY,)):
+    for move in ctx.moves_of((ElementKind.PROPERTY,)):
         src_is_props = move.src_path.endswith(".properties")
         dst_is_props = move.dst_path.endswith(".properties")
         relation = _relation(ctx, move.dst_path, move.src_path)
@@ -770,10 +792,7 @@ def detect_properties(
                 DetectedRefactoring(
                     type="Externalize Properties",
                     details=f"property '{move.name}' moved out of {move.src_path} into {move.dst_path}",
-                    evidence=(
-                        Evidence(move.src_path, move.src_el.span, "source"),
-                        Evidence(move.dst_path, move.dst_el.span, "destination"),
-                    ),
+                    evidence=move.evidence,
                 )
             )
         elif relation == "ancestor":
@@ -781,20 +800,16 @@ def detect_properties(
                 DetectedRefactoring(
                     type="Pull Up Properties",
                     details=f"property '{move.name}' pulled up from {move.src_path} to {move.dst_path}",
-                    evidence=(
-                        Evidence(move.src_path, move.src_el.span, "source"),
-                        Evidence(move.dst_path, move.dst_el.span, "destination"),
-                    ),
+                    evidence=move.evidence,
                 )
             )
 
     # In-file externalization: a literal leaves the script and the script now
     # reads an external .properties (or similar) configuration source.
-    for path in _shared_paths(ctx):
+    for path in ctx.shared_paths:
         if path.endswith(".properties"):
             continue
-        before, after = ctx.before_models[path], ctx.after_models[path]
-        changes = _element_changes(before, after)
+        changes = ctx.changes[path]
         literal_gone: list[BuildElement] = []
         for b_el, a_el in changes.modified:
             if _literal_value(b_el) and not _literal_value(a_el):
@@ -804,9 +819,7 @@ def detect_properties(
                 literal_gone.append(el)
         if not literal_gone:
             continue
-        after_tokens = set(_file_token_counter(after))
-        before_tokens = set(_file_token_counter(before))
-        gained = after_tokens - before_tokens
+        gained = ctx.after_index[path].tokens.keys() - ctx.before_index[path].tokens.keys()
         reads_external = any(t.endswith(".properties") for t in gained) or any(
             m in gained for m in _EXTERNAL_CONFIG_MARKERS
         )
@@ -835,12 +848,7 @@ def detect_variables(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
-    moves = _moved_elements(ctx, VALUE_KINDS)
-    moved_source_ids = {id(m.src_el) for m in moves}
-
-    for move in moves:
-        if move.kind is not ElementKind.VARIABLE:
-            continue  # property moves are handled by detect_properties
+    for move in ctx.moves_of((ElementKind.VARIABLE,)):  # property moves: detect_properties
         relation = _relation(ctx, move.dst_path, move.src_path)
         if relation == "ancestor":
             type_id = "Pull Up Variable"
@@ -852,30 +860,27 @@ def detect_variables(
             DetectedRefactoring(
                 type=type_id,
                 details=f"variable '{move.name}' moved from {move.src_path} to {move.dst_path}",
-                evidence=(
-                    Evidence(move.src_path, move.src_el.span, "source"),
-                    Evidence(move.dst_path, move.dst_el.span, "destination"),
-                ),
+                evidence=move.evidence,
             )
         )
 
     # Extract Variable (same file) and the cross-file extract variants.
     for path in sorted(ctx.after_models):
-        after = ctx.after_models[path]
-        before = ctx.before_models.get(path)
-        before_index = _named_index(before) if before else {}
-        for el in after.elements:
+        after = ctx.after_index[path]
+        before = ctx.before_index.get(path)
+        before_named = before.named if before else {}
+        for el in after.model.elements:
             if el.kind not in VALUE_KINDS or not el.name:
                 continue
-            if (el.kind, el.name) in before_index:
+            if (el.kind, el.name) in before_named:
                 continue
             literal = _literal_value(el)
             if not literal:
                 continue
             if before is not None:
-                before_count = _file_token_counter(before)[literal]
-                after_count = _file_token_counter(after)[literal] - Counter(el.body_tokens)[literal]
-                refs = _reference_count(after, el.name, exclude=(el,))
+                before_count = before.tokens[literal]
+                after_count = after.tokens[literal] - el.body_tokens.count(literal)
+                refs = after.reference_count(el.name, exclude=el)
                 if before_count >= 2 and after_count < before_count and refs >= 1:
                     out.add(
                         DetectedRefactoring(
@@ -884,12 +889,12 @@ def detect_variables(
                             evidence=(Evidence(path, el.span, "destination"),),
                         )
                     )
-            for other in sorted(set(_shared_paths(ctx)) - {path}):
-                o_before = ctx.before_models[other]
-                o_after = ctx.after_models[other]
-                before_uses = _file_token_counter(o_before)[literal]
-                after_uses = _file_token_counter(o_after)[literal]
-                refs = _reference_count(o_after, el.name)
+            for other in sorted(set(ctx.shared_paths) - {path}):
+                o_before = ctx.before_index[other]
+                o_after = ctx.after_index[other]
+                before_uses = o_before.tokens[literal]
+                after_uses = o_after.tokens[literal]
+                refs = o_after.reference_count(el.name)
                 if before_uses >= 1 and after_uses < before_uses and refs >= 1:
                     relation = _relation(ctx, path, other)
                     type_id = (
@@ -897,7 +902,7 @@ def detect_variables(
                         if relation == "ancestor"
                         else "Extract And Move Variable"
                     )
-                    use_site = _first_literal_span(o_before, literal)
+                    use_site = _first_literal_span(o_before.model, literal)
                     out.add(
                         DetectedRefactoring(
                             type=type_id,
@@ -912,36 +917,32 @@ def detect_variables(
                         )
                     )
 
-    out.update(_detect_inline_variables(ctx, moved_source_ids))
+    out.update(_detect_inline_variables(ctx))
     return out
 
 
-def _first_literal_span(model: Optional[BuildModel], literal: str) -> tuple[int, int]:
-    if model is not None:
-        for el in model.elements:
-            if literal in el.body_tokens:
-                return el.span
+def _first_literal_span(model: BuildModel, literal: str) -> tuple[int, int]:
+    for el in model.elements:
+        if literal in el.body_tokens:
+            return el.span
     return (1, 1)
 
 
-def _detect_inline_variables(
-    ctx: CommitContext, moved_source_ids: set[int]
-) -> set[DetectedRefactoring]:
+def _detect_inline_variables(ctx: CommitContext) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
     # Inline Variable: definition removed, value substituted at its use sites.
-    for path in _shared_paths(ctx):
-        before, after = ctx.before_models[path], ctx.after_models[path]
-        changes = _element_changes(before, after)
-        for el in changes.removed:
-            if el.kind not in VALUE_KINDS or not el.name or id(el) in moved_source_ids:
+    for path in ctx.shared_paths:
+        before, after = ctx.before_index[path], ctx.after_index[path]
+        for el in ctx.changes[path].removed:
+            if el.kind not in VALUE_KINDS or not el.name or id(el) in ctx.moved_sources:
                 continue
             literal = _literal_value(el)
             if not literal:
                 continue
-            before_refs = _reference_count(before, el.name, exclude=(el,))
-            after_refs = _reference_count(after, el.name)
-            before_uses = _file_token_counter(before)[literal] - Counter(el.body_tokens)[literal]
-            after_uses = _file_token_counter(after)[literal]
+            before_refs = before.reference_count(el.name, exclude=el)
+            after_refs = after.reference_count(el.name)
+            before_uses = before.tokens[literal] - el.body_tokens.count(literal)
+            after_uses = after.tokens[literal]
             if before_refs >= 1 and after_refs == 0 and after_uses >= before_uses + 1:
                 out.add(
                     DetectedRefactoring(
@@ -986,8 +987,6 @@ def detect_all(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> s
 # --- wire format ---------------------------------------------------------------
 
 def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
-    import json
-
     return json.dumps(
         {
             "commit_hash": commit_hash,
@@ -1005,8 +1004,6 @@ def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
 
 
 def detection_from_json(line: str) -> tuple[str, DetectedRefactoring]:
-    import json
-
     obj = json.loads(line)
     det = DetectedRefactoring(
         type=obj["RefactoringType"],
@@ -1023,4 +1020,4 @@ def detection_from_json(line: str) -> tuple[str, DetectedRefactoring]:
 
 
 def sort_key(det: DetectedRefactoring) -> tuple:
-    return (det.type, det.evidence and det.evidence[0].path or "", det.evidence)
+    return (det.type, det.evidence and det.evidence[0].path or "", det.evidence, det.details)

@@ -14,7 +14,9 @@ from buildref.build_parsers import (
     parse_properties,
     tokenize,
 )
+from buildref.detectors import detect_all
 from buildref.mining import BuildSystem
+from conftest import make_context
 
 
 def kinds(model, kind):
@@ -403,3 +405,27 @@ def test_cycle_broken_with_warning():
     assert graph.warnings
     edges = sum(len(c) for c in graph.children.values())
     assert edges == 1
+
+
+_DEPTH = 5000
+
+
+@pytest.mark.parametrize(
+    "path,content",
+    [
+        (
+            "pom.xml",
+            "<project><dependencies><dependency><groupId>g</groupId><artifactId>a</artifactId>"
+            + "<x>" * _DEPTH + "v" + "</x>" * _DEPTH
+            + "</dependency></dependencies></project>",
+        ),
+        ("build.xml", '<project name="p"><target name="t">' + "<x>" * _DEPTH + "</x>" * _DEPTH + "</target></project>"),
+    ],
+    ids=["maven", "ant"],
+)
+def test_deep_nesting_parses_and_detects(path, content):
+    model = parse_build_file(path, content)
+    assert len(model.elements) == 1
+    assert model.elements[0].body_tokens.count("x") == 2 * _DEPTH
+    assert {d.type for d in detect_all(make_context({path: content}, {}))} == {"Remove Unused Code"}
+    assert detect_all(make_context({}, {path: content})) == set()

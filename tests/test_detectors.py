@@ -1,10 +1,15 @@
 import dataclasses
+import itertools
+import logging
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures
+from buildref import detectors
+from buildref.build_parsers import BuildElement, BuildModel, ElementKind, tokenize
 from buildref.detectors import (
     CommitContext,
     DetectedRefactoring,
@@ -21,7 +26,9 @@ from buildref.detectors import (
     detection_from_json,
     detection_to_json,
     jaccard,
+    sort_key,
 )
+from buildref.mining import BuildSystem
 from buildref import taxonomy
 from conftest import FAKE_HASH, detected_types, make_commit, make_context
 
@@ -428,3 +435,80 @@ def test_antisymmetry_property(kind, name, value, child_dir):
     down = detected_types(after, before)
     assert up_type in up and down_type not in up
     assert down_type in down and up_type not in down
+
+
+# --- the shared per-commit index ----------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden_detections.jsonl"
+
+
+def test_fixture_detections_match_golden_file():
+    """Static detections of every fixture, byte for byte (the fixture name
+    stands in for the commit hash). EXEMPLAR_CASES are PIPELINE_CASES entries."""
+    assert all(case in fixtures.PIPELINE_CASES for case in fixtures.EXEMPLAR_CASES.values())
+    lines = []
+    for name, before, after, _ in fixtures.PIPELINE_CASES:
+        for det in sorted(detect_all(make_context(before, after)), key=sort_key):
+            lines.append(detection_to_json(name, det) + "\n")
+    assert "".join(lines) == GOLDEN.read_text(encoding="utf-8")
+
+
+_REF_TEXT = st.text(alphabet="ab${}@", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_REF_TEXT, max_size=10), st.lists(_REF_TEXT, max_size=3), st.data())
+def test_reference_count_equals_token_predicate(tokens, values, data):
+    candidates = [t[i:j] for t in tokens + values for i in range(len(t)) for j in range(i + 1, len(t) + 1)]
+    name = data.draw(st.sampled_from(candidates) if candidates else _REF_TEXT.filter(bool))
+    user = BuildElement(ElementKind.TASK, name, tuple(tokens), {str(i): v for i, v in enumerate(values)}, (1, 1))
+    other = BuildElement(ElementKind.TASK, "other", tuple(tokens), {}, (2, 2))
+    model = BuildModel(BuildSystem.GRADLE, (user, other), (), "build.gradle")
+    index = detectors._ModelIndex(model)
+    own = sum(detectors._token_matches_name(t, name) for t in tokens + [t for v in values for t in tokenize(v)])
+    from_other = sum(detectors._token_matches_name(t, name) for t in tokens)
+    assert index.reference_count(name) == own + from_other
+    assert index.reference_count(name, exclude=user) == from_other
+
+
+def test_failing_detector_is_logged_and_skipped(monkeypatch, caplog):
+    def broken(ctx, config):
+        ctx.changes  # the shared index is built before the failure
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        detectors, "_CATEGORY_DETECTORS", (broken,) + detectors._CATEGORY_DETECTORS
+    )
+    _, before, after, expected = fixtures.EXEMPLAR_CASES["dry"]
+    with caplog.at_level(logging.WARNING, logger="buildref.detectors"):
+        found = detect_all(make_context(before, after))
+    assert {d.type for d in found} == {expected}
+    assert any(
+        r.getMessage() == f"broken failed on commit {FAKE_HASH}" and r.exc_info for r in caplog.records
+    )
+
+
+def test_sort_key_orders_evidence_past_the_first_entry():
+    # two Extract Module splits in sibling directories: each new file pairs
+    # with both sources, so detections tie on type and first evidence path
+    b, a, new = fixtures.EXTRACT_MODULE_BEFORE, fixtures.EXTRACT_MODULE_MAIN_AFTER, fixtures.EXTRACT_MODULE_NEW_FILE
+    before = {"a/build.gradle": b, "b/build.gradle": b}
+    after = {"a/build.gradle": a, "a/docs.gradle": new, "b/build.gradle": a, "b/docs.gradle": new}
+    found = sorted(detect_all(make_context(before, after)), key=sort_key)
+    assert [(d.type, d.evidence[0].path, d.evidence[1].path) for d in found] == [
+        ("Extract Module", "a/build.gradle", "a/docs.gradle"),
+        ("Extract Module", "a/build.gradle", "b/docs.gradle"),
+        ("Extract Module", "b/build.gradle", "a/docs.gradle"),
+        ("Extract Module", "b/build.gradle", "b/docs.gradle"),
+    ]
+
+
+def test_sort_key_orders_evidence_free_detections_by_details():
+    # LLM detections carry no evidence; a set hands them over in an order
+    # that depends on the hash seed
+    dets = [
+        DetectedRefactoring("Extract Variable", details, (), backend="llm")
+        for details in ("c", "a", "b")
+    ]
+    for order in itertools.permutations(dets):
+        assert [d.details for d in sorted(order, key=sort_key)] == ["a", "b", "c"]
