@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -20,6 +21,7 @@ from . import evaluation, llm_backend, taxonomy
 from .build_parsers import XmlMalformedError, model_to_json
 from .detectors import (
     CommitContext,
+    DetectedRefactoring,
     DetectorConfig,
     detect_all,
     detection_to_json,
@@ -164,16 +166,18 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _detect_static(record: CommitRecord, config: DetectorConfig, dump_sink) -> list[str]:
+def _detect_static(record: CommitRecord, config: DetectorConfig, dump: bool) -> tuple[list[str], list[str]]:
+    """Detection lines and, when ``dump`` is set, --dump-models lines of one commit."""
     ctx = CommitContext.from_commit(record)
-    if dump_sink is not None:
+    dump_lines = []
+    if dump:
         for side, models in (("before", ctx.before_models), ("after", ctx.after_models)):
             for path in sorted(models):
-                dump_sink.write(json.dumps(
+                dump_lines.append(json.dumps(
                     {"commit_hash": record.commit_hash, "version": side, **model_to_json(models[path])}
-                ) + "\n")
+                ))
     detections = sorted(detect_all(ctx, config), key=sort_key)
-    return [detection_to_json(record.commit_hash, d) for d in detections]
+    return [detection_to_json(record.commit_hash, d) for d in detections], dump_lines
 
 
 def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> list[str]:
@@ -204,21 +208,45 @@ def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> list[st
 def _cached_classify(record, spec, prompt, args, llm_config, rate_limiter):
     cache_path = None
     if args.cache_dir and not args.no_cache:
-        digest = hashlib.sha256(
-            llm_config.model.encode() + b"\x00" + prompt.encode()
-        ).hexdigest()
+        # JSON escapes NUL, so the separator cannot occur in the settings part
+        settings = json.dumps([llm_config.endpoint, llm_config.model, llm_config.temperature, llm_config.max_output_tokens])
+        digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode()).hexdigest()
         os.makedirs(args.cache_dir, exist_ok=True)
         cache_path = os.path.join(args.cache_dir, f"{digest}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as fh:
-                return llm_backend.parse_response(fh.read())
+        cached = _read_cache(cache_path)
+        if cached is not None:
+            return cached
     detections = llm_backend.classify_commit(
         record, spec, llm_config, rate_limiter=rate_limiter
     )
     if cache_path:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            fh.write(llm_backend.serialize_detections(detections))
+        _write_cache(cache_path, llm_backend.serialize_detections(detections))
     return detections
+
+
+def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
+    """The detections cached at ``path``, or None on a miss. A file that does
+    not read back as what serialize_detections writes is a miss too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return llm_backend.deserialize_detections(fh.read())
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        logger.warning("unreadable cache file %s, asking again: %s", path, exc)
+        return None
+
+
+def _write_cache(path: str, text: str) -> None:
+    """Replace ``path`` in one step, so a reader never sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_detect(args) -> int:
@@ -248,23 +276,22 @@ def _cmd_detect(args) -> int:
     )
     dump_sink = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else None
 
-    def worker(record: CommitRecord) -> list[str]:
+    def worker(record: CommitRecord) -> tuple[list[str], list[str]]:
         if args.backend == "static":
-            return _detect_static(record, detector_config, dump_sink)
-        return _detect_llm(record, args, llm_config, rate_limiter)
+            return _detect_static(record, detector_config, dump_sink is not None)
+        return _detect_llm(record, args, llm_config, rate_limiter), []
 
     out = _open_out(args.out)
+    pool = ThreadPoolExecutor(max_workers=args.parallelism) if args.parallelism > 1 else None
     try:
-        if args.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=args.parallelism) as pool:
-                for lines in pool.map(worker, records):  # map preserves input order
-                    for line in lines:
-                        out.write(line + "\n")
-        else:
-            for record in records:
-                for line in worker(record):
-                    out.write(line + "\n")
+        # map preserves input order, so both files are written in input order
+        for lines, dump_lines in (pool.map if pool else map)(worker, records):
+            out.writelines(line + "\n" for line in lines)
+            if dump_sink is not None:
+                dump_sink.writelines(line + "\n" for line in dump_lines)
     finally:
+        if pool is not None:
+            pool.shutdown()
         if out is not sys.stdout:
             out.close()
         if dump_sink is not None:

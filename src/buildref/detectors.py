@@ -979,7 +979,7 @@ def detect_all(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> s
                 "%s failed on commit %s", detector.__name__, ctx.commit.commit_hash, exc_info=True
             )
             continue
-        for det in found:
+        for det in sorted(found, key=sort_key):  # the first in sort order wins, whatever the hash seed
             merged.setdefault((det.type, det.evidence), det)
     return set(merged.values())
 

@@ -258,6 +258,15 @@ def serialize_detections(detections: Iterable[DetectedRefactoring]) -> str:
     return json.dumps(items, ensure_ascii=False)
 
 
+def deserialize_detections(text: str) -> set[DetectedRefactoring]:
+    """Read back what :func:`serialize_detections` wrote; ValueError on anything else."""
+    payload = json.loads(text)
+    detections = _detections_from_payload(payload) if isinstance(payload, list) else None
+    if detections is None:
+        raise ValueError("not an array of {RefactoringType, Details} objects")
+    return set(detections)
+
+
 # --- transport and orchestration ---------------------------------------------
 
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]

@@ -18,16 +18,19 @@ import logging
 import os
 import re
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
 MAX_BUILD_FILE_BYTES = 5 * 1024 * 1024  # larger build files are skipped: parser protection
 
 _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+
+_READ_CHUNK = 64 * 1024  # bytes asked of a git child's stdout per read: a pipe's capacity
 
 
 class BuildSystem(Enum):
@@ -227,12 +230,117 @@ def _git(repo_path: str, *args: str) -> bytes:
     return proc.stdout
 
 
-def _show_file(repo_path: str, rev: str, path: str) -> Optional[str]:
-    """Fetch one file version; returns None for binary or oversized blobs."""
-    data = _git(repo_path, "show", f"{rev}:{path}")
-    if len(data) > MAX_BUILD_FILE_BYTES or b"\x00" in data:
-        return None
-    return data.decode("utf-8", errors="replace")
+class _GitPipe:
+    """One long-lived git child whose output is read through a buffer.
+
+    Requests go to its stdin. Where a reply is expected, running out of output
+    means the child died: it is closed and GitObjectCorruptError carries the
+    tail of its stderr.
+    """
+
+    def __init__(self, repo_path: str, *args: str, stdin: bool = True) -> None:
+        self._stderr = tempfile.TemporaryFile()
+        self._proc = subprocess.Popen(
+            ["git", "-C", repo_path, *args],
+            stdin=subprocess.PIPE if stdin else subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=self._stderr,
+            bufsize=0,
+        )
+        self._buf = bytearray()
+        self.closed = False
+        self.error = ""
+
+    def write(self, data: bytes) -> None:
+        try:
+            self._proc.stdin.write(data)
+        except BrokenPipeError:
+            self._died()
+
+    def _fill(self) -> bool:
+        data = self._proc.stdout.read(_READ_CHUNK)
+        self._buf += data
+        return bool(data)
+
+    def _need(self) -> None:
+        if not self._fill():
+            self._died()
+
+    def _died(self) -> NoReturn:
+        self.close()
+        raise GitObjectCorruptError(self.error)
+
+    def wait(self) -> int:
+        return self._proc.wait()
+
+    def startswith(self, prefix: bytes) -> bool:
+        while len(self._buf) < len(prefix) and prefix.startswith(self._buf):
+            self._need()
+        return self._buf.startswith(prefix)
+
+    def read_until(self, delim: bytes) -> bytes:
+        """The output up to ``delim``; ``delim`` itself is consumed."""
+        start = 0
+        while (end := self._buf.find(delim, start)) < 0:
+            start = len(self._buf)
+            self._need()
+        out = bytes(self._buf[:end])
+        del self._buf[: end + len(delim)]
+        return out
+
+    def read_exact(self, size: int) -> bytes:
+        while len(self._buf) < size:
+            self._need()
+        out = bytes(self._buf[:size])
+        del self._buf[:size]
+        return out
+
+    def skip(self, size: int) -> None:
+        """Discard ``size`` bytes of output, holding at most one read of them."""
+        while size > len(self._buf):
+            size -= len(self._buf)
+            self._buf.clear()
+            self._need()
+        del self._buf[:size]
+
+    def split(self, delim: bytes) -> Iterator[bytes]:
+        """Yield the whole output cut at each ``delim``, the part after the last one included."""
+        start = 0
+        while True:
+            end = self._buf.find(delim, start)
+            if end >= 0:
+                yield bytes(self._buf[:end])
+                del self._buf[: end + len(delim)]
+                start = 0
+            else:
+                start = len(self._buf)
+                if not self._fill():
+                    yield bytes(self._buf)
+                    return
+
+    def close(self) -> None:
+        """End the child and keep the tail of its stderr in ``error``."""
+        if self.closed:
+            return
+        self.closed = True
+        for stream in (self._proc.stdin, self._proc.stdout):
+            if stream is not None:
+                stream.close()
+        if self._proc.poll() is None:
+            self._proc.kill()
+        self._proc.wait()
+        self._stderr.seek(0)
+        message = self._stderr.read()[-2000:].decode("utf-8", errors="replace").strip()
+        self._stderr.close()
+        self.error = message or f"git {self._proc.args[3]} exited with {self._proc.returncode}"
+
+
+class _Change(NamedTuple):
+    kind: ChangeKind
+    old_path: Optional[str]
+    path: str
+    old_blob: str
+    new_blob: str
 
 
 _STATUS_KINDS = {
@@ -244,70 +352,95 @@ _STATUS_KINDS = {
     "T": ChangeKind.MODIFIED,
 }
 
+# Not an object name, so ``diff-tree --stdin`` echoes it (and flushes) after
+# the output of the commit line before it: it marks where that output ends.
+_SENTINEL = b"#\n"
 
-def _changed_paths(
-    repo_path: str, commit_hash: str, first_parent: Optional[str]
-) -> list[tuple[ChangeKind, Optional[str], str]]:
-    """List (kind, old_path, path) entries for one commit vs its first parent.
 
-    Merge commits are diffed against their first parent explicitly; plain
-    diff-tree would print nothing for them.
+class _Objects:
+    """The diff-tree and cat-file children shared by one mine_commits run.
+
+    Each starts on first use and again after it dies, so an object that kills
+    one costs only the commit that needed it.
     """
-    if first_parent:
-        args = ["diff-tree", "-r", "-M", "--no-commit-id", "--name-status", "-z",
-                first_parent, commit_hash]
-    else:
-        args = ["diff-tree", "-r", "-M", "--root", "--no-commit-id", "--name-status", "-z",
-                commit_hash]
-    out = _git(repo_path, *args).decode("utf-8", errors="replace")
-    fields = [f for f in out.split("\x00") if f]
-    entries: list[tuple[ChangeKind, Optional[str], str]] = []
-    i = 0
-    while i < len(fields):
-        status = fields[i]
-        kind = _STATUS_KINDS.get(status[0])
-        if kind is None:
-            i += 2
-            continue
-        if status[0] in ("R", "C"):
-            old, new = fields[i + 1], fields[i + 2]
-            i += 3
-        else:
-            old, new = fields[i + 1], fields[i + 1]
-            i += 2
-        entries.append((kind, old if old != new else None, new))
-    return entries
 
+    def __init__(self, repo_path: str) -> None:
+        self._repo_path = repo_path
+        self._pipes: dict[str, _GitPipe] = {}
 
-def _build_file_diff(
-    repo_path: str,
-    commit_hash: str,
-    has_parent: bool,
-    kind: ChangeKind,
-    old_path: Optional[str],
-    path: str,
-    system: BuildSystem,
-) -> Optional[FileDiff]:
-    before = after = None
-    if kind is not ChangeKind.DELETED:
-        after = _show_file(repo_path, commit_hash, path)
-        if after is None:
+    def _pipe(self, *args: str) -> _GitPipe:
+        pipe = self._pipes.get(args[0])
+        if pipe is None or pipe.closed:
+            pipe = self._pipes[args[0]] = _GitPipe(self._repo_path, *args)
+        return pipe
+
+    def changes(self, commit_hash: str, first_parent: Optional[str]) -> list[_Change]:
+        """The files a commit changes against its first parent (all added for a
+        root commit), with renames detected.
+
+        A merge is diffed against its first parent explicitly; given alone,
+        diff-tree would print nothing for it.
+        """
+        pipe = self._pipe("diff-tree", "--stdin", "-r", "-M", "--root", "-z")
+        line = f"{commit_hash} {first_parent}" if first_parent else commit_hash
+        pipe.write(line.encode() + b"\n" + _SENTINEL)
+        changes = []
+        while not pipe.startswith(_SENTINEL):
+            meta = pipe.read_until(b"\0")
+            if not meta.startswith(b":"):
+                continue  # the commit id heading a non-empty diff
+            _, _, old_blob, new_blob, status = meta.decode().split(" ")
+            paths = [
+                pipe.read_until(b"\0").decode("utf-8", errors="replace")
+                for _ in range(2 if status[0] in "RC" else 1)
+            ]
+            kind = _STATUS_KINDS.get(status[0])
+            if kind is not None:
+                old_path = paths[0] if paths[0] != paths[-1] else None
+                changes.append(_Change(kind, old_path, paths[-1], old_blob, new_blob))
+        pipe.skip(len(_SENTINEL))
+        return changes
+
+    def read_text(self, blob: str) -> Optional[str]:
+        """A blob's text; None for a binary or oversized blob, which is not decoded."""
+        pipe = self._pipe("cat-file", "--batch")
+        pipe.write(blob.encode() + b"\n")
+        header = pipe.read_until(b"\n").split(b" ")
+        if len(header) != 3:  # "<name> missing"
+            raise GitObjectCorruptError(b" ".join(header).decode("utf-8", errors="replace"))
+        size = int(header[2])
+        if size > MAX_BUILD_FILE_BYTES:
+            pipe.skip(size + 1)
             return None
-    if kind is not ChangeKind.ADDED and has_parent:
-        before = _show_file(repo_path, f"{commit_hash}^", old_path or path)
-        if before is None:
+        data = pipe.read_exact(size)
+        pipe.skip(1)  # the newline after the contents
+        if b"\x00" in data:
             return None
-    if not has_parent and kind is not ChangeKind.DELETED:
-        kind = ChangeKind.ADDED
-        before = None
-    return FileDiff(
-        path=path,
-        build_system=system,
-        change_kind=kind,
-        old_path=old_path,
-        before_content=before,
-        after_content=after,
-    )
+        return data.decode("utf-8", errors="replace")
+
+    def file_diff(self, change: _Change, system: BuildSystem) -> Optional[FileDiff]:
+        """Read both versions of a changed build file; None when either is binary or oversized."""
+        before = after = None
+        if change.kind is not ChangeKind.DELETED:
+            after = self.read_text(change.new_blob)
+            if after is None:
+                return None
+        if change.kind is not ChangeKind.ADDED:
+            before = self.read_text(change.old_blob)
+            if before is None:
+                return None
+        return FileDiff(
+            path=change.path,
+            build_system=system,
+            change_kind=change.kind,
+            old_path=change.old_path,
+            before_content=before,
+            after_content=after,
+        )
+
+    def close(self) -> None:
+        for pipe in self._pipes.values():
+            pipe.close()
 
 
 def mine_commits(
@@ -322,6 +455,12 @@ def mine_commits(
     into one of the filter's build systems. Each record's file_diffs contain
     only those build files. Corrupt objects skip the commit and bump the
     warning counters instead of aborting the walk.
+
+    A run starts four git processes, however long the history: a
+    ``rev-parse`` check, the streamed ``rev-list`` walk, one ``diff-tree
+    --stdin`` fed the matching commits and one ``cat-file --batch`` fed their
+    build files' blobs (one more each time one of the last two dies and is
+    started again). All of them end when the generator does.
     """
     mining_filter = mining_filter or MiningFilter()
     stats = stats if stats is not None else MiningStats()
@@ -332,61 +471,67 @@ def mine_commits(
         raise RepoUnreadableError(f"{repo_path}: {exc}") from exc
 
     repo_id = os.path.basename(repo_path.rstrip("/")) or repo_path
-    log_args = ["log", "--format=%H%x1f%an%x1f%at%x1f%P%x1f%B%x1e"]
+    walk_args = ["rev-list", "--format=%an%x1f%at%x1f%P%x1f%B%x1e"]
     if mining_filter.exclude_merges:
-        log_args.append("--no-merges")
+        walk_args.append("--no-merges")
+    walk = _GitPipe(repo_path, *walk_args, "HEAD", "--", stdin=False)
+    objects = _Objects(repo_path)
     try:
-        raw = _git(repo_path, *log_args).decode("utf-8", errors="replace")
-    except GitObjectCorruptError:
-        # empty repository: no commits to walk
-        return
-
-    yielded = 0
-    for chunk in raw.split("\x1e"):
-        chunk = chunk.lstrip("\n")
-        if not chunk.strip():
-            continue
-        stats.commits_scanned += 1
-        commit_hash, author, ts, parents, message = chunk.split("\x1f", 4)
-        if not mining_filter.matches_message(message):
-            continue
-        first_parent = parents.split()[0] if parents.strip() else None
-        try:
-            entries = _changed_paths(repo_path, commit_hash, first_parent)
-            diffs = []
-            for kind, old_path, path in entries:
-                system = classify_build_file(path)
-                if system is None or system not in mining_filter.build_systems:
-                    continue
-                diff = _build_file_diff(
-                    repo_path, commit_hash, bool(parents.strip()), kind, old_path, path, system
-                )
-                if diff is None:
-                    stats.files_skipped += 1
-                    stats.warnings += 1
-                    logger.warning("skipping binary or oversized build file %s in %s", path, commit_hash)
-                    continue
-                diffs.append(diff)
-        except GitObjectCorruptError as exc:
-            stats.commits_skipped_corrupt += 1
+        yielded = 0
+        for raw in walk.split(b"\x1e"):
+            chunk = raw.decode("utf-8", errors="replace").lstrip("\n")
+            if not chunk.strip():
+                continue
+            stats.commits_scanned += 1
+            header, fields = chunk.split("\n", 1)  # "commit <hash>", then the format
+            commit_hash = header.removeprefix("commit ")
+            author, ts, parents, message = fields.split("\x1f", 3)
+            if not mining_filter.matches_message(message):
+                continue
+            first_parent = parents.split()[0] if parents.strip() else None
+            try:
+                diffs = []
+                for change in objects.changes(commit_hash, first_parent):
+                    system = classify_build_file(change.path)
+                    if system is None or system not in mining_filter.build_systems:
+                        continue
+                    diff = objects.file_diff(change, system)
+                    if diff is None:
+                        stats.files_skipped += 1
+                        stats.warnings += 1
+                        logger.warning(
+                            "skipping binary or oversized build file %s in %s", change.path, commit_hash
+                        )
+                        continue
+                    diffs.append(diff)
+            except GitObjectCorruptError as exc:
+                stats.commits_skipped_corrupt += 1
+                stats.warnings += 1
+                logger.warning("skipping corrupt commit %s: %s", commit_hash, exc)
+                continue
+            if not diffs:
+                continue
+            record = CommitRecord(
+                repo_id=repo_id,
+                commit_hash=commit_hash,
+                message=message.rstrip("\n"),
+                author=author,
+                timestamp=int(ts),
+                file_diffs=tuple(sorted(diffs, key=lambda d: d.path)),
+            )
+            stats.commits_yielded += 1
+            yield record
+            yielded += 1
+            if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
+                return
+        # an empty repository has no HEAD, so its walk fails before any commit
+        if walk.wait() != 0 and stats.commits_scanned:
+            walk.close()
             stats.warnings += 1
-            logger.warning("skipping corrupt commit %s: %s", commit_hash, exc)
-            continue
-        if not diffs:
-            continue
-        record = CommitRecord(
-            repo_id=repo_id,
-            commit_hash=commit_hash,
-            message=message.rstrip("\n"),
-            author=author,
-            timestamp=int(ts),
-            file_diffs=tuple(sorted(diffs, key=lambda d: d.path)),
-        )
-        stats.commits_yielded += 1
-        yield record
-        yielded += 1
-        if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
-            return
+            logger.warning("history walk of %s stopped early: %s", repo_path, walk.error)
+    finally:
+        walk.close()
+        objects.close()
 
 
 # --- line-oriented JSON wire format ---------------------------------------

@@ -246,3 +246,81 @@ def test_dump_models_debug_flag(pipeline, tmp_path):
     entries = [json.loads(l) for l in dump.read_text().strip().split("\n")]
     assert entries
     assert {"kind", "name", "attributes", "span"} <= set(entries[0]["elements"][0])
+
+
+def _llm_detect(monkeypatch, tmp_path, pipeline, content):
+    """Mine the pipeline repo and return (run one LLM detect pass, transport call counter)."""
+    repo, _, _ = pipeline
+    commits = tmp_path / "commits.jsonl"
+    run(["mine", "--repo", str(repo), "--out", str(commits)])
+
+    from buildref import llm_backend
+
+    calls = {"n": 0}
+
+    def canned_transport(url, headers, body, timeout):
+        calls["n"] += 1
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(llm_backend, "_requests_transport", canned_transport)
+
+    def detect(out_name, *extra):
+        out = tmp_path / out_name
+        assert run([
+            "detect", "--commits", str(commits), "--backend", "llm",
+            "--endpoint", "http://mock/v1", "--model", "m",
+            "--cache-dir", str(tmp_path / "cache"), "--out", str(out), *extra,
+        ]) == EXIT_OK
+        return out.read_text()
+
+    return detect, calls
+
+
+def test_llm_cache_key_includes_temperature(pipeline, tmp_path, monkeypatch):
+    detect, calls = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    detect("a.jsonl", "--temperature", "0.0")
+    assert calls["n"] == 12
+    detect("b.jsonl", "--temperature", "0.7")
+    assert calls["n"] == 24  # a reply cached under another temperature is not reused
+    detect("c.jsonl", "--temperature", "0.0")
+    assert calls["n"] == 24
+
+
+def test_empty_llm_cache_file_is_a_miss(pipeline, tmp_path, monkeypatch):
+    detect, calls = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    first = detect("a.jsonl")
+    cache_files = sorted((tmp_path / "cache").iterdir())
+    assert len(cache_files) == 12
+    cache_files[0].write_text("")
+    assert detect("b.jsonl") == first
+    assert calls["n"] == 13  # only the emptied entry is asked again
+    assert json.loads(cache_files[0].read_text()) == [{"RefactoringType": "DRY", "Details": "x"}]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [p.name for p in cache_files]
+
+
+def test_cut_off_llm_cache_file_is_a_miss_not_a_partial_set(pipeline, tmp_path, monkeypatch):
+    detect, calls = _llm_detect(
+        monkeypatch, tmp_path, pipeline,
+        '[{"RefactoringType": "DRY", "Details": "x"}, {"RefactoringType": "Reformat Code", "Details": "y"}]',
+    )
+    first = detect("a.jsonl")
+    for path in (tmp_path / "cache").iterdir():
+        text = path.read_text()
+        path.write_text(text[: text.index("}") + 1])  # cut off after the first object
+    assert detect("b.jsonl") == first
+    assert calls["n"] == 24
+
+
+def test_dump_models_order_does_not_depend_on_parallelism(pipeline, tmp_path):
+    repo, _, _ = pipeline
+    commits = tmp_path / "commits.jsonl"
+    run(["mine", "--repo", str(repo), "--out", str(commits)])
+    dumps = []
+    for parallelism in ("1", "4"):
+        dump = tmp_path / f"models{parallelism}.jsonl"
+        assert run([
+            "detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl"),
+            "--parallelism", parallelism, "--dump-models", str(dump),
+        ]) == EXIT_OK
+        dumps.append(dump.read_text())
+    assert dumps[0] and dumps[0] == dumps[1]

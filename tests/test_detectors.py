@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from buildref.detectors import (
     jaccard,
     sort_key,
 )
-from buildref.mining import BuildSystem
+from buildref.mining import BuildSystem, commit_to_json
 from buildref import taxonomy
 from conftest import FAKE_HASH, detected_types, make_commit, make_context
 
@@ -120,18 +123,38 @@ def test_referenced_deletion_is_not_unused():
 
 # --- module hierarchy ------------------------------------------------------------
 
+PULL_UP_MODULE_BEFORE = {
+    "lib/pom.xml": "<project><artifactId>lib</artifactId>"
+    "<properties><spring.version>6.0.1</spring.version><junit.version>5.9.2</junit.version></properties></project>",
+}
+PULL_UP_MODULE_AFTER = {
+    "lib/pom.xml": "<project><artifactId>lib</artifactId></project>",
+    "pom.xml": "<project><artifactId>parent</artifactId>"
+    "<modules><module>lib</module></modules>"
+    "<properties><spring.version>6.0.1</spring.version><junit.version>5.9.2</junit.version></properties></project>",
+}
+
+
 def test_extract_and_pull_up_module():
-    before = {
-        "lib/pom.xml": "<project><artifactId>lib</artifactId>"
-        "<properties><spring.version>6.0.1</spring.version><junit.version>5.9.2</junit.version></properties></project>",
-    }
-    after = {
-        "lib/pom.xml": "<project><artifactId>lib</artifactId></project>",
-        "pom.xml": "<project><artifactId>parent</artifactId>"
-        "<modules><module>lib</module></modules>"
-        "<properties><spring.version>6.0.1</spring.version><junit.version>5.9.2</junit.version></properties></project>",
-    }
-    assert "Extract And Pull Up Module" in detected_types(before, after)
+    assert "Extract And Pull Up Module" in detected_types(PULL_UP_MODULE_BEFORE, PULL_UP_MODULE_AFTER)
+
+
+def test_detect_output_does_not_depend_on_hash_seed(tmp_path):
+    # both properties move on line 1 of both files: two Pull Up Properties
+    # detections share type and evidence, and the dedupe must keep the same one
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(commit_to_json(make_commit(PULL_UP_MODULE_BEFORE, PULL_UP_MODULE_AFTER)) + "\n")
+    src = str(Path(detectors.__file__).parents[1])
+    outputs = set()
+    for seed in ("5", "6", "7", "10"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "buildref.cli", "detect", "--commits", str(commits), "--out", "-"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert '"Pull Up Properties"' in outputs.pop()
 
 
 def test_extract_and_push_down_module():

@@ -17,6 +17,7 @@ from buildref.llm_backend import (
     UnparseableResponseError,
     build_prompt,
     classify_commit,
+    deserialize_detections,
     parse_response,
     serialize_detections,
 )
@@ -148,7 +149,13 @@ def test_parse_serialize_identity():
         '[{"RefactoringType":"Extract Module","Details":"a"},'
         '{"RefactoringType":"DRY","Details":"b"}]'
     )
-    assert parse_response(serialize_detections(source)) == source
+    text = serialize_detections(source)
+    assert parse_response(text) == source
+    assert deserialize_detections(text) == source
+    # the cache reader accepts only what serialize_detections writes
+    for broken in ("", text[: text.index("}") + 1], "No refactorings found.", '{"RefactoringType": "DRY"}'):
+        with pytest.raises(ValueError):
+            deserialize_detections(broken)
 
 
 # --- classify_commit -------------------------------------------------------------

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,3 +234,163 @@ def test_commit_json_round_trip(tmp_repo):
         assert set(obj) == {"repo_id", "commit_hash", "message", "author", "timestamp", "file_diffs"}
         for fd in obj["file_diffs"]:
             assert {"path", "build_system", "change_kind", "before_content", "after_content"} <= set(fd)
+
+
+# --- what the batch readers must keep ------------------------------------------------
+
+def _git_out(repo, *args):
+    return subprocess.run(
+        ["git", "-C", str(repo), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _delete_loose_object(repo, name):
+    oid = _git_out(repo, "rev-parse", name)
+    (repo / ".git" / "objects" / oid[:2] / oid[2:]).unlink()
+
+
+THREE_POMS = [
+    (f"refactor: pom {i}", {"pom.xml": f"<project><version>{i}</version></project>\n"})
+    for i in (1, 2, 3)
+]
+
+
+def test_rename_carries_old_path_and_reads_before_text_from_it(tmp_repo):
+    pom = "".join(f"<!-- line {i} -->\n" for i in range(12)) + "<project><version>1</version></project>\n"
+    moved = pom.replace("<version>1", "<version>2")
+    hashes = build_git_repo(
+        tmp_repo,
+        [("base", {"pom.xml": pom}), ("refactor: move pom", {"pom.xml": None, "core/pom.xml": moved})],
+    )
+    (record,) = [r for r in mine_commits(tmp_repo, MiningFilter()) if r.commit_hash == hashes[1]]
+    assert record.file_diffs == (
+        FileDiff(
+            path="core/pom.xml",
+            build_system=BuildSystem.MAVEN,
+            change_kind=ChangeKind.RENAMED,
+            old_path="pom.xml",
+            before_content=pom,
+            after_content=moved,
+        ),
+    )
+
+
+def test_build_file_with_nul_is_skipped_and_counted(tmp_repo):
+    build_git_repo(
+        tmp_repo,
+        [("refactor: two files", {"build.gradle": "apply plugin: 'java'\n", "pom.xml": "<project>\x00</project>\n"})],
+    )
+    stats = MiningStats()
+    (record,) = mine_commits(tmp_repo, MiningFilter(), stats)
+    assert [d.path for d in record.file_diffs] == ["build.gradle"]
+    assert (stats.files_skipped, stats.warnings, stats.commits_yielded) == (1, 1, 1)
+
+
+def test_oversized_blob_is_drained_and_reading_goes_on(tmp_repo):
+    big = "x = 'y'\n" * 800_000  # > 5 MB, read before pom.xml in the same commit
+    hashes = build_git_repo(
+        tmp_repo,
+        [
+            ("refactor: pom", {"pom.xml": "<project/>\n"}),
+            ("refactor: huge", {"build.gradle": big, "pom.xml": "<project><version>2</version></project>\n"}),
+        ],
+    )
+    stats = MiningStats()
+    mined = list(mine_commits(tmp_repo, MiningFilter(), stats))
+    assert [r.commit_hash for r in mined] == [hashes[1], hashes[0]]
+    assert [(d.path, d.before_content, d.after_content) for d in mined[0].file_diffs] == [
+        ("pom.xml", "<project/>\n", "<project><version>2</version></project>\n")
+    ]
+    assert mined[1].file_diffs[0].after_content == "<project/>\n"
+    assert stats.files_skipped == 1
+
+
+def test_missing_blob_skips_exactly_the_commits_that_need_it(tmp_repo):
+    hashes = build_git_repo(tmp_repo, THREE_POMS)
+    _delete_loose_object(tmp_repo, f"{hashes[1]}:pom.xml")  # after of 2, before of 3
+    stats = MiningStats()
+    mined = list(mine_commits(tmp_repo, MiningFilter(), stats))
+    assert [r.commit_hash for r in mined] == [hashes[0]]
+    assert (stats.commits_scanned, stats.commits_skipped_corrupt, stats.warnings) == (3, 2, 2)
+
+
+def test_missing_tree_costs_one_commit_each_not_the_run(tmp_repo):
+    # diff-tree dies on a tree it cannot read; it is restarted for the next commit
+    hashes = build_git_repo(tmp_repo, THREE_POMS)
+    _delete_loose_object(tmp_repo, f"{hashes[1]}^{{tree}}")
+    stats = MiningStats()
+    mined = list(mine_commits(tmp_repo, MiningFilter(), stats))
+    assert [r.commit_hash for r in mined] == [hashes[0]]
+    assert mined[0].file_diffs[0].after_content == "<project><version>1</version></project>\n"
+    assert stats.commits_skipped_corrupt == 2
+
+
+def test_merge_is_diffed_against_its_first_parent(tmp_repo):
+    build_git_repo(tmp_repo, [("base", {"build.gradle": "apply plugin: 'java'\n", "pom.xml": "<project/>\n"})])
+    mainline = _git_out(tmp_repo, "rev-parse", "--abbrev-ref", "HEAD")
+    _git_out(tmp_repo, "checkout", "-q", "-b", "feature")
+    (tmp_repo / "build.gradle").write_text("apply plugin: 'java'\n// branch\n")
+    _git_out(tmp_repo, "commit", "-qam", "feature work")
+    _git_out(tmp_repo, "checkout", "-q", mainline)
+    (tmp_repo / "pom.xml").write_text("<project><version>2</version></project>\n")
+    _git_out(tmp_repo, "commit", "-qam", "mainline work")
+    _git_out(tmp_repo, "merge", "-q", "--no-ff", "-m", "refactor: merge feature", "feature")
+
+    mined = list(mine_commits(tmp_repo, MiningFilter(exclude_merges=False)))
+    (merge,) = [r for r in mined if r.message == "refactor: merge feature"]
+    # against the second parent the diff would be pom.xml instead
+    assert merge.file_diffs == (
+        FileDiff(
+            path="build.gradle",
+            build_system=BuildSystem.GRADLE,
+            change_kind=ChangeKind.MODIFIED,
+            before_content="apply plugin: 'java'\n",
+            after_content="apply plugin: 'java'\n// branch\n",
+        ),
+    )
+
+
+_POPEN_EVENTS: list = []  # argv of every subprocess.Popen audit event, once the hook is on
+
+
+def _count_git_processes(repo) -> int:
+    if not _POPEN_EVENTS:
+        _POPEN_EVENTS.append(None)
+        sys.addaudithook(lambda event, args: _POPEN_EVENTS.append(args[1]) if event == "subprocess.Popen" else None)
+    before = len(_POPEN_EVENTS)
+    assert list(mine_commits(repo, MiningFilter()))
+    return sum(1 for argv in _POPEN_EVENTS[before:] if argv[0] == "git")
+
+
+def test_git_process_count_does_not_grow_with_history(tmp_path):
+    def steps(n):
+        return [
+            (f"refactor step {i}", {"build.gradle": f"version = '{i}'\n", "pom.xml": f"<project><version>{i}</version></project>\n"})
+            for i in range(n)
+        ]
+
+    build_git_repo(tmp_path / "small", steps(3))
+    build_git_repo(tmp_path / "large", steps(30))
+    small = _count_git_processes(tmp_path / "small")
+    assert small == _count_git_processes(tmp_path / "large") <= 4
+
+
+def test_stopping_early_leaves_no_git_child_running(tmp_repo, monkeypatch):
+    build_git_repo(tmp_repo, TEN_COMMITS)
+    started = []
+
+    class RecordedPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+    walk = mine_commits(tmp_repo, MiningFilter())
+    next(walk)
+    assert any(p.returncode is None for p in started)
+    walk.close()
+    assert all(p.returncode is not None for p in started)
+
+    started.clear()
+    assert len(list(mine_commits(tmp_repo, MiningFilter(max_commits=1)))) == 1
+    assert started and all(p.returncode is not None for p in started)
