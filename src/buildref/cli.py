@@ -8,20 +8,17 @@ cached, and mixed across backends. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
-import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence
 
 from . import evaluation, llm_backend, taxonomy
 from .build_parsers import XmlMalformedError, model_to_json
 from .detectors import (
     CommitContext,
-    DetectedRefactoring,
     DetectorConfig,
     detect_all,
     detection_to_json,
@@ -134,9 +131,12 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> Iterator[str]:
+    """The non-blank lines of ``path``, one at a time; a raw U+2028 ends none."""
     with open(path, encoding="utf-8") as fh:
-        return [line for line in fh.read().split("\n") if line.strip()]
+        for line in fh:
+            if line.strip():
+                yield line.rstrip("\n")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -180,83 +180,27 @@ def _detect_static(record: CommitRecord, config: DetectorConfig, dump: bool) -> 
     return [detection_to_json(record.commit_hash, d) for d in detections], dump_lines
 
 
-def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> list[str]:
-    mode = (
-        llm_backend.PromptMode.ONE_SHOT
-        if args.prompt_mode == "one-shot"
-        else llm_backend.PromptMode.ZERO_SHOT
-    )
+def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[list[str], llm_backend.LlmStats]:
+    """Detection lines and request counters of one commit."""
+    mode = llm_backend.PromptMode(args.prompt_mode.replace("-", "_"))
+    stats = llm_backend.LlmStats()
     lines: list[str] = []
     # one prompt per build system present in the commit, as prompts are system-tailored
     for system in sorted({fd.build_system for fd in record.file_diffs}, key=lambda s: s.value):
-        sub_record = CommitRecord(
-            repo_id=record.repo_id,
-            commit_hash=record.commit_hash,
-            message=record.message,
-            author=record.author,
-            timestamp=record.timestamp,
-            file_diffs=tuple(fd for fd in record.file_diffs if fd.build_system is system),
+        sub_record = replace(record, file_diffs=tuple(fd for fd in record.file_diffs if fd.build_system is system))
+        detections = llm_backend.classify_commit(
+            sub_record, llm_backend.PromptSpec(mode=mode, build_system=system), llm_config, stats=stats,
+            rate_limiter=rate_limiter, cache_dir=None if args.no_cache else args.cache_dir,
         )
-        spec = llm_backend.PromptSpec(mode=mode, build_system=system)
-        prompt = llm_backend.build_prompt(sub_record, spec)
-        detections = _cached_classify(sub_record, spec, prompt, args, llm_config, rate_limiter)
-        for det in sorted(detections, key=sort_key):
-            lines.append(detection_to_json(record.commit_hash, det))
-    return lines
-
-
-def _cached_classify(record, spec, prompt, args, llm_config, rate_limiter):
-    cache_path = None
-    if args.cache_dir and not args.no_cache:
-        # JSON escapes NUL, so the separator cannot occur in the settings part
-        settings = json.dumps([llm_config.endpoint, llm_config.model, llm_config.temperature, llm_config.max_output_tokens])
-        digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode()).hexdigest()
-        os.makedirs(args.cache_dir, exist_ok=True)
-        cache_path = os.path.join(args.cache_dir, f"{digest}.json")
-        cached = _read_cache(cache_path)
-        if cached is not None:
-            return cached
-    detections = llm_backend.classify_commit(
-        record, spec, llm_config, rate_limiter=rate_limiter
-    )
-    if cache_path:
-        _write_cache(cache_path, llm_backend.serialize_detections(detections))
-    return detections
-
-
-def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
-    """The detections cached at ``path``, or None on a miss. A file that does
-    not read back as what serialize_detections writes is a miss too."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return llm_backend.deserialize_detections(fh.read())
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        logger.warning("unreadable cache file %s, asking again: %s", path, exc)
-        return None
-
-
-def _write_cache(path: str, text: str) -> None:
-    """Replace ``path`` in one step, so a reader never sees a partial file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        lines.extend(detection_to_json(record.commit_hash, det) for det in sorted(detections, key=sort_key))
+    return lines, stats
 
 
 def _cmd_detect(args) -> int:
-    llm_config = None
-    rate_limiter = None
+    llm_config = rate_limiter = llm_stats = None
     if args.backend == "llm":
         if not args.endpoint or not args.model:
             raise UsageError("detect --backend llm requires --endpoint and --model")
-    records = [commit_from_json(line) for line in _read_lines(args.commits)]
-    if args.backend == "llm":
         llm_config = llm_backend.LlmConfig(
             endpoint=args.endpoint,
             model=args.model,
@@ -265,10 +209,11 @@ def _cmd_detect(args) -> int:
             max_output_tokens=args.max_output_tokens,
             timeout_seconds=args.timeout,
             max_retries=args.max_retries,
-            requests_per_second=args.rate,
         )
         if args.rate:
             rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1))
+        llm_stats = llm_backend.LlmStats()
+    records = [commit_from_json(line) for line in _read_lines(args.commits)]
 
     detector_config = DetectorConfig(
         move_similarity=args.move_similarity,
@@ -276,19 +221,23 @@ def _cmd_detect(args) -> int:
     )
     dump_sink = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else None
 
-    def worker(record: CommitRecord) -> tuple[list[str], list[str]]:
-        if args.backend == "static":
-            return _detect_static(record, detector_config, dump_sink is not None)
-        return _detect_llm(record, args, llm_config, rate_limiter), []
+    def worker(record: CommitRecord) -> tuple[list[str], list[str], Optional[llm_backend.LlmStats]]:
+        if llm_config is None:
+            return *_detect_static(record, detector_config, dump_sink is not None), None
+        lines, stats = _detect_llm(record, args, llm_config, rate_limiter)
+        return lines, [], stats
 
     out = _open_out(args.out)
     pool = ThreadPoolExecutor(max_workers=args.parallelism) if args.parallelism > 1 else None
     try:
-        # map preserves input order, so both files are written in input order
-        for lines, dump_lines in (pool.map if pool else map)(worker, records):
+        # map preserves input order, so both files are written in input order;
+        # each worker counts its own requests and only this thread adds them up
+        for lines, dump_lines, stats in (pool.map if pool else map)(worker, records):
             out.writelines(line + "\n" for line in lines)
             if dump_sink is not None:
                 dump_sink.writelines(line + "\n" for line in dump_lines)
+            if stats is not None:
+                llm_stats.add(stats)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -296,6 +245,11 @@ def _cmd_detect(args) -> int:
             out.close()
         if dump_sink is not None:
             dump_sink.close()
+    if llm_stats is not None:
+        logger.info(
+            "requests %d, retries %d, reprompts %d, cache hits %d",
+            llm_stats.requests, llm_stats.retries, llm_stats.reprompts, llm_stats.cache_hits,
+        )
     return EXIT_OK
 
 

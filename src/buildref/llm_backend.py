@@ -2,19 +2,22 @@
 
 Builds zero-shot or one-shot prompts from the taxonomy registry, posts them to
 any endpoint speaking the common chat-completion JSON shape, and parses the
-model's reply into detections. The transport is injectable so tests never
+model's reply into detections, which are cached on disk under a hash of the
+request settings and the prompt. The transport is injectable so tests never
 touch the network; the API key is only ever read from an environment variable.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import re
+import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -70,7 +73,6 @@ class UnparseableResponseError(Exception):
     def __init__(self, text: str):
         excerpt = text.strip().replace("\n", " ")[:200]
         super().__init__(f"response matched none of the expected shapes: {excerpt!r}")
-        self.excerpt = excerpt
 
 
 class TransportError(Exception):
@@ -97,7 +99,6 @@ class LlmConfig:
     max_output_tokens: int = 2048
     timeout_seconds: float = 60.0
     max_retries: int = 3
-    requests_per_second: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
@@ -111,6 +112,11 @@ class LlmStats:
     requests: int = 0
     retries: int = 0
     reprompts: int = 0
+    cache_hits: int = 0
+
+    def add(self, other: LlmStats) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _definitions_section(spec: PromptSpec) -> str:
@@ -272,14 +278,25 @@ def deserialize_detections(text: str) -> set[DetectedRefactoring]:
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, str]:
-    import requests
+def _http_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, str]:
+    """POST ``body`` as JSON on a new connection and return the reply's status and text."""
+    import http.client
+    import urllib.error
+    import urllib.request  # imported here: runs without --backend llm never pay for it
 
     try:
-        resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-    except requests.RequestException as exc:
-        raise TransportError(str(exc)) from exc
-    return resp.status_code, resp.text
+        request = urllib.request.Request(url, data=json.dumps(body).encode(), method="POST")
+        for name, value in headers.items():  # unredirected: a redirect never carries the key elsewhere
+            request.add_unredirected_header(name, value)
+        try:
+            resp = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:  # a non-2xx reply, read like any other
+            resp = exc
+        with resp:
+            return resp.status, resp.read().decode(resp.headers.get_content_charset() or "utf-8", "replace")
+    # URLError and timeouts are OSErrors; a URL without a scheme is a ValueError
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        raise TransportError(f"{url}: {exc}") from exc
 
 
 class RateLimiter:
@@ -320,35 +337,65 @@ def classify_commit(
     stats: Optional[LlmStats] = None,
     rate_limiter: Optional[RateLimiter] = None,
     sleeper: Callable[[float], None] = time.sleep,
+    cache_dir: Optional[str] = None,
 ) -> set[DetectedRefactoring]:
-    """build_prompt -> one chat request -> parse_response.
+    """build_prompt -> cache lookup -> one chat request -> parse_response.
 
     Transport failures and 5xx replies are retried with exponential backoff up
     to config.max_retries; an unparseable reply earns exactly one strict-format
-    reprompt before UnparseableResponseError surfaces.
+    reprompt before UnparseableResponseError surfaces. With ``cache_dir`` the
+    parsed reply is kept in a file named after the request settings and the
+    prompt, and a later call with the same ones reads it instead of asking.
     """
-    transport = transport or _requests_transport
+    transport = transport or _http_transport
     stats = stats if stats is not None else LlmStats()
     prompt = build_prompt(commit, spec)
+    cache_path = None
+    if cache_dir:
+        # JSON escapes NUL, so the separator cannot occur in the settings part
+        settings = json.dumps([config.endpoint, config.model, config.temperature, config.max_output_tokens])
+        digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode()).hexdigest()
+        os.makedirs(cache_dir, exist_ok=True)
+        cache_path = os.path.join(cache_dir, f"{digest}.json")
+        cached = _read_cache(cache_path)
+        if cached is not None:
+            stats.cache_hits += 1
+            return cached
     messages = [{"role": "user", "content": prompt}]
     try:
-        return _request_and_parse(messages, config, transport, stats, rate_limiter, sleeper)
+        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter, sleeper))
     except UnparseableResponseError:
         stats.reprompts += 1
         messages = messages + [{"role": "user", "content": _STRICT_REPROMPT}]
-        return _request_and_parse(messages, config, transport, stats, rate_limiter, sleeper)
+        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter, sleeper))
+    if cache_path:
+        _write_cache(cache_path, serialize_detections(detections))
+    return detections
 
 
-def _request_and_parse(
-    messages: list[dict],
-    config: LlmConfig,
-    transport: Transport,
-    stats: LlmStats,
-    rate_limiter: Optional[RateLimiter],
-    sleeper: Callable[[float], None],
-) -> set[DetectedRefactoring]:
-    content = _complete(messages, config, transport, stats, rate_limiter, sleeper)
-    return parse_response(content)
+def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
+    """The detections cached at ``path``, or None on a miss. A file that does
+    not read back as what serialize_detections writes is a miss too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return deserialize_detections(fh.read())
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        logger.warning("unreadable cache file %s, asking again: %s", path, exc)
+        return None
+
+
+def _write_cache(path: str, text: str) -> None:
+    """Replace ``path`` in one step, so a reader never sees a partial file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _complete(
@@ -370,9 +417,7 @@ def _complete(
         "max_tokens": config.max_output_tokens,
     }
     if logger.isEnabledFor(logging.DEBUG):
-        redacted = dict(headers)
-        if "Authorization" in redacted:
-            redacted["Authorization"] = "Bearer ***"
+        redacted = {**headers, "Authorization": "Bearer ***"} if api_key else headers
         logger.debug("POST %s headers=%s body=%s", config.endpoint, redacted, json.dumps(body)[:2000])
 
     last_error: Optional[Exception] = None

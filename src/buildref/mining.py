@@ -219,17 +219,6 @@ class MiningStats:
     warnings: int = 0
 
 
-def _git(repo_path: str, *args: str) -> bytes:
-    proc = subprocess.run(
-        ["git", "-C", repo_path, *args],
-        capture_output=True,
-        timeout=120,
-    )
-    if proc.returncode != 0:
-        raise GitObjectCorruptError(proc.stderr.decode("utf-8", errors="replace").strip())
-    return proc.stdout
-
-
 class _GitPipe:
     """One long-lived git child whose output is read through a buffer.
 
@@ -457,18 +446,30 @@ def mine_commits(
     warning counters instead of aborting the walk.
 
     A run starts four git processes, however long the history: a
-    ``rev-parse`` check, the streamed ``rev-list`` walk, one ``diff-tree
-    --stdin`` fed the matching commits and one ``cat-file --batch`` fed their
-    build files' blobs (one more each time one of the last two dies and is
-    started again). All of them end when the generator does.
+    ``rev-parse`` check that the path is a repository with a HEAD commit (an
+    unborn HEAD ends the run there, with nothing yielded), the streamed
+    ``rev-list`` walk, one ``diff-tree --stdin`` fed the matching commits and
+    one ``cat-file --batch`` fed their build files' blobs (one more each time
+    one of the last two dies and is started again). All of them end when the
+    generator does. RepoUnreadableError is raised when the path is no
+    repository or the walk cannot read HEAD's commit.
     """
     mining_filter = mining_filter or MiningFilter()
     stats = stats if stats is not None else MiningStats()
     repo_path = os.path.abspath(repo_path)
     try:
-        _git(repo_path, "rev-parse", "--git-dir")
-    except (GitObjectCorruptError, FileNotFoundError, NotADirectoryError) as exc:
+        head = subprocess.run(
+            ["git", "-C", repo_path, "rev-parse", "--git-dir", "--verify", "-q", "HEAD"],
+            capture_output=True,
+            timeout=120,
+        )
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise RepoUnreadableError(f"{repo_path}: {exc}") from exc
+    # exit 1: HEAD names no commit yet, an empty repository; 128: no repository
+    if head.returncode == 1:
+        return
+    if head.returncode != 0:
+        raise RepoUnreadableError(f"{repo_path}: {head.stderr.decode('utf-8', errors='replace').strip()}")
 
     repo_id = os.path.basename(repo_path.rstrip("/")) or repo_path
     walk_args = ["rev-list", "--format=%an%x1f%at%x1f%P%x1f%B%x1e"]
@@ -524,9 +525,10 @@ def mine_commits(
             yielded += 1
             if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
                 return
-        # an empty repository has no HEAD, so its walk fails before any commit
-        if walk.wait() != 0 and stats.commits_scanned:
+        if walk.wait() != 0:
             walk.close()
+            if not stats.commits_scanned:  # HEAD names a commit git cannot read
+                raise RepoUnreadableError(f"{repo_path}: {walk.error}")
             stats.warnings += 1
             logger.warning("history walk of %s stopped early: %s", repo_path, walk.error)
     finally:

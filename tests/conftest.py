@@ -1,3 +1,4 @@
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,13 @@ def build_git_repo(root: Path, steps) -> list[str]:
         _git(root, "commit", "-q", "--allow-empty", "-m", message)
         hashes.append(_git(root, "rev-parse", "HEAD").strip())
     return hashes
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on (it was free a moment ago)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 @pytest.fixture

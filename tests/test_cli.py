@@ -1,11 +1,13 @@
 import json
+import logging
+import subprocess
 
 import pytest
 
 import fixtures
 from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 from buildref.evaluation import report_from_json
-from conftest import build_git_repo
+from conftest import build_git_repo, closed_port
 
 
 def build_pipeline_repo(root):
@@ -176,7 +178,7 @@ def test_llm_transport_failure_exits_3(pipeline, tmp_path, monkeypatch, capsys):
     def failing_transport(url, headers, body, timeout):
         raise llm_backend.TransportError("connection refused")
 
-    monkeypatch.setattr(llm_backend, "_requests_transport", failing_transport)
+    monkeypatch.setattr(llm_backend, "_http_transport", failing_transport)
     code = run(
         [
             "detect", "--commits", str(commits), "--backend", "llm",
@@ -201,7 +203,7 @@ def test_llm_detect_with_mocked_transport_and_cache(pipeline, tmp_path, monkeypa
         content = '[{"RefactoringType": "Reformat Code", "Details": "stub"}]'
         return 200, json.dumps({"choices": [{"message": {"content": content}}]})
 
-    monkeypatch.setattr(llm_backend, "_requests_transport", canned_transport)
+    monkeypatch.setattr(llm_backend, "_http_transport", canned_transport)
     cache = tmp_path / "cache"
     out1 = tmp_path / "llm1.jsonl"
     args = [
@@ -262,7 +264,7 @@ def _llm_detect(monkeypatch, tmp_path, pipeline, content):
         calls["n"] += 1
         return 200, json.dumps({"choices": [{"message": {"content": content}}]})
 
-    monkeypatch.setattr(llm_backend, "_requests_transport", canned_transport)
+    monkeypatch.setattr(llm_backend, "_http_transport", canned_transport)
 
     def detect(out_name, *extra):
         out = tmp_path / out_name
@@ -324,3 +326,84 @@ def test_dump_models_order_does_not_depend_on_parallelism(pipeline, tmp_path):
         ]) == EXIT_OK
         dumps.append(dump.read_text())
     assert dumps[0] and dumps[0] == dumps[1]
+
+
+def test_mine_exits_2_when_the_head_commit_cannot_be_read(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    hashes = build_git_repo(repo, [(f"refactor: pom {i}", {"pom.xml": f"<project>{i}</project>\n"}) for i in (1, 2)])
+    (repo / ".git" / "objects" / hashes[-1][:2] / hashes[-1][2:]).unlink()
+    out = tmp_path / "commits.jsonl"
+    assert run(["mine", "--repo", str(repo), "--out", str(out)]) == EXIT_DATA
+    assert out.read_text() == ""
+    assert "data error" in capsys.readouterr().err
+
+
+def test_mine_on_an_empty_repository_writes_nothing_and_exits_0(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    out = tmp_path / "commits.jsonl"
+    assert run(["mine", "--repo", str(repo), "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == ""
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("parallelism", ["1", "4"])
+def test_llm_counters_are_logged_once_per_pass(pipeline, tmp_path, monkeypatch, caplog, parallelism):
+    detect, _ = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    caplog.set_level(logging.INFO, logger="buildref.cli")
+    detect("cold.jsonl", "--parallelism", parallelism)
+    detect("warm.jsonl", "--parallelism", parallelism)
+    assert [r.getMessage() for r in caplog.records if r.name == "buildref.cli"] == [
+        "requests 12, retries 0, reprompts 0, cache hits 0",
+        "requests 0, retries 0, reprompts 0, cache hits 12",
+    ]
+
+
+def test_each_prompt_is_built_once_per_pass(pipeline, tmp_path, monkeypatch):
+    from buildref import llm_backend
+
+    detect, _ = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    real_build_prompt = llm_backend.build_prompt
+    built = []
+
+    def spy(commit, spec):
+        built.append((commit.commit_hash, spec.build_system))
+        return real_build_prompt(commit, spec)
+
+    monkeypatch.setattr(llm_backend, "build_prompt", spy)
+    for out_name in ("cold.jsonl", "warm.jsonl"):
+        built.clear()
+        detect(out_name)
+        assert len(built) == len(set(built)) == 12
+
+
+def test_llm_detect_against_a_closed_port_exits_3(pipeline, tmp_path, monkeypatch, capsys):
+    repo, _, _ = pipeline
+    commits = tmp_path / "commits.jsonl"
+    run(["mine", "--repo", str(repo), "--out", str(commits)])
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    assert run([
+        "detect", "--commits", str(commits), "--backend", "llm",
+        "--endpoint", f"http://127.0.0.1:{closed_port()}/v1", "--model", "m",
+        "--max-retries", "0", "--out", "-",
+    ]) == EXIT_BACKEND
+    assert "backend error" in capsys.readouterr().err
+
+
+def test_commit_lines_end_only_at_newlines(pipeline, tmp_path):
+    repo, _, _ = pipeline
+    commits = tmp_path / "commits.jsonl"
+    run(["mine", "--repo", str(repo), "--out", str(commits)])
+    lines = commits.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    first = json.loads(lines[0])
+    first["message"] += "\u2028second paragraph"
+    lines[0] = json.dumps(first, ensure_ascii=False)  # keeps the U+2028 raw
+    odd = tmp_path / "odd.jsonl"
+    odd.write_text("\n\n".join(lines) + "\n", encoding="utf-8")
+
+    outputs = []
+    for source in (commits, odd):
+        out = tmp_path / f"det-{source.stem}.jsonl"
+        assert run(["detect", "--commits", str(source), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_text())
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -1,4 +1,7 @@
+import hashlib
+import http.server
 import json
+import threading
 from collections import Counter
 
 import pytest
@@ -22,7 +25,7 @@ from buildref.llm_backend import (
     serialize_detections,
 )
 from buildref.mining import BuildSystem
-from conftest import make_commit
+from conftest import closed_port, make_commit
 
 GRADLE_SPEC = PromptSpec(PromptMode.ZERO_SHOT, BuildSystem.GRADLE)
 GRADLE_ONE_SHOT = PromptSpec(PromptMode.ONE_SHOT, BuildSystem.GRADLE)
@@ -252,3 +255,136 @@ def test_config_validation():
         LlmConfig(endpoint="http://x", model="m", temperature=3.0)
     with pytest.raises(ValueError):
         LlmConfig(endpoint="http://x", model="m", max_retries=-1)
+
+
+# --- reply cache ------------------------------------------------------------------
+
+def test_cache_file_is_named_by_request_settings_and_prompt(gradle_commit, tmp_path):
+    cfg = LlmConfig(endpoint="http://x/v1", model="m", temperature=0.5, max_output_tokens=100)
+    reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
+    classify_commit(gradle_commit, GRADLE_SPEC, cfg, transport=lambda *a: _ok_response(reply), cache_dir=str(tmp_path))
+    prompt = build_prompt(gradle_commit, GRADLE_SPEC)
+    key = hashlib.sha256(b'["http://x/v1", "m", 0.5, 100]\x00' + prompt.encode("utf-8")).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    assert (tmp_path / f"{key}.json").read_text(encoding="utf-8") == serialize_detections(parse_response(reply))
+
+
+def test_cache_hit_is_counted_and_sends_nothing(gradle_commit, tmp_path):
+    def transport(url, headers, body, timeout):
+        return _ok_response('[{"RefactoringType": "Extract Task", "Details": "new task"}]')
+
+    first = classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, cache_dir=str(tmp_path))
+
+    def no_transport(url, headers, body, timeout):
+        raise AssertionError("a cache hit must not ask the endpoint")
+
+    stats = LlmStats()
+    again = classify_commit(
+        gradle_commit, GRADLE_SPEC, CFG, transport=no_transport, stats=stats, cache_dir=str(tmp_path)
+    )
+    assert again == first
+    assert stats == LlmStats(requests=0, retries=0, reprompts=0, cache_hits=1)
+
+
+# --- the standard-library HTTP transport, against a loopback server ------------------
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, text) of ``server.replies``."""
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", "0"))
+        self.server.seen.append((dict(self.headers), json.loads(self.rfile.read(length)) if length else None))
+        status, text, *extra_headers = self.server.replies.pop(0)
+        payload = text.encode("utf-8")
+        self.send_response(status)
+        for name, value in {"Content-Type": "application/json", **dict(extra_headers)}.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    do_GET = do_POST
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def endpoint(monkeypatch):
+    """A loopback server; set ``.replies`` before a request, read ``.seen`` after."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    server.replies, server.seen = [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _classify_over_http(commit, url, stats=None, **config):
+    cfg = LlmConfig(endpoint=url, model="test-model", **config)
+    return classify_commit(commit, GRADLE_SPEC, cfg, stats=stats, sleeper=lambda s: None)
+
+
+def test_http_reply_is_parsed(gradle_commit, endpoint):
+    endpoint.replies = [_ok_response('[{"RefactoringType": "Extract Task", "Details": "new task"}]')]
+    out = _classify_over_http(gradle_commit, endpoint.url)
+    assert {d.type for d in out} == {"Extract Task"}
+    ((headers, body),) = endpoint.seen
+    assert body["model"] == "test-model"
+    assert body["messages"] == [{"role": "user", "content": build_prompt(gradle_commit, GRADLE_SPEC)}]
+    assert "Authorization" not in headers
+
+
+def test_http_server_error_is_retried(gradle_commit, endpoint):
+    endpoint.replies = [(500, "boom"), _ok_response('[{"RefactoringType": "DRY", "Details": "d"}]')]
+    stats = LlmStats()
+    out = _classify_over_http(gradle_commit, endpoint.url, stats=stats)
+    assert {d.type for d in out} == {"DRY"}
+    assert (stats.requests, stats.retries) == (2, 1)
+
+
+def test_http_429_past_the_retry_budget_raises_rate_limited(gradle_commit, endpoint):
+    endpoint.replies = [(429, "slow down")] * 3
+    with pytest.raises(RateLimitedError):
+        _classify_over_http(gradle_commit, endpoint.url, max_retries=2)
+    assert len(endpoint.seen) == 3
+
+
+def test_http_client_error_carries_status_and_body(gradle_commit, endpoint):
+    endpoint.replies = [(404, '{"error": "no such model"}')]
+    with pytest.raises(TransportError, match="unexpected status 404: .*no such model"):
+        _classify_over_http(gradle_commit, endpoint.url)
+    assert len(endpoint.seen) == 1  # a 4xx other than 429 is not retried
+
+
+def test_http_closed_port_raises_transport_error(gradle_commit, monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with pytest.raises(TransportError):
+        _classify_over_http(gradle_commit, f"http://127.0.0.1:{closed_port()}/v1", max_retries=0)
+
+
+def test_http_endpoint_without_scheme_raises_transport_error(gradle_commit):
+    with pytest.raises(TransportError):  # not ValueError, which the CLI reports as a data error
+        _classify_over_http(gradle_commit, "127.0.0.1:1/v1", max_retries=0)
+
+
+def test_http_sends_authorization_from_the_key_variable(gradle_commit, endpoint, monkeypatch):
+    monkeypatch.setenv("MY_TEST_KEY", "sk-secret")
+    endpoint.replies = [_ok_response("No refactorings found.")]
+    assert _classify_over_http(gradle_commit, endpoint.url, api_key_env="MY_TEST_KEY") == set()
+    ((headers, _),) = endpoint.seen
+    assert headers["Authorization"] == "Bearer sk-secret"
+
+
+def test_http_redirect_does_not_carry_the_key(gradle_commit, endpoint, monkeypatch):
+    monkeypatch.setenv("MY_TEST_KEY", "sk-secret")
+    endpoint.replies = [(302, "", ("Location", "/elsewhere")), _ok_response("No refactorings found.")]
+    assert _classify_over_http(gradle_commit, endpoint.url, api_key_env="MY_TEST_KEY") == set()
+    (first, _), (redirected, _) = endpoint.seen
+    assert first["Authorization"] == "Bearer sk-secret"
+    assert "Authorization" not in redirected
