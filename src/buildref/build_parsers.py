@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .mining import BuildSystem, classify_build_file
+from .mining import BuildSystem, DataError, classify_build_file
 
 
 class ElementKind(Enum):
@@ -38,7 +38,7 @@ class LinkRelation(Enum):
     APPLIES_FROM = "applies_from"
 
 
-class XmlMalformedError(Exception):
+class XmlMalformedError(DataError):
     def __init__(self, line: int, reason: str):
         super().__init__(f"malformed XML at line {line}: {reason}")
         self.line = line
@@ -88,24 +88,18 @@ class BuildModel:
 
 # --- tokenization ----------------------------------------------------------
 
+# The quotes sit outside the groups, so a string literal's group is its body;
+# exactly one of the three groups takes part in each match.
 _TOKEN_RE = re.compile(
-    r"\"(?:[^\"\\\n]|\\.)*\""
-    r"|'(?:[^'\\\n]|\\.)*'"
-    r"|[A-Za-z_$][\w$]*"
-    r"|\d[\w.+-]*"
-    r"|[^\s]"
+    r"\"((?:[^\"\\\n]|\\.)*)\""
+    r"|'((?:[^'\\\n]|\\.)*)'"
+    r"|([A-Za-z_$][\w$]*|\d[\w.+-]*|[^\s])"
 )
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Whitespace-normalized token sequence; string literals lose their quotes."""
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(0)
-        if len(tok) >= 2 and tok[0] == tok[-1] and tok[0] in "\"'":
-            tok = tok[1:-1]
-        out.append(tok)
-    return tuple(out)
+    return tuple(map("".join, _TOKEN_RE.findall(text)))
 
 
 def _scan_groovy(text: str) -> tuple[str, str]:

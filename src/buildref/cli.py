@@ -3,6 +3,9 @@
 Stages communicate through line-delimited JSON files so runs can be resumed,
 cached, and mixed across backends. Exit codes: 0 success, 1 usage error,
 2 data error, 3 backend/transport error.
+
+Each subcommand imports the modules it runs when it runs, so ``mine`` never
+loads the parsers, the detectors or the LLM client.
 """
 
 from __future__ import annotations
@@ -11,29 +14,24 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from . import evaluation, llm_backend, taxonomy
-from .build_parsers import XmlMalformedError, model_to_json
-from .detectors import (
-    CommitContext,
-    DetectorConfig,
-    detect_all,
-    detection_to_json,
-    sort_key,
-)
 from .mining import (
+    BackendError,
     BuildSystem,
     CommitRecord,
+    DataError,
     MiningFilter,
     MiningStats,
-    RepoUnreadableError,
     commit_from_json,
     commit_to_json,
     mine_commits,
 )
+
+if TYPE_CHECKING:
+    from .detectors import DetectorConfig
+    from .llm_backend import LlmStats
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +101,16 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     return parser, [p_mine, p_detect, p_eval, p_report, p_tax]
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
 def _apply_config_file(parsers: Sequence[_Parser], argv: Sequence[str]) -> None:
+    """Set the defaults a ``--config`` file gives on every subcommand parser.
+
+    A key is a subcommand flag without its dashes. An on/off flag takes
+    true/false, yes/no or 1/0 in any case, and a flag with choices one of
+    them. Any other key or value of those flags is a usage error.
+    """
     path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -112,14 +119,30 @@ def _apply_config_file(parsers: Sequence[_Parser], argv: Sequence[str]) -> None:
             path = arg.split("=", 1)[1]
     if not path:
         return
+    flags = {
+        option.lstrip("-").replace("-", "_"): action
+        for parser in parsers
+        for action in parser._actions
+        if action.dest != argparse.SUPPRESS  # --help
+        for option in action.option_strings
+    }
     defaults = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
-            key, value = line.split("=", 1)
-            defaults[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
+                raise UsageError(f"{path}:{number}: {key!r} names no subcommand flag")
+            if isinstance(action, argparse._StoreTrueAction):
+                if value.lower() not in _BOOLEANS:
+                    raise UsageError(f"{path}:{number}: {key} takes true/false, yes/no or 1/0, not {value!r}")
+                value = _BOOLEANS[value.lower()]
+            elif action.choices is not None and value not in action.choices:  # argparse checks flags only
+                raise UsageError(f"{path}:{number}: {key} takes one of {', '.join(action.choices)}, not {value!r}")
+            defaults[action.dest] = value
     # subparsers do not inherit parent defaults, so set them on each
     for parser in parsers:
         parser.set_defaults(**defaults)
@@ -168,6 +191,9 @@ def _cmd_mine(args) -> int:
 
 def _detect_static(record: CommitRecord, config: DetectorConfig, dump: bool) -> tuple[list[str], list[str]]:
     """Detection lines and, when ``dump`` is set, --dump-models lines of one commit."""
+    from .build_parsers import model_to_json
+    from .detectors import CommitContext, detect_all, detection_to_json, sort_key
+
     ctx = CommitContext.from_commit(record)
     dump_lines = []
     if dump:
@@ -180,8 +206,11 @@ def _detect_static(record: CommitRecord, config: DetectorConfig, dump: bool) -> 
     return [detection_to_json(record.commit_hash, d) for d in detections], dump_lines
 
 
-def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[list[str], llm_backend.LlmStats]:
+def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[list[str], LlmStats]:
     """Detection lines and request counters of one commit."""
+    from . import llm_backend
+    from .detectors import detection_to_json, sort_key
+
     mode = llm_backend.PromptMode(args.prompt_mode.replace("-", "_"))
     stats = llm_backend.LlmStats()
     lines: list[str] = []
@@ -197,10 +226,12 @@ def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[l
 
 
 def _cmd_detect(args) -> int:
-    llm_config = rate_limiter = llm_stats = None
+    llm_config = rate_limiter = llm_stats = detector_config = None
     if args.backend == "llm":
         if not args.endpoint or not args.model:
             raise UsageError("detect --backend llm requires --endpoint and --model")
+        from . import llm_backend
+
         llm_config = llm_backend.LlmConfig(
             endpoint=args.endpoint,
             model=args.model,
@@ -213,22 +244,28 @@ def _cmd_detect(args) -> int:
         if args.rate:
             rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1))
         llm_stats = llm_backend.LlmStats()
-    records = [commit_from_json(line) for line in _read_lines(args.commits)]
+    else:
+        from .detectors import DetectorConfig
 
-    detector_config = DetectorConfig(
-        move_similarity=args.move_similarity,
-        rename_similarity=args.rename_similarity,
-    )
+        detector_config = DetectorConfig(
+            move_similarity=args.move_similarity,
+            rename_similarity=args.rename_similarity,
+        )
+    records = [commit_from_json(line) for line in _read_lines(args.commits)]
     dump_sink = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else None
 
-    def worker(record: CommitRecord) -> tuple[list[str], list[str], Optional[llm_backend.LlmStats]]:
+    def worker(record: CommitRecord) -> tuple[list[str], list[str], Optional[LlmStats]]:
         if llm_config is None:
             return *_detect_static(record, detector_config, dump_sink is not None), None
         lines, stats = _detect_llm(record, args, llm_config, rate_limiter)
         return lines, [], stats
 
     out = _open_out(args.out)
-    pool = ThreadPoolExecutor(max_workers=args.parallelism) if args.parallelism > 1 else None
+    pool = None
+    if args.parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=args.parallelism)
     try:
         # map preserves input order, so both files are written in input order;
         # each worker counts its own requests and only this thread adds them up
@@ -254,6 +291,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import evaluation
+
     gold = evaluation.gold_from_lines(_read_lines(args.gold))
     pred = evaluation.predictions_from_lines(_read_lines(args.pred))
     report = evaluation.score(gold, pred, backend=args.backend_label, set_mode=args.set_mode)
@@ -267,6 +306,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import evaluation
+
     with open(args.in_path, encoding="utf-8") as fh:
         report = evaluation.report_from_json(fh.read())
     fmt = "json" if args.format == "json" else "markdown_table"
@@ -275,6 +316,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_taxonomy(args) -> int:
+    from . import taxonomy
+
     if args.json:
         print(taxonomy.registry_to_json())
         return EXIT_OK
@@ -314,24 +357,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        llm_backend.TransportError,
-        llm_backend.UnparseableResponseError,
-    ) as exc:
+    except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (
-        RepoUnreadableError,
-        XmlMalformedError,
-        evaluation.UnknownCommitError,
-        taxonomy.UnknownTypeError,
-        llm_backend.MixedBuildSystemsError,
-        llm_backend.EmptyDiffError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (DataError, OSError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import taxonomy
+from .mining import DataError
 
 UNKNOWN_ROW = "unknown"
 
 
-class UnknownCommitError(Exception):
+class UnknownCommitError(DataError):
     """A predicted commit hash that does not exist in the gold set."""
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from . import taxonomy
 from .detectors import DetectedRefactoring
-from .mining import BuildSystem, CommitRecord
+from .mining import BackendError, BuildSystem, CommitRecord, DataError
 
 logger = logging.getLogger(__name__)
 
@@ -61,21 +61,21 @@ class PromptMode(Enum):
     ONE_SHOT = "one_shot"
 
 
-class MixedBuildSystemsError(Exception):
+class MixedBuildSystemsError(DataError):
     """The commit's diffs span more than one build system."""
 
 
-class EmptyDiffError(Exception):
+class EmptyDiffError(DataError):
     """The commit carries no build-file diffs to describe."""
 
 
-class UnparseableResponseError(Exception):
+class UnparseableResponseError(BackendError):
     def __init__(self, text: str):
         excerpt = text.strip().replace("\n", " ")[:200]
         super().__init__(f"response matched none of the expected shapes: {excerpt!r}")
 
 
-class TransportError(Exception):
+class TransportError(BackendError):
     """The endpoint could not be reached or replied with a server error."""
 
 

@@ -12,7 +12,6 @@ mutated and records are immutable once constructed.
 
 from __future__ import annotations
 
-import difflib
 import json
 import logging
 import os
@@ -46,7 +45,15 @@ class ChangeKind(Enum):
     RENAMED = "renamed"
 
 
-class RepoUnreadableError(Exception):
+class DataError(Exception):
+    """An input the run cannot use; the command line reports it and exits 2."""
+
+
+class BackendError(Exception):
+    """The detection backend failed; the command line reports it and exits 3."""
+
+
+class RepoUnreadableError(DataError):
     """The given path is not a readable git repository."""
 
 
@@ -105,6 +112,8 @@ def extract_diff(before_content: Optional[str], after_content: Optional[str]) ->
     """
     if before_content is None and after_content is None:
         raise ValueError("at least one side of the diff must be present")
+    import difflib  # imported here: `mine` and `evaluate` never diff
+
     a = _lines(before_content)
     b = _lines(after_content)
     matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)

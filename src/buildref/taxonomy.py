@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .mining import BuildSystem
+from .mining import BuildSystem, DataError
 
 
 class MainCategory(Enum):
@@ -42,7 +42,7 @@ TD_DESCRIPTIONS: Mapping[TechnicalDebt, str] = {
 }
 
 
-class UnknownTypeError(Exception):
+class UnknownTypeError(DataError):
     """A refactoring type name that is not one of the 24 registry ids."""
 
 

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildref.build_parsers import (
     BuildModel,
@@ -310,6 +314,32 @@ def test_xml_comments_stripped():
 
 def test_tokenize_normalizes_quotes_and_whitespace():
     assert tokenize("id 'jacoco'") == tokenize('id   "jacoco"')
+
+
+# the tokenizer before string bodies became regex groups: quotes stripped per token
+_ORACLE_TOKEN_RE = re.compile(
+    r"\"(?:[^\"\\\n]|\\.)*\""
+    r"|'(?:[^'\\\n]|\\.)*'"
+    r"|[A-Za-z_$][\w$]*"
+    r"|\d[\w.+-]*"
+    r"|[^\s]"
+)
+
+
+def _oracle_tokenize(text):
+    out = []
+    for m in _ORACLE_TOKEN_RE.finditer(text):
+        tok = m.group(0)
+        if len(tok) >= 2 and tok[0] == tok[-1] and tok[0] in "\"'":
+            tok = tok[1:-1]
+        out.append(tok)
+    return tuple(out)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet="ab1_$ \n\t\"'\\.-+<>={}\u00e9\u2028\0", max_size=40))
+def test_tokenize_matches_the_per_token_quote_stripping_oracle(text):
+    assert tokenize(text) == _oracle_tokenize(text)
 
 
 def test_model_to_json_shape():

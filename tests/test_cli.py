@@ -5,9 +5,10 @@ import subprocess
 import pytest
 
 import fixtures
-from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _apply_config_file, _build_parser, run
 from buildref.evaluation import report_from_json
-from conftest import build_git_repo, closed_port
+from buildref.mining import commit_to_json
+from conftest import build_git_repo, closed_port, make_commit
 
 
 def build_pipeline_repo(root):
@@ -266,10 +267,10 @@ def _llm_detect(monkeypatch, tmp_path, pipeline, content):
 
     monkeypatch.setattr(llm_backend, "_http_transport", canned_transport)
 
-    def detect(out_name, *extra):
+    def detect(out_name, *extra, config=None):
         out = tmp_path / out_name
         assert run([
-            "detect", "--commits", str(commits), "--backend", "llm",
+            *(["--config", str(config)] if config else []), "detect", "--commits", str(commits), "--backend", "llm",
             "--endpoint", "http://mock/v1", "--model", "m",
             "--cache-dir", str(tmp_path / "cache"), "--out", str(out), *extra,
         ]) == EXIT_OK
@@ -407,3 +408,65 @@ def test_commit_lines_end_only_at_newlines(pipeline, tmp_path):
         assert run(["detect", "--commits", str(source), "--out", str(out)]) == EXIT_OK
         outputs.append(out.read_text())
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_cache_dir_naming_a_file_is_a_data_error(tmp_path, capsys):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(commit_to_json(make_commit({"pom.xml": "<project/>\n"}, {"pom.xml": "<project>\n</project>\n"})) + "\n")
+    cache = tmp_path / "cache"
+    cache.write_text("a regular file\n")
+    assert run([
+        "detect", "--commits", str(commits), "--backend", "llm", "--endpoint", "http://mock/v1", "--model", "m",
+        "--cache-dir", str(cache), "--out", str(tmp_path / "out.jsonl"),
+    ]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert cache.read_text() == "a regular file\n"
+
+
+def _parse_with_config(tmp_path, text, *argv):
+    cfg = tmp_path / "buildref.cfg"
+    cfg.write_text(text)
+    argv = ["--config", str(cfg), *argv]
+    parser, subparsers = _build_parser()
+    _apply_config_file(subparsers, argv)
+    return parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("false", False), ("FALSE", False), ("no", False), ("0", False),
+    ("true", True), ("True", True), ("yes", True), ("1", True),
+])
+def test_config_booleans_are_parsed(tmp_path, value, expected):
+    args = _parse_with_config(tmp_path, f"no-cache={value}\ninclude_merges = {value}\n", "detect", "--commits", "c")
+    assert args.no_cache is expected
+    args = _parse_with_config(tmp_path, f"include-merges={value}\n", "mine", "--repo", "r")
+    assert args.include_merges is expected
+
+
+def test_explicit_boolean_flag_wins_over_config(tmp_path):
+    args = _parse_with_config(tmp_path, "no-cache=false\n", "detect", "--commits", "c", "--no-cache")
+    assert args.no_cache is True
+    args = _parse_with_config(tmp_path, "include-merges=no\n", "mine", "--repo", "r", "--include-merges")
+    assert args.include_merges is True
+
+
+def test_config_no_cache_false_keeps_the_cache(pipeline, tmp_path, monkeypatch):
+    detect, calls = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    cfg = tmp_path / "buildref.cfg"
+    cfg.write_text("no-cache=false\n")
+    detect("a.jsonl", config=cfg)
+    detect("b.jsonl", config=cfg)
+    assert calls["n"] == 12  # the second pass is served from the cache
+    cfg.write_text("no-cache=yes\n")
+    detect("c.jsonl", config=cfg)
+    assert calls["n"] == 24
+
+
+@pytest.mark.parametrize("text", [
+    "no-cache=maybe\n", "no-cache=\n", "no-such-flag=1\n", "verbose=2\n", "backend=llmx\n", "format=xml\n",
+])
+def test_bad_config_line_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "buildref.cfg"
+    cfg.write_text(text)
+    assert run(["--config", str(cfg), "taxonomy"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
