@@ -16,8 +16,10 @@ _EXPORTS = {
         "BuildElement", "BuildModel", "ElementKind", "infer_hierarchy", "parse_ant", "parse_build_file",
         "parse_gradle", "parse_maven",
     ),
-    "taxonomy": ("MainCategory", "RefactoringType", "TechnicalDebt", "registry", "td_categories_for"),
-    "detectors": ("CommitContext", "DetectedRefactoring", "DetectorConfig", "detect_all"),
+    "taxonomy": (
+        "DetectedRefactoring", "MainCategory", "RefactoringType", "TechnicalDebt", "registry", "td_categories_for",
+    ),
+    "detectors": ("CommitContext", "DetectorConfig", "detect_all"),
     "llm_backend": ("LlmConfig", "PromptMode", "PromptSpec", "build_prompt", "classify_commit", "parse_response"),
     "evaluation": ("EvaluationReport", "GoldLabel", "render_report", "score"),
 }

@@ -11,11 +11,13 @@ loads the parsers, the detectors or the LLM client.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .mining import (
     BackendError,
@@ -28,10 +30,6 @@ from .mining import (
     commit_to_json,
     mine_commits,
 )
-
-if TYPE_CHECKING:
-    from .detectors import DetectorConfig
-    from .llm_backend import LlmStats
 
 logger = logging.getLogger(__name__)
 
@@ -149,8 +147,9 @@ def _apply_config_file(parsers: Sequence[_Parser], argv: Sequence[str]) -> None:
 
 
 def _open_out(path: str):
+    """A context manager giving ``path`` opened for writing, or stdout for ``-``."""
     if path == "-":
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
@@ -165,23 +164,24 @@ def _read_lines(path: str) -> Iterator[str]:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_mine(args) -> int:
-    systems = frozenset(
-        BuildSystem(name.strip().capitalize()) for name in args.build_systems.split(",") if name.strip()
-    )
+    by_name = {system.value.lower(): system for system in BuildSystem}
+    names = [name.strip().lower() for name in args.build_systems.split(",") if name.strip()]
+    if not names or not by_name.keys() >= set(names):
+        raise UsageError(
+            f"--build-systems takes a comma-separated list of {', '.join(by_name)}, not {args.build_systems!r}"
+        )
+    if args.max_commits is not None and args.max_commits < 0:
+        raise UsageError(f"--max-commits takes 0 or more, not {args.max_commits}")
     mining_filter = MiningFilter(
         message_keyword=args.keyword,
-        build_systems=systems,
+        build_systems=frozenset(by_name[name] for name in names),
         max_commits=args.max_commits,
         exclude_merges=not args.include_merges,
     )
     stats = MiningStats()
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for record in mine_commits(args.repo, mining_filter, stats):
             out.write(commit_to_json(record) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     logger.info(
         "scanned %d commits, yielded %d, warnings %d",
         stats.commits_scanned, stats.commits_yielded, stats.warnings,
@@ -189,27 +189,28 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _detect_static(record: CommitRecord, config: DetectorConfig, dump: bool) -> tuple[list[str], list[str]]:
-    """Detection lines and, when ``dump`` is set, --dump-models lines of one commit."""
+def _detect_static(record: CommitRecord, config, out: TextIO, dump: Optional[TextIO]) -> None:
+    """Write the detections of one commit to ``out`` and, unless ``dump`` is None,
+    its parsed build models to ``dump``. The commit's context is freed on return."""
     from .build_parsers import model_to_json
-    from .detectors import CommitContext, detect_all, detection_to_json, sort_key
+    from .detectors import CommitContext, detect_all
+    from .taxonomy import detection_to_json, sort_key
 
     ctx = CommitContext.from_commit(record)
-    dump_lines = []
-    if dump:
+    if dump is not None:
         for side, models in (("before", ctx.before_models), ("after", ctx.after_models)):
             for path in sorted(models):
-                dump_lines.append(json.dumps(
+                dump.write(json.dumps(
                     {"commit_hash": record.commit_hash, "version": side, **model_to_json(models[path])}
-                ))
-    detections = sorted(detect_all(ctx, config), key=sort_key)
-    return [detection_to_json(record.commit_hash, d) for d in detections], dump_lines
+                ) + "\n")
+    for det in sorted(detect_all(ctx, config), key=sort_key):
+        out.write(detection_to_json(record.commit_hash, det) + "\n")
 
 
-def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[list[str], LlmStats]:
-    """Detection lines and request counters of one commit."""
+def _detect_llm(record: CommitRecord, args, config, rate_limiter) -> tuple[list[str], object]:
+    """Detection lines and request counters (an ``llm_backend.LlmStats``) of one commit."""
     from . import llm_backend
-    from .detectors import detection_to_json, sort_key
+    from .taxonomy import detection_to_json, sort_key
 
     mode = llm_backend.PromptMode(args.prompt_mode.replace("-", "_"))
     stats = llm_backend.LlmStats()
@@ -218,7 +219,7 @@ def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[l
     for system in sorted({fd.build_system for fd in record.file_diffs}, key=lambda s: s.value):
         sub_record = replace(record, file_diffs=tuple(fd for fd in record.file_diffs if fd.build_system is system))
         detections = llm_backend.classify_commit(
-            sub_record, llm_backend.PromptSpec(mode=mode, build_system=system), llm_config, stats=stats,
+            sub_record, llm_backend.PromptSpec(mode=mode, build_system=system), config, stats=stats,
             rate_limiter=rate_limiter, cache_dir=None if args.no_cache else args.cache_dir,
         )
         lines.extend(detection_to_json(record.commit_hash, det) for det in sorted(detections, key=sort_key))
@@ -226,67 +227,53 @@ def _detect_llm(record: CommitRecord, args, llm_config, rate_limiter) -> tuple[l
 
 
 def _cmd_detect(args) -> int:
-    llm_config = rate_limiter = llm_stats = detector_config = None
     if args.backend == "llm":
-        if not args.endpoint or not args.model:
-            raise UsageError("detect --backend llm requires --endpoint and --model")
-        from . import llm_backend
+        return _cmd_detect_llm(args)
+    from .detectors import DetectorConfig
 
-        llm_config = llm_backend.LlmConfig(
-            endpoint=args.endpoint,
-            model=args.model,
-            api_key_env=args.api_key_env,
-            temperature=args.temperature,
-            max_output_tokens=args.max_output_tokens,
-            timeout_seconds=args.timeout,
-            max_retries=args.max_retries,
-        )
-        if args.rate:
-            rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1))
-        llm_stats = llm_backend.LlmStats()
-    else:
-        from .detectors import DetectorConfig
-
-        detector_config = DetectorConfig(
-            move_similarity=args.move_similarity,
-            rename_similarity=args.rename_similarity,
-        )
+    # pure-Python detection gains nothing from threads under the interpreter lock,
+    # so every commit runs in this thread whatever --parallelism says
+    config = DetectorConfig(move_similarity=args.move_similarity, rename_similarity=args.rename_similarity)
     records = [commit_from_json(line) for line in _read_lines(args.commits)]
-    dump_sink = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else None
+    dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
+    with dump_models as dump, _open_out(args.out) as out:
+        for record in records:
+            _detect_static(record, config, out, dump)
+    return EXIT_OK
 
-    def worker(record: CommitRecord) -> tuple[list[str], list[str], Optional[LlmStats]]:
-        if llm_config is None:
-            return *_detect_static(record, detector_config, dump_sink is not None), None
-        lines, stats = _detect_llm(record, args, llm_config, rate_limiter)
-        return lines, [], stats
 
-    out = _open_out(args.out)
+def _cmd_detect_llm(args) -> int:
+    if not args.endpoint or not args.model:
+        raise UsageError("detect --backend llm requires --endpoint and --model")
+    from . import llm_backend
+
+    config = llm_backend.LlmConfig(
+        endpoint=args.endpoint,
+        model=args.model,
+        api_key_env=args.api_key_env,
+        temperature=args.temperature,
+        max_output_tokens=args.max_output_tokens,
+        timeout_seconds=args.timeout,
+        max_retries=args.max_retries,
+    )
+    rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1)) if args.rate else None
+    records = [commit_from_json(line) for line in _read_lines(args.commits)]
     pool = None
-    if args.parallelism > 1:
+    if args.parallelism > 1:  # the threads overlap their waits on the endpoint
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=args.parallelism)
-    try:
-        # map preserves input order, so both files are written in input order;
-        # each worker counts its own requests and only this thread adds them up
-        for lines, dump_lines, stats in (pool.map if pool else map)(worker, records):
+    total = llm_backend.LlmStats()
+    classify = partial(_detect_llm, args=args, config=config, rate_limiter=rate_limiter)
+    with pool or contextlib.nullcontext(), _open_out(args.out) as out:
+        # map preserves input order; each call counts its own requests and only this thread adds them up
+        for lines, stats in (pool.map if pool else map)(classify, records):
             out.writelines(line + "\n" for line in lines)
-            if dump_sink is not None:
-                dump_sink.writelines(line + "\n" for line in dump_lines)
-            if stats is not None:
-                llm_stats.add(stats)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        if out is not sys.stdout:
-            out.close()
-        if dump_sink is not None:
-            dump_sink.close()
-    if llm_stats is not None:
-        logger.info(
-            "requests %d, retries %d, reprompts %d, cache hits %d",
-            llm_stats.requests, llm_stats.retries, llm_stats.reprompts, llm_stats.cache_hits,
-        )
+            total.add(stats)
+    logger.info(
+        "requests %d, retries %d, reprompts %d, cache hits %d",
+        total.requests, total.retries, total.reprompts, total.cache_hits,
+    )
     return EXIT_OK
 
 
@@ -296,12 +283,8 @@ def _cmd_evaluate(args) -> int:
     gold = evaluation.gold_from_lines(_read_lines(args.gold))
     pred = evaluation.predictions_from_lines(_read_lines(args.pred))
     report = evaluation.score(gold, pred, backend=args.backend_label, set_mode=args.set_mode)
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(evaluation.report_to_json(report) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

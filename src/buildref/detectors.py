@@ -14,7 +14,6 @@ built on first use. The detectors are pure queries over it.
 
 from __future__ import annotations
 
-import json
 import logging
 import posixpath
 
@@ -35,7 +34,7 @@ from .build_parsers import (
     tokenize,
 )
 from .mining import BuildSystem, ChangeKind, CommitRecord, FileDiff, classify_build_file
-from . import taxonomy
+from .taxonomy import DetectedRefactoring, Evidence, detection_to_json, sort_key  # noqa: F401 (re-exported)
 
 logger = logging.getLogger(__name__)
 
@@ -53,29 +52,6 @@ class DetectorConfig:
 
 
 DEFAULT_CONFIG = DetectorConfig()
-
-
-@dataclass(frozen=True, order=True)
-class Evidence:
-    path: str
-    span: tuple[int, int]
-    role: str  # "source" or "destination"
-
-
-@dataclass(frozen=True)
-class DetectedRefactoring:
-    type: str
-    details: str
-    evidence: tuple[Evidence, ...]
-    backend: str = "static"
-    confidence: float = 1.0
-    unknown_type: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.unknown_type:
-            taxonomy.get_type(self.type)
-        if self.backend == "static" and self.confidence != 1.0:
-            raise ValueError("static detections are binary: confidence must be 1.0")
 
 
 def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
@@ -982,42 +958,3 @@ def detect_all(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> s
         for det in sorted(found, key=sort_key):  # the first in sort order wins, whatever the hash seed
             merged.setdefault((det.type, det.evidence), det)
     return set(merged.values())
-
-
-# --- wire format ---------------------------------------------------------------
-
-def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
-    return json.dumps(
-        {
-            "commit_hash": commit_hash,
-            "RefactoringType": det.type,
-            "Details": det.details,
-            "evidence": [
-                {"path": e.path, "start_line": e.span[0], "end_line": e.span[1], "role": e.role}
-                for e in det.evidence
-            ],
-            "backend": det.backend,
-            "confidence": det.confidence,
-        },
-        ensure_ascii=False,
-    )
-
-
-def detection_from_json(line: str) -> tuple[str, DetectedRefactoring]:
-    obj = json.loads(line)
-    det = DetectedRefactoring(
-        type=obj["RefactoringType"],
-        details=obj.get("Details", ""),
-        evidence=tuple(
-            Evidence(e["path"], (e["start_line"], e["end_line"]), e.get("role", "source"))
-            for e in obj.get("evidence", [])
-        ),
-        backend=obj.get("backend", "static"),
-        confidence=float(obj.get("confidence", 1.0)),
-        unknown_type=taxonomy.resolve_type(obj["RefactoringType"]) is None,
-    )
-    return obj["commit_hash"], det
-
-
-def sort_key(det: DetectedRefactoring) -> tuple:
-    return (det.type, det.evidence and det.evidence[0].path or "", det.evidence, det.details)

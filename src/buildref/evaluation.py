@@ -71,13 +71,11 @@ def _rates(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _canonical_counts(types: Iterable[str], set_mode: bool) -> Counter:
+def _canonical_counts(types: Iterable[str]) -> Counter:
     counter: Counter = Counter()
     for name in types:
         resolved = taxonomy.resolve_type(name)
         counter[resolved.id if resolved else UNKNOWN_ROW] += 1
-    if set_mode:
-        counter = Counter(dict.fromkeys(counter, 1))
     return counter
 
 
@@ -92,16 +90,16 @@ def score(
     Every predicted commit hash must exist in the gold set; gold commits with
     no prediction line simply count their labels as misses.
     """
-    gold_by_commit = {g.commit_hash: _canonical_counts(g.types, set_mode) for g in gold}
+    gold_by_commit = {g.commit_hash: _canonical_counts(g.types) for g in gold}
     pred_by_commit: dict[str, Counter] = {h: Counter() for h in gold_by_commit}
     for commit_hash, types in pred:
         if commit_hash not in gold_by_commit:
             raise UnknownCommitError(commit_hash)
-        pred_by_commit[commit_hash] += _canonical_counts(types, set_mode)
-    if set_mode:
-        for counter in pred_by_commit.values():
-            for key in counter:
-                counter[key] = 1
+        pred_by_commit[commit_hash] += _canonical_counts(types)
+    if set_mode:  # each type counts once per commit, however often it was labelled or predicted
+        for counts in (*gold_by_commit.values(), *pred_by_commit.values()):
+            for type_id in counts:
+                counts[type_id] = 1
 
     tp: Counter = Counter()
     fp: Counter = Counter()
@@ -222,21 +220,17 @@ def predictions_from_lines(lines: Iterable[str]) -> list[tuple[str, list[str]]]:
     """Accept either grouped {commit_hash, types} lines or per-detection lines
     carrying a RefactoringType key (the detectors' output format)."""
     grouped: dict[str, list[str]] = {}
-    order: list[str] = []
     for line in lines:
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
-        commit_hash = obj["commit_hash"]
-        if commit_hash not in grouped:
-            grouped[commit_hash] = []
-            order.append(commit_hash)
+        types = grouped.setdefault(obj["commit_hash"], [])
         if "types" in obj:
-            grouped[commit_hash].extend(obj["types"])
+            types.extend(obj["types"])
         elif "RefactoringType" in obj:
-            grouped[commit_hash].append(obj["RefactoringType"])
-    return [(h, grouped[h]) for h in order]
+            types.append(obj["RefactoringType"])
+    return list(grouped.items())
 
 
 def gold_to_line(label: GoldLabel) -> str:

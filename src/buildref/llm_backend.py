@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from . import taxonomy
-from .detectors import DetectedRefactoring
+from .taxonomy import DetectedRefactoring
 from .mining import BackendError, BuildSystem, CommitRecord, DataError
 
 logger = logging.getLogger(__name__)

@@ -489,6 +489,8 @@ def mine_commits(
     try:
         yielded = 0
         for raw in walk.split(b"\x1e"):
+            if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
+                return
             chunk = raw.decode("utf-8", errors="replace").lstrip("\n")
             if not chunk.strip():
                 continue
@@ -532,8 +534,6 @@ def mine_commits(
             stats.commits_yielded += 1
             yield record
             yielded += 1
-            if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
-                return
         if walk.wait() != 0:
             walk.close()
             if not stats.commits_scanned:  # HEAD names a commit git cannot read

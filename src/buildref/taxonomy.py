@@ -4,6 +4,10 @@ Six main categories, a build-specific flag on eight of the types, the
 technical-debt linkage, and a short per-build-system example snippet for each
 type (consumed by the one-shot prompt builder). The set is closed by design;
 detectors and the scorer validate against it.
+
+It also holds the detection record that both the static rules and the LLM
+backend emit (a registry type, its ``Details`` text and evidence spans), its
+sort order, and the detection line it is written as.
 """
 
 from __future__ import annotations
@@ -311,6 +315,52 @@ def registry_to_json() -> str:
         for t in _REGISTRY
     ]
     return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+# --- the detection record -----------------------------------------------------
+
+@dataclass(frozen=True, order=True)
+class Evidence:
+    path: str
+    span: tuple[int, int]
+    role: str  # "source" or "destination"
+
+
+@dataclass(frozen=True)
+class DetectedRefactoring:
+    type: str
+    details: str
+    evidence: tuple[Evidence, ...]
+    backend: str = "static"
+    confidence: float = 1.0
+    unknown_type: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.unknown_type:
+            get_type(self.type)
+        if self.backend == "static" and self.confidence != 1.0:
+            raise ValueError("static detections are binary: confidence must be 1.0")
+
+
+def sort_key(det: DetectedRefactoring) -> tuple:
+    return (det.type, det.evidence and det.evidence[0].path or "", det.evidence, det.details)
+
+
+def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
+    return json.dumps(
+        {
+            "commit_hash": commit_hash,
+            "RefactoringType": det.type,
+            "Details": det.details,
+            "evidence": [
+                {"path": e.path, "start_line": e.span[0], "end_line": e.span[1], "role": e.role}
+                for e in det.evidence
+            ],
+            "backend": det.backend,
+            "confidence": det.confidence,
+        },
+        ensure_ascii=False,
+    )
 
 
 # One-shot prompt examples, one per (type, build system). Kept deliberately

@@ -161,6 +161,14 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert run(["detect", "--commits", str(bad), "--out", "-"]) == EXIT_DATA
 
 
+def test_bad_commits_file_creates_no_output_file(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("this is not json\n")
+    out, dump = tmp_path / "det.jsonl", tmp_path / "models.jsonl"
+    assert run(["detect", "--commits", str(bad), "--out", str(out), "--dump-models", str(dump)]) == EXIT_DATA
+    assert not out.exists() and not dump.exists()
+
+
 def test_unknown_pred_commit_is_data_error(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     pred = tmp_path / "pred.jsonl"
@@ -346,6 +354,26 @@ def test_mine_on_an_empty_repository_writes_nothing_and_exits_0(tmp_path, capsys
     assert run(["mine", "--repo", str(repo), "--out", str(out)]) == EXIT_OK
     assert out.read_text() == ""
     assert capsys.readouterr().err == ""
+
+
+def test_mine_max_commits_zero_mines_nothing_and_negative_is_a_usage_error(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    build_git_repo(repo, [(f"refactor: pom {i}", {"pom.xml": f"<project>{i}</project>\n"}) for i in (1, 2, 3)])
+    out = tmp_path / "commits.jsonl"
+    assert run(["mine", "--repo", str(repo), "--max-commits", "0", "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == ""
+    out.unlink()
+    assert run(["mine", "--repo", str(repo), "--max-commits", "-1", "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: --max-commits takes 0 or more, not -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("systems", ["foo", ",", "maven,foo"])
+def test_bad_build_systems_are_a_usage_error(tmp_path, capsys, systems):
+    out = tmp_path / "commits.jsonl"
+    assert run(["mine", "--repo", str(tmp_path), "--build-systems", systems, "--out", str(out)]) == EXIT_USAGE
+    assert "--build-systems takes a comma-separated list of maven, ant, gradle" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("parallelism", ["1", "4"])

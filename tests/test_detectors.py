@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import logging
 import os
 import subprocess
@@ -26,7 +27,6 @@ from buildref.detectors import (
     detect_properties,
     detect_subroutine,
     detect_variables,
-    detection_from_json,
     detection_to_json,
     jaccard,
     sort_key,
@@ -379,15 +379,22 @@ def test_evidence_spans_exist_in_cited_versions():
 
 
 def test_detection_json_round_trip():
+    """A detection line has the keys, in order, of the README's detection-line schema."""
     det = DetectedRefactoring(
         type="Extract Module",
         details="moved publish logic",
         evidence=(Evidence("build.gradle", (2, 10), "source"),),
     )
-    line = detection_to_json(FAKE_HASH, det)
-    commit_hash, parsed = detection_from_json(line)
-    assert commit_hash == FAKE_HASH
-    assert parsed == det
+    obj = json.loads(detection_to_json(FAKE_HASH, det))
+    assert list(obj) == ["commit_hash", "RefactoringType", "Details", "evidence", "backend", "confidence"]
+    assert obj == {
+        "commit_hash": FAKE_HASH,
+        "RefactoringType": "Extract Module",
+        "Details": "moved publish logic",
+        "evidence": [{"path": "build.gradle", "start_line": 2, "end_line": 10, "role": "source"}],
+        "backend": "static",
+        "confidence": 1.0,
+    }
 
 
 # --- property-based suites (acceptance criterion: >=100 random fixtures each) ----

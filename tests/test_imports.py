@@ -104,6 +104,37 @@ def test_static_detect_loads_no_llm_client_or_scoring(inputs, tmp_path):
     assert not {"hashlib", "concurrent.futures"} & modules
 
 
+def test_static_detect_starts_no_thread_at_any_parallelism(inputs, tmp_path):
+    modules = _run(
+        "detect", "--commits", str(inputs / "commits.jsonl"), "--parallelism", "4",
+        "--out", str(tmp_path / "pred.jsonl"),
+    )
+    assert "concurrent.futures" not in modules
+
+
+def test_llm_detect_loads_no_parsers_or_detectors(inputs, tmp_path, monkeypatch):
+    from buildref import llm_backend
+    from buildref.cli import run
+
+    def fake_transport(url, headers, body, timeout):
+        return 200, json.dumps({"choices": [{"message": {"content": '[{"RefactoringType": "DRY", "Details": "x"}]'}}]})
+
+    argv = [
+        "detect", "--commits", str(inputs / "commits.jsonl"), "--backend", "llm",
+        "--endpoint", "http://127.0.0.1:1/v1", "--model", "m", "--cache-dir", str(tmp_path / "cache"),
+    ]
+    monkeypatch.setattr(llm_backend, "_http_transport", fake_transport)
+    assert run([*argv, "--out", str(tmp_path / "cold.jsonl")]) == 0
+    # every prompt is now a cache hit, so the run below sends no request
+    modules = _run(*argv, "--out", str(tmp_path / "warm.jsonl"))
+    assert (tmp_path / "warm.jsonl").read_text() == (tmp_path / "cold.jsonl").read_text()
+    assert _buildref(modules) == {
+        "buildref", "buildref.cli", "buildref.mining", "buildref.llm_backend", "buildref.taxonomy",
+    }
+    _, modules = _loads("import buildref.llm_backend\ncode = 0")
+    assert _buildref(modules) == {"buildref", "buildref.mining", "buildref.llm_backend", "buildref.taxonomy"}
+
+
 def test_evaluate_loads_no_parsers_detectors_or_llm_client(inputs, tmp_path):
     modules = _run(
         "evaluate", "--gold", str(inputs / "gold.jsonl"), "--pred", str(inputs / "pred.jsonl"),
