@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import posixpath
 import re
+import sys
 import xml.parsers.expat
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .mining import BuildSystem, DataError, classify_build_file
@@ -49,7 +51,7 @@ class XmlMalformedError(DataError):
 ORDERING_KEYWORDS = ("dependsOn", "mustRunAfter", "finalizedBy", "depends")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildElement:
     kind: ElementKind
     name: Optional[str]
@@ -98,72 +100,70 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str) -> tuple[str, ...]:
-    """Whitespace-normalized token sequence; string literals lose their quotes."""
-    return tuple(map("".join, _TOKEN_RE.findall(text)))
+    """Whitespace-normalized token sequence; string literals lose their quotes.
+
+    Tokens are interned, so the many equal tokens of one model (each
+    dependency's ``groupId``, ``<``, ``>`` ...) share one string."""
+    return tuple(map(sys.intern, map("".join, _TOKEN_RE.findall(text))))
+
+
+# What a script scan blanks: a string literal (group ``string``), a // comment
+# or a /* */ comment. A triple-quoted literal may span lines and a single-quoted
+# one ends at its quote or at the newline. A backslash takes the next character,
+# a newline too; a literal or comment left open runs to the end of the text, and
+# the */ may reuse the * of its /*, as in ``/*/``.
+_GROOVY_LEXEME_RE = re.compile(
+    r'(?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*(?:"""|\\?\Z)'
+    r"|'''(?:[^'\\]|\\[\s\S]|'(?!''))*(?:'''|\\?\Z)"
+    r'|"(?:[^"\\\n]|\\[\s\S])*(?:["\n]|\\?\Z)'
+    r"|'(?:[^'\\\n]|\\[\s\S])*(?:['\n]|\\?\Z))"
+    r"|//[^\n]*|/(?=\*)[\s\S]*?(?:\*/|\Z)"
+)
+
+
+def _blank(text: str) -> str:
+    """``text`` with every character but a newline turned into a space."""
+    return "\n".join(" " * len(line) for line in text.split("\n"))
 
 
 def _scan_groovy(text: str) -> tuple[str, str]:
     """One pass over a script: (text with // and /* */ comments blanked, that
     text with string literals, quotes included, blanked as well). Both keep
     every newline, so lines stay aligned with the source."""
-    stripped = list(text)
-    masked = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in "\"'":
-            quote = c
-            triple = text[i : i + 3] == quote * 3
-            start, i = i, i + (3 if triple else 1)
-            while i < n:
-                if text[i] == "\\":
-                    i += 2
-                    continue
-                if triple and text[i : i + 3] == quote * 3:
-                    i += 3
-                    break
-                if not triple and (text[i] == quote or text[i] == "\n"):
-                    i += 1
-                    break
-                i += 1
-            for k in range(start, min(i, n)):
-                if text[k] != "\n":
-                    masked[k] = " "
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                stripped[i] = masked[i] = " "
-                i += 1
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
-                if text[i] != "\n":
-                    stripped[i] = masked[i] = " "
-                i += 1
-            if i < n:
-                stripped[i] = stripped[i + 1] = masked[i] = masked[i + 1] = " "
-                i += 2
-            continue
-        i += 1
+    stripped: list[str] = []
+    masked: list[str] = []
+    done = 0
+    for m in _GROOVY_LEXEME_RE.finditer(text):
+        start, end = m.span()
+        plain, lexeme = text[done:start], m.group()
+        blank = _blank(lexeme)
+        stripped += plain, lexeme if m.lastgroup == "string" else blank
+        masked += plain, blank
+        done = end
+    stripped.append(text[done:])
+    masked.append(text[done:])
     return "".join(stripped), "".join(masked)
 
 
 # --- XML backbone ----------------------------------------------------------
 
-class _XmlNode:
-    __slots__ = ("tag", "attrib", "children", "text_parts", "start_line", "end_line")
+_NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 
-    def __init__(self, tag: str, attrib: dict, start_line: int):
+
+class _XmlNode:
+    """An element: its text is all its character data, that after its
+    children too, in one string. A leaf shares an empty tuple of children and,
+    without attributes, one empty read-only attribute mapping."""
+
+    __slots__ = ("tag", "attrib", "children", "text", "start_line", "end_line")
+
+    def __init__(self, tag: str, attrib: Mapping[str, str], start_line: int):
         self.tag = tag
         self.attrib = attrib
-        self.children: list[_XmlNode] = []
-        self.text_parts: list[str] = []
+        self.children: list[_XmlNode] | tuple[()] = ()
+        self.text = ""
         self.start_line = start_line
         self.end_line = start_line
-
-    @property
-    def text(self) -> str:
-        return "".join(self.text_parts)
 
     def find(self, tag: str) -> Optional["_XmlNode"]:
         return next((c for c in self.children if c.tag == tag), None)
@@ -187,24 +187,30 @@ class _XmlNode:
 
 def _parse_xml(content: str) -> _XmlNode:
     parser = xml.parsers.expat.ParserCreate()
+    parser.buffer_text = True  # a run of character data arrives in one call
     root: list[_XmlNode] = []
     stack: list[_XmlNode] = []
+    texts: list[list[str]] = []  # the character data of each open element, in pieces
 
     def start(tag, attrs):
-        node = _XmlNode(tag, dict(attrs), parser.CurrentLineNumber)
-        if stack:
+        node = _XmlNode(tag, attrs or _NO_ATTRS, parser.CurrentLineNumber)
+        if not stack:
+            root.append(node)
+        elif stack[-1].children:
             stack[-1].children.append(node)
         else:
-            root.append(node)
+            stack[-1].children = [node]
         stack.append(node)
+        texts.append([])
 
     def end(tag):
         node = stack.pop()
+        node.text = "".join(texts.pop())
         node.end_line = parser.CurrentLineNumber
 
     def chars(data):
-        if stack:
-            stack[-1].text_parts.append(data)
+        if texts:
+            texts[-1].append(data)
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
@@ -244,8 +250,10 @@ def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
     return tokenize(_xml_inner_text(node))
 
 
-def _is_literal_value(value: str) -> bool:
-    return "${" not in value and "$" not in value
+def _literal_flag(value: str) -> str:
+    """The ``literal`` attribute of a value: "false" when it refers to a
+    property, as in ``${x}`` or ``$x``. Constants, so every element shares them."""
+    return "false" if "$" in value else "true"
 
 
 # --- Maven -----------------------------------------------------------------
@@ -306,7 +314,7 @@ def parse_maven(content: str) -> BuildModel:
                         kind=ElementKind.PROPERTY,
                         name=prop.tag,
                         body_tokens=tokenize(value),
-                        attributes={"value": value, "literal": str(_is_literal_value(value)).lower()},
+                        attributes={"value": value, "literal": _literal_flag(value)},
                         span=(prop.start_line, prop.end_line),
                     )
                 )
@@ -380,7 +388,7 @@ def parse_ant(content: str) -> BuildModel:
             value = node.attrib.get("value", node.attrib.get("location", ""))
             attrs = dict(node.attrib)
             attrs.pop("name", None)
-            attrs["literal"] = str(_is_literal_value(value)).lower()
+            attrs["literal"] = _literal_flag(value)
             elements.append(
                 BuildElement(
                     kind=ElementKind.PROPERTY,
@@ -438,6 +446,9 @@ def parse_ant(content: str) -> BuildModel:
 
 # --- properties files ------------------------------------------------------
 
+_RE_PROPERTY_LINE = re.compile(r"([^=:\s]+)\s*[=:]\s*(.*)$")
+
+
 def parse_properties(content: str) -> BuildModel:
     """key=value lines of a .properties file as property elements."""
     elements = []
@@ -445,7 +456,7 @@ def parse_properties(content: str) -> BuildModel:
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("!"):
             continue
-        m = re.match(r"([^=:\s]+)\s*[=:]\s*(.*)$", line)
+        m = _RE_PROPERTY_LINE.match(line)
         if not m:
             continue
         key, value = m.group(1), m.group(2).strip()
@@ -454,7 +465,7 @@ def parse_properties(content: str) -> BuildModel:
                 kind=ElementKind.PROPERTY,
                 name=key,
                 body_tokens=tokenize(value),
-                attributes={"value": value, "literal": str(_is_literal_value(value)).lower()},
+                attributes={"value": value, "literal": _literal_flag(value)},
                 span=(lineno, lineno),
             )
         )
@@ -499,12 +510,12 @@ _RE_DEP_MAP = re.compile(
 _RE_DEP_PROJECT = re.compile(r"^(\w+)\s*\(?\s*project\s*\(\s*[\"']([^\"']+)[\"']\s*\)")
 _RE_QUOTED = re.compile(r"[\"']([^\"']+)[\"']")
 _RE_GRADLE_LITERAL = re.compile(r"^(?:(['\"])[^'\"]*\1|\d[\w.+-]*|true|false)$")
+_RE_BRACE = re.compile(r"[{}]")
 
 
 def _bracket_net(masked_line: str) -> tuple[int, int]:
-    opens = sum(masked_line.count(c) for c in "({[")
-    closes = sum(masked_line.count(c) for c in ")}]")
-    return opens, closes
+    count = masked_line.count
+    return count("(") + count("{") + count("["), count(")") + count("}") + count("]")
 
 
 def _statements(lines: list[str], masked: list[str], offset: int) -> Iterator[tuple[int, int, bool]]:
@@ -541,18 +552,12 @@ def _block_body(
     if start == -1:
         return None, "", 0
     depth = 0
-    end = -1
-    for idx in range(start, len(joined_masked)):
-        c = joined_masked[idx]
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                end = idx
-                break
-    if end == -1:
-        end = len(joined_masked)
+    end = len(joined_masked)
+    for brace in _RE_BRACE.finditer(joined_masked, start):
+        depth += 1 if brace.group() == "{" else -1
+        if depth == 0:
+            end = brace.start()
+            break
     joined = "\n".join(stmt_lines)
     body = joined[start + 1 : end]
     return body, joined_masked[start + 1 : end], joined[:start].count("\n")
@@ -563,7 +568,7 @@ def _value_attrs(raw_value: str) -> dict[str, str]:
     literal = bool(_RE_GRADLE_LITERAL.match(value))
     if literal and len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         value = value[1:-1]
-    return {"value": value, "literal": str(literal).lower()}
+    return {"value": value, "literal": "true" if literal else "false"}
 
 
 class _GradleParser:

@@ -11,13 +11,14 @@ loads the parsers, the detectors or the LLM client.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import logging
 import sys
 from dataclasses import replace
 from functools import partial
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .mining import (
     BackendError,
@@ -29,6 +30,7 @@ from .mining import (
     commit_from_json,
     commit_to_json,
     mine_commits,
+    numbered_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -153,12 +155,15 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    """The non-blank lines of ``path``, one at a time; a raw U+2028 ends none."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield line.rstrip("\n")
+def _commit_records(lines: Iterable[str]) -> Iterator[CommitRecord]:
+    """The record of each commit line, one at a time; a bad line is a DataError
+    naming its number."""
+    for number, line in numbered_lines(lines):
+        try:
+            record = commit_from_json(line)
+        except (DataError, KeyError, ValueError) as exc:
+            raise DataError(f"commits line {number}: {exc}") from exc
+        yield record
 
 
 # --- subcommands -------------------------------------------------------------
@@ -234,11 +239,18 @@ def _cmd_detect(args) -> int:
     # pure-Python detection gains nothing from threads under the interpreter lock,
     # so every commit runs in this thread whatever --parallelism says
     config = DetectorConfig(move_similarity=args.move_similarity, rename_similarity=args.rename_similarity)
-    records = [commit_from_json(line) for line in _read_lines(args.commits)]
-    dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
-    with dump_models as dump, _open_out(args.out) as out:
-        for record in records:
-            _detect_static(record, config, out, dump)
+    with open(args.commits, encoding="utf-8") as fh:
+        # a file is read twice; a pipe can be read once, so its lines are held
+        lines = fh if fh.seekable() else fh.readlines()
+        # a bad line fails here, before any output file exists; no record is kept
+        collections.deque(_commit_records(lines), maxlen=0)
+        if lines is fh:
+            fh.seek(0)
+        dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
+        with dump_models as dump, _open_out(args.out) as out:
+            # one commit at a time: a record is decoded, detected and freed before the next
+            for record in _commit_records(lines):
+                _detect_static(record, config, out, dump)
     return EXIT_OK
 
 
@@ -257,7 +269,8 @@ def _cmd_detect_llm(args) -> int:
         max_retries=args.max_retries,
     )
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1)) if args.rate else None
-    records = [commit_from_json(line) for line in _read_lines(args.commits)]
+    with open(args.commits, encoding="utf-8") as fh:
+        records = list(_commit_records(fh))
     pool = None
     if args.parallelism > 1:  # the threads overlap their waits on the endpoint
         from concurrent.futures import ThreadPoolExecutor
@@ -280,8 +293,10 @@ def _cmd_detect_llm(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    gold = evaluation.gold_from_lines(_read_lines(args.gold))
-    pred = evaluation.predictions_from_lines(_read_lines(args.pred))
+    # whole files, so an error names a line by its number in its file
+    with open(args.gold, encoding="utf-8") as gold_lines, open(args.pred, encoding="utf-8") as pred_lines:
+        gold = evaluation.gold_from_lines(gold_lines)
+        pred = evaluation.predictions_from_lines(pred_lines)
     report = evaluation.score(gold, pred, backend=args.backend_label, set_mode=args.set_mode)
     with _open_out(args.out) as out:
         out.write(evaluation.report_to_json(report) + "\n")

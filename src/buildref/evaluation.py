@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import taxonomy
-from .mining import DataError
+from .mining import DataError, numbered_lines
 
 UNKNOWN_ROW = "unknown"
 
@@ -205,30 +205,47 @@ def render_report(report: EvaluationReport, format: str = "markdown_table") -> s
 
 # --- line-oriented gold / prediction files -------------------------------------
 
+def _objects(lines: Iterable[str], what: str) -> Iterator[tuple[str, dict]]:
+    """(place, object) of each non-blank line, where place names the line as
+    ``"<what> line <number>"``; a line that is not a JSON object with a string
+    commit_hash is a DataError naming its place."""
+    for number, line in numbered_lines(lines):
+        place = f"{what} line {number}"
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise DataError(f"{place}: {exc}") from exc
+        if not isinstance(obj, dict) or not isinstance(obj.get("commit_hash"), str):
+            raise DataError(f"{place}: expected an object with a string commit_hash")
+        yield place, obj
+
+
+def _types(place: str, obj: dict) -> list[str]:
+    types = obj.get("types")
+    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+        raise DataError(f"{place}: types must be a list of strings")
+    return types
+
+
 def gold_from_lines(lines: Iterable[str]) -> list[GoldLabel]:
-    labels = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        labels.append(GoldLabel(commit_hash=obj["commit_hash"], types=tuple(obj["types"])))
-    return labels
+    """One label per non-blank ``{commit_hash, types}`` line."""
+    return [
+        GoldLabel(commit_hash=obj["commit_hash"], types=tuple(_types(place, obj)))
+        for place, obj in _objects(lines, "gold")
+    ]
 
 
 def predictions_from_lines(lines: Iterable[str]) -> list[tuple[str, list[str]]]:
     """Accept either grouped {commit_hash, types} lines or per-detection lines
     carrying a RefactoringType key (the detectors' output format)."""
     grouped: dict[str, list[str]] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
+    for place, obj in _objects(lines, "prediction"):
         types = grouped.setdefault(obj["commit_hash"], [])
         if "types" in obj:
-            types.extend(obj["types"])
+            types.extend(_types(place, obj))
         elif "RefactoringType" in obj:
+            if not isinstance(obj["RefactoringType"], str):
+                raise DataError(f"{place}: RefactoringType must be a string")
             types.append(obj["RefactoringType"])
     return list(grouped.items())
 

@@ -16,12 +16,10 @@ import json
 import logging
 import os
 import re
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -237,6 +235,9 @@ class _GitPipe:
     """
 
     def __init__(self, repo_path: str, *args: str, stdin: bool = True) -> None:
+        import subprocess  # imported here: `detect`, `evaluate` and `report` never start git
+        import tempfile
+
         self._stderr = tempfile.TemporaryFile()
         self._proc = subprocess.Popen(
             ["git", "-C", repo_path, *args],
@@ -463,6 +464,8 @@ def mine_commits(
     generator does. RepoUnreadableError is raised when the path is no
     repository or the walk cannot read HEAD's commit.
     """
+    import subprocess  # imported here: `detect`, `evaluate` and `report` never start git
+
     mining_filter = mining_filter or MiningFilter()
     stats = stats if stats is not None else MiningStats()
     repo_path = os.path.abspath(repo_path)
@@ -570,24 +573,51 @@ def commit_to_json(record: CommitRecord) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(number, line) of each non-blank line of a JSONL file, numbered from 1
+    with blank lines counted, without its newline; a raw U+2028 ends none."""
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            yield number, line.rstrip("\n")
+
+
+def _text(obj: dict, key: str, optional: bool = False) -> Optional[str]:
+    """``obj[key]``, which must be a string (or None or absent, when optional)."""
+    value = obj.get(key) if optional else obj[key]
+    if not isinstance(value, str) and not (optional and value is None):
+        raise DataError(f"{key} must be a string, not {type(value).__name__}")
+    return value
+
+
 def commit_from_json(line: str) -> CommitRecord:
+    """Parse one line written by :func:`commit_to_json`; a line of another
+    shape is a DataError (a missing key a KeyError, a bad value a ValueError)."""
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise DataError(f"expected an object, not {type(obj).__name__}")
+    file_diffs = obj["file_diffs"]
+    if not isinstance(file_diffs, list) or not all(isinstance(d, dict) for d in file_diffs):
+        raise DataError("file_diffs must be a list of objects")
     diffs = tuple(
         FileDiff(
-            path=d["path"],
-            build_system=BuildSystem(d["build_system"]),
-            change_kind=ChangeKind(d["change_kind"]),
-            old_path=d.get("old_path"),
-            before_content=d.get("before_content"),
-            after_content=d.get("after_content"),
+            path=_text(d, "path"),
+            build_system=BuildSystem(_text(d, "build_system")),
+            change_kind=ChangeKind(_text(d, "change_kind")),
+            old_path=_text(d, "old_path", optional=True),
+            before_content=_text(d, "before_content", optional=True),
+            after_content=_text(d, "after_content", optional=True),
         )
-        for d in obj["file_diffs"]
+        for d in file_diffs
     )
+    try:
+        timestamp = int(obj["timestamp"])
+    except TypeError as exc:  # a list, an object or null
+        raise DataError(f"timestamp must be a number, not {type(obj['timestamp']).__name__}") from exc
     return CommitRecord(
-        repo_id=obj["repo_id"],
-        commit_hash=obj["commit_hash"],
-        message=obj["message"],
-        author=obj["author"],
-        timestamp=int(obj["timestamp"]),
+        repo_id=_text(obj, "repo_id"),
+        commit_hash=_text(obj, "commit_hash"),
+        message=_text(obj, "message"),
+        author=_text(obj, "author"),
+        timestamp=timestamp,
         file_diffs=diffs,
     )

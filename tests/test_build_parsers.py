@@ -17,6 +17,7 @@ from buildref.build_parsers import (
     parse_maven,
     parse_properties,
     tokenize,
+    _scan_groovy,
 )
 from buildref.detectors import detect_all
 from buildref.mining import BuildSystem
@@ -316,6 +317,12 @@ def test_tokenize_normalizes_quotes_and_whitespace():
     assert tokenize("id 'jacoco'") == tokenize('id   "jacoco"')
 
 
+def test_equal_tokens_share_one_string():
+    # so the many <groupId> tokens of one model cost one string between them
+    first, second = tokenize("<" + "groupId>"), tokenize("x " + "groupId")
+    assert first[1] == second[1] and first[1] is second[1]
+
+
 # the tokenizer before string bodies became regex groups: quotes stripped per token
 _ORACLE_TOKEN_RE = re.compile(
     r"\"(?:[^\"\\\n]|\\.)*\""
@@ -340,6 +347,81 @@ def _oracle_tokenize(text):
 @given(st.text(alphabet="ab1_$ \n\t\"'\\.-+<>={}\u00e9\u2028\0", max_size=40))
 def test_tokenize_matches_the_per_token_quote_stripping_oracle(text):
     assert tokenize(text) == _oracle_tokenize(text)
+
+
+# the script scanner before it became one regex pass: two character lists
+def _oracle_scan_groovy(text):
+    stripped = list(text)
+    masked = list(text)
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in "\"'":
+            quote = c
+            triple = text[i : i + 3] == quote * 3
+            start, i = i, i + (3 if triple else 1)
+            while i < n:
+                if text[i] == "\\":
+                    i += 2
+                    continue
+                if triple and text[i : i + 3] == quote * 3:
+                    i += 3
+                    break
+                if not triple and (text[i] == quote or text[i] == "\n"):
+                    i += 1
+                    break
+                i += 1
+            for k in range(start, min(i, n)):
+                if text[k] != "\n":
+                    masked[k] = " "
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                stripped[i] = masked[i] = " "
+                i += 1
+            continue
+        if c == "/" and i + 1 < n and text[i + 1] == "*":
+            while i < n and not (text[i] == "*" and i + 1 < n and text[i + 1] == "/"):
+                if text[i] != "\n":
+                    stripped[i] = masked[i] = " "
+                i += 1
+            if i < n:
+                stripped[i] = stripped[i + 1] = masked[i] = masked[i + 1] = " "
+                i += 2
+            continue
+        i += 1
+    return "".join(stripped), "".join(masked)
+
+
+_SCRIPT_PIECES = st.sampled_from(["a", " ", "\n", "'", '"', "\\", "/", "*", "'''", '"""', "//", "/*", "*/", "{", "}", "\u2028"])
+
+
+@settings(max_examples=3000, deadline=None)
+@given(
+    st.lists(_SCRIPT_PIECES, max_size=24).map("".join),
+    st.sampled_from(["", "\\", "'''", '"""', "'", '"', "/*", "//", "*"]),
+)
+def test_scan_groovy_matches_the_character_loop_oracle(body, ending):
+    text = body + ending
+    assert _scan_groovy(text) == _oracle_scan_groovy(text)
+
+
+@pytest.mark.parametrize("text", [
+    "x = '''open\\", 'x = """open', "x = '''a''' + \"b\\", "/*/ a", "a // b\n'c\\\nd'", "'''\\'''",
+])
+def test_scan_groovy_on_open_literals_and_a_final_backslash(text):
+    assert _scan_groovy(text) == _oracle_scan_groovy(text)
+
+
+def test_xml_text_joins_character_data_around_children_and_entities():
+    model = parse_maven(
+        "<project><properties><p>a&amp;b<!-- note -->c<x/>d</p></properties>"
+        "<scm><url>u</url>tail</scm></project>"
+    )
+    prop = next(e for e in model.elements if e.name == "p")
+    assert prop.attributes["value"] == "a&bcd"
+    scm = next(e for e in model.elements if e.name == "scm")
+    assert scm.body_tokens == tokenize("tail<url>u</url>")
 
 
 def test_model_to_json_shape():

@@ -1,10 +1,16 @@
+import gc
 import json
 import logging
+import os
 import subprocess
+import threading
+import weakref
+from dataclasses import replace
 
 import pytest
 
 import fixtures
+from buildref import cli
 from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _apply_config_file, _build_parser, run
 from buildref.evaluation import report_from_json
 from buildref.mining import commit_to_json
@@ -167,6 +173,98 @@ def test_bad_commits_file_creates_no_output_file(tmp_path, capsys):
     out, dump = tmp_path / "det.jsonl", tmp_path / "models.jsonl"
     assert run(["detect", "--commits", str(bad), "--out", str(out), "--dump-models", str(dump)]) == EXIT_DATA
     assert not out.exists() and not dump.exists()
+
+
+def _commit_lines(count):
+    """``count`` commit lines, each with its own hash, that migrate a Gradle plugin."""
+    record = make_commit({"build.gradle": "apply plugin: 'java'\n"}, {"build.gradle": "plugins {\n    id 'java'\n}\n"})
+    return [commit_to_json(replace(record, commit_hash=f"{n:040x}")) + "\n" for n in range(1, count + 1)]
+
+
+def test_bad_last_commit_line_creates_no_output_file(tmp_path, capsys):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(3)) + '{"commit_hash": 5}\n')
+    out, dump = tmp_path / "det.jsonl", tmp_path / "models.jsonl"
+    assert run(["detect", "--commits", str(commits), "--out", str(out), "--dump-models", str(dump)]) == EXIT_DATA
+    assert not out.exists() and not dump.exists()
+
+
+def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(_commit_lines(1)[0] + "\n[1]\n")  # the blank line counts
+    assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: commits line 3: expected an object, not list\n"
+
+
+@pytest.mark.parametrize("bad_last_line", [False, True])
+def test_static_detect_reads_a_pipe_once(tmp_path, bad_last_line):
+    """A commits file that can be read only once, as ``mine | detect --commits
+    /dev/stdin`` gives, is detected like a regular file with the same lines."""
+    text = "".join(_commit_lines(3)) + ('{"commit_hash": 5}\n' if bad_last_line else "")
+    regular, fifo = tmp_path / "commits.jsonl", tmp_path / "commits.fifo"
+    regular.write_text(text)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)  # blocks until detect opens it
+    writer.start()
+    from_pipe, dump = tmp_path / "pipe.jsonl", tmp_path / "models.jsonl"
+    code = run(["detect", "--commits", str(fifo), "--out", str(from_pipe), "--dump-models", str(dump)])
+    writer.join(timeout=10)
+    if bad_last_line:
+        assert code == EXIT_DATA and not from_pipe.exists() and not dump.exists()
+        return
+    from_file, file_dump = tmp_path / "file.jsonl", tmp_path / "file-models.jsonl"
+    assert code == EXIT_OK
+    assert run(["detect", "--commits", str(regular), "--out", str(from_file), "--dump-models", str(file_dump)]) == EXIT_OK
+    assert len(from_pipe.read_text().splitlines()) == 3
+    assert from_pipe.read_text() == from_file.read_text()
+    assert dump.read_text() == file_dump.read_text() != ""
+
+
+def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_path, monkeypatch):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(5)))
+    decoded: list = []  # a weak reference to every record decoded, in order
+    alive: list = []  # (number of the record being decoded, number of a live record two or more before it)
+    decode = cli.commit_from_json
+
+    def recording_commit_from_json(line):
+        alive.extend((len(decoded), n) for n, ref in enumerate(decoded[:-1]) if ref() is not None)
+        record = decode(line)
+        decoded.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
+    gc.disable()  # the records must go when their last reference does, not at a collection
+    try:
+        assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
+    finally:
+        gc.enable()
+    assert len(decoded) >= 5 and alive == []
+    assert len((tmp_path / "det.jsonl").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("gold_line, pred_line, message", [
+    ('{"commit_hash": "%s", "types": ["DRY"]}', '{"commit_hash": "%s", "types": "DRY"}',
+     "prediction line 2: types must be a list of strings"),
+    ('{"commit_hash": "%s", "types": ["DRY"]}', '{"commit_hash": ["x"], "types": []}',
+     "prediction line 2: expected an object with a string commit_hash"),
+    ('{"commit_hash": ["x"], "types": []}', '{"commit_hash": "%s", "types": []}',
+     "gold line 2: expected an object with a string commit_hash"),
+    ('{"commit_hash": "%s", "types": ["DRY"]}', '{"commit_hash": "%s", "types": 5}',
+     "prediction line 2: types must be a list of strings"),
+    ('{"commit_hash": "%s", "types": ["DRY"]}', "[1,2]",
+     "prediction line 2: expected an object with a string commit_hash"),
+    ('{"commit_hash": "%s", "types": ["DRY"]}', '{"commit_hash": "%s", "RefactoringType": ["DRY"]}',
+     "prediction line 2: RefactoringType must be a string"),
+    ('{"commit_hash": "%s"}', '{"commit_hash": "%s", "types": []}',
+     "gold line 2: types must be a list of strings"),
+])
+def test_evaluate_line_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, capsys, gold_line, pred_line, message):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text("\n" + gold_line.replace("%s", "6" * 40) + "\n")  # the blank first line counts
+    pred.write_text("\n" + pred_line.replace("%s", "6" * 40) + "\n")
+    assert run(["evaluate", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path / "r.json")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message}\n"
 
 
 def test_unknown_pred_commit_is_data_error(tmp_path, capsys):

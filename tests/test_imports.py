@@ -45,9 +45,13 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 
 
 def _loads(statement: str, *argv: str) -> tuple[int, set[str]]:
-    """Exit code and modules newly loaded by ``statement`` in a fresh interpreter."""
+    """Exit code and modules newly loaded by ``statement`` in a fresh interpreter.
+
+    The interpreter runs without the site module (``-S``): a ``.pth`` file in
+    site-packages may import modules, tempfile for one, before the probe starts,
+    and those would not count as loaded."""
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(statement=statement), *argv],
+        [sys.executable, "-S", "-c", _PROBE.format(statement=statement), *argv],
         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -141,6 +145,18 @@ def test_evaluate_loads_no_parsers_detectors_or_llm_client(inputs, tmp_path):
         "--out", str(tmp_path / "report.json"),
     )
     assert _buildref(modules) == {"buildref", "buildref.cli", "buildref.mining", "buildref.evaluation", "buildref.taxonomy"}
+
+
+def test_only_mine_loads_the_git_helpers(inputs, tmp_path):
+    git_helpers = {"subprocess", "tempfile"}
+    assert git_helpers <= _run("mine", "--repo", str(inputs / "repo"), "--out", str(tmp_path / "commits.jsonl"))
+    report = tmp_path / "report.json"
+    for argv in (
+        ["detect", "--commits", str(inputs / "commits.jsonl"), "--out", str(tmp_path / "pred.jsonl")],
+        ["evaluate", "--gold", str(inputs / "gold.jsonl"), "--pred", str(inputs / "pred.jsonl"), "--out", str(report)],
+        ["report", "--in", str(report)],
+    ):
+        assert not git_helpers & _run(*argv), argv[0]
 
 
 def test_every_old_export_resolves_to_its_module_attribute():

@@ -9,6 +9,7 @@ from buildref.mining import (
     BuildSystem,
     ChangeKind,
     CommitRecord,
+    DataError,
     FileDiff,
     MiningFilter,
     MiningStats,
@@ -234,6 +235,29 @@ def test_commit_json_round_trip(tmp_repo):
         assert set(obj) == {"repo_id", "commit_hash", "message", "author", "timestamp", "file_diffs"}
         for fd in obj["file_diffs"]:
             assert {"path", "build_system", "change_kind", "before_content", "after_content"} <= set(fd)
+
+
+_COMMIT = {"repo_id": "r", "commit_hash": "a" * 40, "message": "m", "author": "x", "timestamp": 1}
+_DIFF = {"path": "pom.xml", "build_system": "Maven", "change_kind": "modified",
+         "before_content": "<project/>", "after_content": "<project/>"}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1], "expected an object, not list"),
+    ("text", "expected an object, not str"),
+    ({**_COMMIT, "file_diffs": [{**_DIFF, "before_content": 5}]}, "before_content must be a string, not int"),
+    ({**_COMMIT, "file_diffs": [{**_DIFF, "path": ["pom.xml"]}]}, "path must be a string, not list"),
+    ({**_COMMIT, "file_diffs": [{**_DIFF, "build_system": None}]}, "build_system must be a string, not NoneType"),
+    ({**_COMMIT, "message": {"m": 1}, "file_diffs": []}, "message must be a string, not dict"),
+    ({**_COMMIT, "timestamp": [1], "file_diffs": []}, "timestamp must be a number, not list"),
+    ({**_COMMIT, "file_diffs": "pom.xml"}, "file_diffs must be a list of objects"),
+    ({**_COMMIT, "file_diffs": [["pom.xml"]]}, "file_diffs must be a list of objects"),
+])
+def test_commit_line_of_the_wrong_shape_is_a_data_error(obj, message):
+    import json
+
+    with pytest.raises(DataError, match=f"^{message}$"):
+        commit_from_json(json.dumps(obj))
 
 
 # --- what the batch readers must keep ------------------------------------------------
