@@ -14,7 +14,7 @@ import posixpath
 import re
 import sys
 import xml.parsers.expat
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -518,7 +518,7 @@ def _bracket_net(masked_line: str) -> tuple[int, int]:
     return count("(") + count("{") + count("["), count(")") + count("}") + count("]")
 
 
-def _statements(lines: list[str], masked: list[str], offset: int) -> Iterator[tuple[int, int, bool]]:
+def _statements(lines: list[str], masked: list[str]) -> Iterator[tuple[int, int, bool]]:
     """Yield (first_idx, last_idx, balanced) statement extents, 0-based into `lines`."""
     i = 0
     n = len(lines)
@@ -538,37 +538,59 @@ def _statements(lines: list[str], masked: list[str], offset: int) -> Iterator[tu
         if j >= n:
             j = n - 1
             balanced = False
-        yield i + offset, j + offset, balanced
+        yield i, j, balanced
         i = j + 1
 
 
-def _block_body(
-    stmt_lines: list[str], masked_lines: list[str]
-) -> tuple[Optional[str], str, int]:
-    """Return (body text inside the outermost braces, the same slice of the
-    masked text, body line offset)."""
-    joined_masked = "\n".join(masked_lines)
-    start = joined_masked.find("{")
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """A statement's outermost braces: the text before the ``{``, the text
+    between the braces and its masked form, and the body's 1-based first line."""
+
+    head: str
+    body: str
+    masked_body: str
+    first_line: int
+
+
+def _block(text: str, masked: str, first_line: int) -> Optional[_Block]:
+    """The block of a statement that starts at line ``first_line``, or None
+    when its masked text has no ``{``. An unclosed block runs to the end."""
+    start = masked.find("{")
     if start == -1:
-        return None, "", 0
+        return None
     depth = 0
-    end = len(joined_masked)
-    for brace in _RE_BRACE.finditer(joined_masked, start):
+    end = len(masked)
+    for brace in _RE_BRACE.finditer(masked, start):
         depth += 1 if brace.group() == "{" else -1
         if depth == 0:
             end = brace.start()
             break
-    joined = "\n".join(stmt_lines)
-    body = joined[start + 1 : end]
-    return body, joined_masked[start + 1 : end], joined[:start].count("\n")
+    head = text[:start]
+    return _Block(head, text[start + 1 : end], masked[start + 1 : end], first_line + head.count("\n"))
 
 
-def _value_attrs(raw_value: str) -> dict[str, str]:
-    value = raw_value.strip().rstrip(";")
+def _body_lines(block: Optional[_Block]) -> Iterator[tuple[str, tuple[int, int]]]:
+    """Each line of a block's body with its one-line span; none without a block."""
+    if block is not None:
+        for lineno, line in enumerate(block.body.split("\n"), block.first_line):
+            yield line, (lineno, lineno)
+
+
+def _value_element(kind: ElementKind, m: re.Match, span: tuple[int, int]) -> BuildElement:
+    """The element a ``name = value`` match declares: group 1 is its name and
+    group 2 its value."""
+    value = m.group(2).strip().rstrip(";")
     literal = bool(_RE_GRADLE_LITERAL.match(value))
     if literal and len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         value = value[1:-1]
-    return {"value": value, "literal": "true" if literal else "false"}
+    return BuildElement(
+        kind=kind,
+        name=m.group(1),
+        body_tokens=tokenize(m.group(2)),
+        attributes={"value": value, "literal": "true" if literal else "false"},
+        span=span,
+    )
 
 
 class _GradleParser:
@@ -581,7 +603,14 @@ class _GradleParser:
         self.warnings: list[str] = []
 
     def parse(self) -> BuildModel:
-        self._scan(0, len(self.lines) - 1)
+        for start, end, balanced in _statements(self.lines, self.masked):
+            text = "\n".join(self.lines[start : end + 1])
+            span = (start + 1, end + 1)
+            if not balanced:
+                self.warnings.append(f"UnbalancedBraces(line {start + 1})")
+                self._add_raw(text.strip(), span)
+                break
+            self._dispatch(text, "\n".join(self.masked[start : end + 1]), span)
         self.elements.sort(key=lambda e: e.span)
         return BuildModel(
             build_system=BuildSystem.GRADLE,
@@ -593,22 +622,11 @@ class _GradleParser:
 
     # -- statement dispatch --
 
-    def _scan(self, first: int, last: int) -> None:
-        lines = self.lines[first : last + 1]
-        masked = self.masked[first : last + 1]
-        for start, end, balanced in _statements(lines, masked, first):
-            if not balanced:
-                self.warnings.append(f"UnbalancedBraces(line {start + 1})")
-                self._add_raw(start, end)
-                return
-            self._dispatch(start, end)
-
-    def _stmt(self, start: int, end: int) -> str:
-        return "\n".join(self.lines[start : end + 1]).strip()
-
-    def _dispatch(self, start: int, end: int) -> None:
-        stmt = self._stmt(start, end)
-        span = (start + 1, end + 1)
+    def _dispatch(self, text: str, masked: str, span: tuple[int, int]) -> None:
+        """Add what one balanced statement declares; ``masked`` is its text
+        with string literals blanked."""
+        stmt = text.strip()
+        block = _block(text, masked, span[0])
 
         m = _RE_APPLY_PLUGIN.match(stmt)
         if m:
@@ -627,24 +645,24 @@ class _GradleParser:
             self.links.append(ModuleLink(LinkRelation.APPLIES_FROM, m.group(1)))
             return
         if _RE_PLUGINS_BLOCK.match(stmt):
-            self._parse_plugins_block(start, end)
+            self._parse_plugins_block(block)
             return
         if _RE_DEPS_BLOCK.match(stmt):
-            self._parse_dependencies_block(start, end)
+            self._parse_dependencies_block(block)
             return
         if _RE_EXT_BLOCK.match(stmt):
-            self._parse_ext_block(start, end)
+            self._parse_ext_block(block)
             return
         m = _RE_TASK_REG.match(stmt)
         if m:
-            self._add_task(m.group(1), stmt[m.end() :], start, end)
+            self._add_task(m.group(1), stmt[m.end() :], block, span)
             return
         m = _RE_TASK.match(stmt)
         if m:
-            self._add_task(m.group("q") or m.group("n"), m.group("rest"), start, end)
+            self._add_task(m.group("q") or m.group("n"), m.group("rest"), block, span)
             return
         m = _RE_DEF_METHOD.match(stmt)
-        if m and "{" in "\n".join(self.masked[start : end + 1]):
+        if m and block is not None:
             name = m.group(1)
             self.elements.append(
                 BuildElement(
@@ -658,27 +676,11 @@ class _GradleParser:
             return
         m = _RE_DEF_VAR.match(stmt)
         if m:
-            self.elements.append(
-                BuildElement(
-                    kind=ElementKind.VARIABLE,
-                    name=m.group(1),
-                    body_tokens=tokenize(m.group(2)),
-                    attributes=_value_attrs(m.group(2)),
-                    span=span,
-                )
-            )
+            self.elements.append(_value_element(ElementKind.VARIABLE, m, span))
             return
         m = _RE_EXT_PROP.match(stmt)
         if m:
-            self.elements.append(
-                BuildElement(
-                    kind=ElementKind.PROPERTY,
-                    name=m.group(1),
-                    body_tokens=tokenize(m.group(2)),
-                    attributes=_value_attrs(m.group(2)),
-                    span=span,
-                )
-            )
+            self.elements.append(_value_element(ElementKind.PROPERTY, m, span))
             return
         if _RE_INCLUDE.match(stmt):
             for name in _RE_QUOTED.findall(stmt):
@@ -699,23 +701,14 @@ class _GradleParser:
             )
             return
         m = _RE_ASSIGN.match(stmt)
-        if m and "{" not in "\n".join(self.masked[start : end + 1]):
-            self.elements.append(
-                BuildElement(
-                    kind=ElementKind.PROPERTY,
-                    name=m.group(1),
-                    body_tokens=tokenize(m.group(2)),
-                    attributes=_value_attrs(m.group(2)),
-                    span=span,
-                )
-            )
+        if m and block is None:
+            self.elements.append(_value_element(ElementKind.PROPERTY, m, span))
             return
-        self._add_raw(start, end)
+        self._add_raw(stmt, span)
 
     # -- element builders --
 
-    def _add_raw(self, start: int, end: int) -> None:
-        stmt = self._stmt(start, end)
+    def _add_raw(self, stmt: str, span: tuple[int, int]) -> None:
         m = _RE_NAMED_BLOCK.match(stmt)
         name = m.group(1) if m else None
         if name is None:
@@ -727,11 +720,11 @@ class _GradleParser:
                 name=name,
                 body_tokens=tokenize(stmt),
                 attributes={},
-                span=(start + 1, end + 1),
+                span=span,
             )
         )
 
-    def _add_task(self, name: str, rest: str, start: int, end: int) -> None:
+    def _add_task(self, name: str, rest: str, block: Optional[_Block], span: tuple[int, int]) -> None:
         attrs: dict[str, str] = {}
         type_m = re.search(r"type\s*:\s*([\w.]+)", rest)
         if type_m:
@@ -740,10 +733,8 @@ class _GradleParser:
         if decl_m:
             attrs["dependsOn"] = decl_m.group(1).strip()
 
-        body, _, _ = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
-        body_text = body if body is not None else rest
         kept_lines = []
-        for line in body_text.split("\n"):
+        for line in (block.body if block is not None else rest).split("\n"):
             om = _RE_ORDER_STMT.match(line.strip())
             if om and "{" not in line:
                 key = om.group(1)
@@ -751,11 +742,7 @@ class _GradleParser:
                 attrs[key] = f"{attrs[key]},{value}" if key in attrs else value
                 continue
             kept_lines.append(line)
-        decl_args = ""
-        if body is not None:
-            brace_at = "\n".join(self.masked[start : end + 1]).find("{")
-            decl_args = "\n".join(self.lines[start : end + 1])[:brace_at]
-            decl_args = decl_args.split("task", 1)[-1]
+        decl_args = block.head.split("task", 1)[-1] if block is not None else ""
         tokens = tokenize(decl_args + "\n" + "\n".join(kept_lines))
         self.elements.append(
             BuildElement(
@@ -763,103 +750,69 @@ class _GradleParser:
                 name=name,
                 body_tokens=tokens,
                 attributes=attrs,
-                span=(start + 1, end + 1),
+                span=span,
             )
         )
 
-    def _parse_plugins_block(self, start: int, end: int) -> None:
-        body, _, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
-        if body is None:
-            return
-        for idx, line in enumerate(body.split("\n")):
+    def _parse_plugins_block(self, block: Optional[_Block]) -> None:
+        for line, line_span in _body_lines(block):
             for m in _RE_ID_ENTRY.finditer(line):
                 attrs = {"form": "dsl"}
                 if m.group(2):
                     attrs["version"] = m.group(2)
-                lineno = start + offset + idx + 1
                 self.elements.append(
                     BuildElement(
                         kind=ElementKind.PLUGIN,
                         name=m.group(1),
                         body_tokens=(m.group(1),),
                         attributes=attrs,
-                        span=(lineno, lineno),
+                        span=line_span,
                     )
                 )
 
-    def _parse_dependencies_block(self, start: int, end: int) -> None:
-        body, masked_body, offset = _block_body(
-            self.lines[start : end + 1], self.masked[start : end + 1]
-        )
-        if body is None:
+    def _parse_ext_block(self, block: Optional[_Block]) -> None:
+        for line, line_span in _body_lines(block):
+            m = _RE_ASSIGN.match(line.strip())
+            if m:
+                self.elements.append(_value_element(ElementKind.PROPERTY, m, line_span))
+
+    def _parse_dependencies_block(self, block: Optional[_Block]) -> None:
+        if block is None:
             return
-        body_lines = body.split("\n")
-        for s, e, _ in _statements(body_lines, masked_body.split("\n"), 0):
+        body_lines = block.body.split("\n")
+        for s, e, _ in _statements(body_lines, block.masked_body.split("\n")):
             stmt = "\n".join(body_lines[s : e + 1]).strip()
-            span = (start + offset + s + 1, start + offset + e + 1)
-            dep = self._dependency_from(stmt, span)
+            dep = self._dependency_from(stmt, (block.first_line + s, block.first_line + e))
             if dep is not None:
                 self.elements.append(dep)
 
     @staticmethod
     def _dependency_from(stmt: str, span: tuple[int, int]) -> Optional[BuildElement]:
-        m = _RE_DEP_MAP.match(stmt)
-        if m:
-            conf, group, name, version = m.groups()
-            attrs = {"configuration": conf, "notation": f"{group}:{name}"}
-            if version:
-                attrs["version"] = version
-            return BuildElement(
-                kind=ElementKind.DEPENDENCY,
-                name=f"{group}:{name}",
-                body_tokens=tokenize(stmt),
-                attributes=attrs,
-                span=span,
-            )
-        m = _RE_DEP_PROJECT.match(stmt)
-        if m:
+        version = None
+        if m := _RE_DEP_MAP.match(stmt):
+            conf, group, artifact, version = m.groups()
+            name = notation = f"{group}:{artifact}"
+        elif m := _RE_DEP_PROJECT.match(stmt):
             conf, proj = m.groups()
-            return BuildElement(
-                kind=ElementKind.DEPENDENCY,
-                name=f"project{proj}",
-                body_tokens=tokenize(stmt),
-                attributes={"configuration": conf, "notation": f"project({proj})"},
-                span=span,
-            )
-        m = _RE_DEP_STR.match(stmt)
-        if m:
+            name, notation = f"project{proj}", f"project({proj})"
+        elif m := _RE_DEP_STR.match(stmt):
             conf, notation = m.groups()
             parts = notation.split(":")
-            name = ":".join(parts[:2]) if len(parts) >= 2 else notation
-            attrs = {"configuration": conf, "notation": notation}
+            name = ":".join(parts[:2])
             if len(parts) >= 3:
-                attrs["version"] = parts[2]
-            return BuildElement(
-                kind=ElementKind.DEPENDENCY,
-                name=name,
-                body_tokens=tokenize(stmt),
-                attributes=attrs,
-                span=span,
-            )
-        return None
-
-    def _parse_ext_block(self, start: int, end: int) -> None:
-        body, _, offset = _block_body(self.lines[start : end + 1], self.masked[start : end + 1])
-        if body is None:
-            return
-        for idx, line in enumerate(body.split("\n")):
-            m = _RE_ASSIGN.match(line.strip())
-            if m:
-                lineno = start + offset + idx + 1
-                self.elements.append(
-                    BuildElement(
-                        kind=ElementKind.PROPERTY,
-                        name=m.group(1),
-                        body_tokens=tokenize(m.group(2)),
-                        attributes=_value_attrs(m.group(2)),
-                        span=(lineno, lineno),
-                    )
-                )
+                version = parts[2]
+        else:
+            return None
+        attrs = {"configuration": conf, "notation": notation}
+        if version is not None:
+            attrs["version"] = version
+        return BuildElement(
+            kind=ElementKind.DEPENDENCY,
+            name=name,
+            body_tokens=tokenize(stmt),
+            attributes=attrs,
+            span=span,
+        )
 
 
 def parse_gradle(content: str) -> BuildModel:
@@ -886,13 +839,7 @@ def parse_build_file(path: str, content: str) -> BuildModel:
         model = parse_properties(content)
     else:
         model = parse_gradle(content)
-    return BuildModel(
-        build_system=model.build_system,
-        elements=model.elements,
-        module_links=model.module_links,
-        source_path=path,
-        warnings=model.warnings,
-    )
+    return replace(model, source_path=path)
 
 
 def model_to_json(model: BuildModel) -> dict:
@@ -926,17 +873,22 @@ class HierarchyGraph:
 
     def is_ancestor(self, a: str, b: str) -> bool:
         """True when a reaches b through parent->child edges."""
-        seen = set()
-        frontier = [a]
-        while frontier:
-            cur = frontier.pop()
-            for child in self.children.get(cur, ()):
-                if child == b:
-                    return True
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return False
+        return _reaches(self.children, a, b)
+
+
+def _reaches(children: Mapping[str, Sequence[str]], src: str, dst: str) -> bool:
+    """True when a path of one or more edges of ``children`` leads from src to dst."""
+    seen = set()
+    frontier = [src]
+    while frontier:
+        cur = frontier.pop()
+        for child in children.get(cur, ()):
+            if child == dst:
+                return True
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return False
 
 
 _GRADLE_ROOT_NAMES = ("build.gradle", "build.gradle.kts")
@@ -1006,12 +958,10 @@ def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
                 edges.add((parent, path))
 
     children: dict[str, list[str]] = {p: [] for p in paths}
-    acyclic: set[tuple[str, str]] = set()
-    for parent, child in sorted(edges):
-        if _reaches(child, parent, acyclic):
+    for parent, child in sorted(edges):  # no edge joins a file to itself
+        if _reaches(children, child, parent):
             warnings.append(f"dropping cycle-closing edge {parent} -> {child}")
             continue
-        acyclic.add((parent, child))
         children[parent].append(child)
 
     return HierarchyGraph(
@@ -1019,20 +969,6 @@ def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
         children={p: tuple(sorted(cs)) for p, cs in children.items()},
         warnings=tuple(warnings),
     )
-
-
-def _reaches(src: str, dst: str, edges: set[tuple[str, str]]) -> bool:
-    frontier = [src]
-    seen = set()
-    while frontier:
-        cur = frontier.pop()
-        if cur == dst:
-            return True
-        for a, b in edges:
-            if a == cur and b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return False
 
 
 def _nearest_ancestor_file(

@@ -62,15 +62,6 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     return len(sa & sb) / len(union)
 
 
-def containment(part: Sequence[str], whole: Sequence[str]) -> float:
-    """Fraction of `part` tokens (with multiplicity) found in `whole`."""
-    if not part:
-        return 0.0
-    pc, wc = Counter(part), Counter(whole)
-    shared = sum(min(n, wc[t]) for t, n in pc.items())
-    return shared / len(part)
-
-
 def _token_matches_name(token: str, name: str) -> bool:
     return (
         token == name

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import taxonomy
@@ -160,21 +160,35 @@ def report_to_json(report: EvaluationReport) -> str:
 
 
 def report_from_json(text: str) -> EvaluationReport:
-    obj = json.loads(text)
-    per_type = {
-        t: TypeMetrics(
-            tp=v["tp"], fp=v["fp"], fn=v["fn"],
-            precision=v["precision"], recall=v["recall"], f1=v["f1"],
-        )
-        for t, v in obj["per_type"].items()
-    }
+    """Read back what :func:`report_to_json` wrote; text of another shape is a
+    DataError naming what is wrong."""
+    try:
+        obj = json.loads(text)
+    except RecursionError as exc:
+        raise DataError("report: nested too deeply to decode") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"report: expected an object, not {type(obj).__name__}")
+    if not isinstance(obj.get("per_type"), dict):
+        raise DataError("report: per_type must be an object")
+    if not isinstance(obj.get("n_commits"), int):
+        raise DataError("report: n_commits must be an integer")
+    if not isinstance(obj.get("backend"), str):
+        raise DataError("report: backend must be a string")
     return EvaluationReport(
-        per_type=per_type,
-        overall_macro=Rates(**obj["overall_macro"]),
-        overall_micro=Rates(**obj["overall_micro"]),
+        per_type={t: _metrics(TypeMetrics, v, f"per_type {t}") for t, v in obj["per_type"].items()},
+        overall_macro=_metrics(Rates, obj.get("overall_macro"), "overall_macro"),
+        overall_micro=_metrics(Rates, obj.get("overall_micro"), "overall_micro"),
         n_commits=obj["n_commits"],
         backend=obj["backend"],
     )
+
+
+def _metrics(cls, value, place: str):
+    """A ``cls`` read from ``value``, an object with a number for each field of ``cls``."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(value, dict) or not all(isinstance(value.get(n), (int, float)) for n in names):
+        raise DataError(f"report: {place} must be an object with the numbers {', '.join(names)}")
+    return cls(**{n: value[n] for n in names})
 
 
 def render_report(report: EvaluationReport, format: str = "markdown_table") -> str:

@@ -19,7 +19,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import taxonomy
 from .taxonomy import DetectedRefactoring
@@ -168,44 +168,27 @@ def build_prompt(commit: CommitRecord, spec: PromptSpec) -> str:
 # --- response parsing -------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.S)
+_DECODER = json.JSONDecoder()
 
 
-def _balanced_slice(text: str, open_char: str, close_char: str) -> Optional[str]:
-    start = text.find(open_char)
-    if start == -1:
-        return None
-    depth = 0
-    in_string = False
-    escape = False
-    for idx in range(start, len(text)):
-        c = text[idx]
-        if in_string:
-            if escape:
-                escape = False
-            elif c == "\\":
-                escape = True
-            elif c == '"':
-                in_string = False
+def _candidate_payloads(text: str) -> Iterator[object]:
+    """The JSON values a reply may hold, in order: each fenced block, the whole
+    reply, and the values that start at its first ``[`` and at its first ``{``.
+    Text that does not decode, or is nested too deeply to, yields nothing."""
+    for candidate in [m.group(1).strip() for m in _FENCE_RE.finditer(text)] + [text.strip()]:
+        try:
+            payload = json.loads(candidate)
+        except (json.JSONDecodeError, RecursionError):
             continue
-        if c == '"':
-            in_string = True
-        elif c == open_char:
-            depth += 1
-        elif c == close_char:
-            depth -= 1
-            if depth == 0:
-                return text[start : idx + 1]
-    return None
-
-
-def _candidate_payloads(text: str) -> Iterable[str]:
-    for m in _FENCE_RE.finditer(text):
-        yield m.group(1).strip()
-    yield text.strip()
-    for open_char, close_char in (("[", "]"), ("{", "}")):
-        blob = _balanced_slice(text, open_char, close_char)
-        if blob:
-            yield blob
+        yield payload
+    for start in (text.find("["), text.find("{")):
+        if start == -1:
+            continue
+        try:
+            payload = _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        yield payload
 
 
 def _detections_from_payload(payload) -> Optional[list[DetectedRefactoring]]:
@@ -240,13 +223,7 @@ def parse_response(text: str) -> set[DetectedRefactoring]:
     and code fences. Unknown type strings are kept but flagged so evaluation
     can count them as false positives.
     """
-    for candidate in _candidate_payloads(text):
-        if not candidate:
-            continue
-        try:
-            payload = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
+    for payload in _candidate_payloads(text):
         detections = _detections_from_payload(payload)
         if detections is not None:
             return set(detections)
@@ -375,13 +352,14 @@ def classify_commit(
 
 def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
     """The detections cached at ``path``, or None on a miss. A file that does
-    not read back as what serialize_detections writes is a miss too."""
+    not read back as what serialize_detections writes, or is nested too deeply
+    to decode, is a miss too."""
     try:
         with open(path, encoding="utf-8") as fh:
             return deserialize_detections(fh.read())
     except FileNotFoundError:
         return None
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         logger.warning("unreadable cache file %s, asking again: %s", path, exc)
         return None
 
@@ -455,6 +433,6 @@ def _extract_content(body_text: str) -> str:
     try:
         body = json.loads(body_text)
         return body["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+    except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
         # some serving stacks return the completion text directly
         return body_text

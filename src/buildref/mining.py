@@ -613,6 +613,8 @@ def commit_from_json(line: str) -> CommitRecord:
         timestamp = int(obj["timestamp"])
     except TypeError as exc:  # a list, an object or null
         raise DataError(f"timestamp must be a number, not {type(obj['timestamp']).__name__}") from exc
+    except OverflowError as exc:  # JSON's 1e400 reads as an infinite float
+        raise DataError(f"timestamp {obj['timestamp']} is out of range") from exc
     return CommitRecord(
         repo_id=_text(obj, "repo_id"),
         commit_hash=_text(obj, "commit_hash"),

@@ -1,4 +1,8 @@
+import hashlib
+import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from buildref.build_parsers import (
     BuildModel,
     ElementKind,
     LinkRelation,
+    ModuleLink,
     XmlMalformedError,
     infer_hierarchy,
     model_to_json,
@@ -424,6 +429,80 @@ def test_xml_text_joins_character_data_around_children_and_entities():
     assert scm.body_tokens == tokenize("tail<url>u</url>")
 
 
+# --- a golden corpus of drawn Gradle scripts ------------------------------------
+
+GOLDEN_GRADLE = Path(__file__).parent / "golden_gradle_models.jsonl"
+
+# Statement templates: N is drawn from _NAMES, V from _VALUES, Q from _QUOTED and
+# D from _DEPS. Any statement may open a block; those of _INNER mostly hold their
+# own kind of statement.
+_STATEMENTS = (
+    "task N", "task N(type: Copy)", "task(N, dependsOn: 'b')", "task 'N', type: Zip, dependsOn: a",
+    "tasks.register('N')", 'tasks.register<Copy>("N")', "tasks.create('N', Zip)",
+    "dependencies", "plugins", "ext", "project.ext", "def N = V", "private def N()", "def N(a, b)",
+    "ext.N = V", "project.ext.N = V", "N = V", "N.b = V", "apply plugin: Q", "apply from: Q",
+    "apply(from = Q)", "include Q, Q", "N.dependsOn N", "N.mustRunAfter(Q)", "N.finalizedBy N, Q",
+    "dependsOn N", "mustRunAfter(Q)", "finalizedBy: N", "implementation D", "compile(D)",
+    "testImplementation D", "id Q", "id(Q) version Q", "N", "N V", "N(V)",
+    "task(N,\n    type: Copy)", "tasks.register('N',\n    Zip)", "def N(a,\n    b)",
+)
+_INNER = {
+    "dependencies": ("implementation D", "compile(D)", "testImplementation D", "api D // c", "compile(\n    D)"),
+    "plugins": ("id Q", "id(Q) version Q", "id Q; id Q"),
+    "ext": ("N = V", "N.b = V"),
+    "project.ext": ("N = V",),
+}
+_NAMES = ("a", "b1", "foo", "x_y", "$v")
+_VALUES = ("1.0", "true", "'p'", '"q"', "$v", '"${v}"', "a + 1", "[1, 2]", "'''m'''", '"""t"""',
+           "'a\\'b'", "/* c */ 2", "3 // c", "'s';")
+_QUOTED = ("'p'", '"q"', "':sub'", "'a:b'", "'java'", '"org.k"', "'x.gradle'")
+_DEPS = ("'g:a:1.0'", '"org:lib"', "'g:a:'", "'solo'", "project(':core')", "group: 'g', name: 'n'",
+         "group: 'g', name: 'n', version: '2'")
+# dropped into a statement at a random place: what the scanner and the brace
+# matcher must survive
+_NOISE = ("{", "}", "(", ")", "[", "]", "'", '"', "'''", '"""', "\\", "/*", "*/", "//", "==", "\n", "\r\n")
+_FILL = {"N": _NAMES, "V": _VALUES, "Q": _QUOTED, "D": _DEPS}
+
+
+def _gradle_statement(rng, depth, templates=_STATEMENTS):
+    template = rng.choice(templates)
+    text = "".join(rng.choice(_FILL[c]) if c in _FILL else c for c in template)
+    if depth < 3 and rng.random() < (0.9 if template in _INNER else 0.3):
+        end = rng.choice(("\n", "\r\n"))
+        inner_templates = _INNER.get(template, _STATEMENTS) if rng.random() < 0.8 else _STATEMENTS
+        inner = [_gradle_statement(rng, depth + 1, inner_templates) for _ in range(rng.randrange(5))]
+        text += " {" + end + "".join("    " * (depth + 1) + s + end for s in inner) + "    " * depth + "}"
+    if rng.random() < 0.15:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_NOISE) + text[at:]
+    return text
+
+
+def gradle_corpus(count=300, seed=9):
+    """``count`` Gradle scripts drawn with a fixed seed, so every run parses the same texts."""
+    rng = random.Random(seed)
+    return [
+        "".join(_gradle_statement(rng, 0) + rng.choice(("\n", "\n", "\r\n")) for _ in range(rng.randrange(10)))
+        for _ in range(count)
+    ]
+
+
+def _gradle_dump(script):
+    model = parse_build_file("build.gradle", script)
+    return json.dumps([model_to_json(model), [e.body_tokens for e in model.elements]], ensure_ascii=False)
+
+
+def test_gradle_corpus_models_match_golden_digests():
+    """Each drawn script's model and body tokens hash as they did when the
+    golden file was written; ``python tests/test_build_parsers.py`` rewrites it."""
+    golden = [json.loads(line)["sha256"] for line in GOLDEN_GRADLE.read_text(encoding="utf-8").splitlines()]
+    scripts = gradle_corpus()
+    assert len(golden) == len(scripts)
+    for number, (script, digest) in enumerate(zip(scripts, golden)):
+        dump = _gradle_dump(script)
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest, f"script {number}:\n{script}\nmodel now:\n{dump}"
+
+
 def test_model_to_json_shape():
     payload = model_to_json(parse_build_file("build.gradle", GRADLE_SAMPLE))
     assert payload["build_system"] == "Gradle"
@@ -519,6 +598,38 @@ def test_cycle_broken_with_warning():
     assert edges == 1
 
 
+def _oracle_reaches(edges, src, dst):
+    """Whether one or more of ``edges`` lead from src to dst (a fixed point, no walk)."""
+    reached = {b for a, b in edges if a == src}
+    while True:
+        more = reached | {b for a, b in edges if a in reached}
+        if more == reached:
+            return dst in reached
+        reached = more
+
+
+_ANT_FILES = ("a.xml", "b.xml", "c.xml", "d.xml", "e.xml")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_ANT_FILES), st.sampled_from(_ANT_FILES + ("missing.xml",)))))
+def test_hierarchy_keeps_an_acyclic_graph_and_drops_only_cycle_closing_edges(imports):
+    """Ant imports give any directed graph: an imported file is its importer's parent."""
+    models = {}
+    for path in _ANT_FILES:
+        links = tuple(ModuleLink(LinkRelation.IMPORTS, target) for importer, target in imports if importer == path)
+        models[path] = BuildModel(BuildSystem.ANT, (), links, path)
+    graph = infer_hierarchy(models)
+    kept = {(parent, child) for parent, children in graph.children.items() for child in children}
+    dropped = [tuple(w.removeprefix("dropping cycle-closing edge ").split(" -> ")) for w in graph.warnings]
+    edges = {(target, importer) for importer, target in imports if target in models and target != importer}
+    assert kept.isdisjoint(dropped) and kept | set(dropped) == edges
+    assert not any(_oracle_reaches(kept, path, path) for path in _ANT_FILES)
+    for parent, child in dropped:
+        assert _oracle_reaches({edge for edge in kept if edge < (parent, child)}, child, parent)
+    assert all(graph.is_ancestor(a, b) == _oracle_reaches(kept, a, b) for a in _ANT_FILES for b in _ANT_FILES)
+
+
 _DEPTH = 5000
 
 
@@ -541,3 +652,10 @@ def test_deep_nesting_parses_and_detects(path, content):
     assert model.elements[0].body_tokens.count("x") == 2 * _DEPTH
     assert {d.type for d in detect_all(make_context({path: content}, {}))} == {"Remove Unused Code"}
     assert detect_all(make_context({}, {path: content})) == set()
+
+
+if __name__ == "__main__":
+    # rewrite the golden digests from the parser on the import path
+    with open(GOLDEN_GRADLE, "w", encoding="utf-8", newline="\n") as fh:
+        for script in gradle_corpus():
+            fh.write(json.dumps({"sha256": hashlib.sha256(_gradle_dump(script).encode()).hexdigest()}) + "\n")

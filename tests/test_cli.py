@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import os
+import re
 import subprocess
 import threading
 import weakref
@@ -136,6 +137,23 @@ def test_report_markdown(tmp_path, capsys):
     assert "| All Refs. |" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[]", "expected an object, not list"),
+    ('{"per_type": [], "n_commits": 1, "backend": "b"}', "per_type must be an object"),
+    ('{"per_type": {}, "n_commits": null, "backend": "b"}', "n_commits must be an integer"),
+    ('{"per_type": {"DRY": {"tp": 1}}, "n_commits": 1, "backend": "b"}',
+     "per_type DRY must be an object with the numbers tp, fp, fn, precision, recall, f1"),
+    ('{"per_type": {}, "n_commits": 1, "backend": "b", "overall_macro": {"precision": 1, "recall": 1, "f1": null}}',
+     "overall_macro must be an object with the numbers precision, recall, f1"),
+    ("[" * 100_000, "nested too deeply to decode"),
+], ids=["list", "per_type list", "n_commits null", "type row short", "rate null", "deep"])
+def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, text, message):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(text)
+    assert run(["report", "--in", str(report_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: report: {message}\n"
+
+
 def test_taxonomy_output(capsys):
     assert run(["taxonomy"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -191,9 +209,14 @@ def test_bad_last_commit_line_creates_no_output_file(tmp_path, capsys):
 
 def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
     commits = tmp_path / "commits.jsonl"
-    commits.write_text(_commit_lines(1)[0] + "\n[1]\n")  # the blank line counts
-    assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
-    assert capsys.readouterr().err == "data error: commits line 3: expected an object, not list\n"
+    good = _commit_lines(1)[0]
+    for bad, message in [
+        ("[1]", "expected an object, not list"),
+        (re.sub(r'"timestamp": \d+', '"timestamp": 1e400', good), "timestamp inf is out of range"),
+    ]:
+        commits.write_text(good + "\n" + bad + "\n")  # the blank line counts
+        assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: commits line 3: {message}\n"
 
 
 @pytest.mark.parametrize("bad_last_line", [False, True])

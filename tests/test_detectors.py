@@ -19,7 +19,6 @@ from buildref.detectors import (
     DetectedRefactoring,
     DetectorConfig,
     Evidence,
-    containment,
     detect_all,
     detect_clean_up,
     detect_dependency,
@@ -43,11 +42,6 @@ def test_jaccard_basics():
     assert jaccard([], []) == 1.0
     assert jaccard(["a"], ["b"]) == 0.0
     assert jaccard(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)
-
-
-def test_containment():
-    assert containment(["a", "b"], ["a", "b", "c"]) == 1.0
-    assert containment(["a", "a"], ["a"]) == 0.5
 
 
 # --- exemplar diff fixtures -----------------------------------------------

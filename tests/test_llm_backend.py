@@ -147,6 +147,11 @@ def test_garbage_raises_unparseable():
         parse_response("I could not find anything meaningful to report here")
 
 
+def test_reply_nested_too_deeply_to_decode_is_unparseable():
+    with pytest.raises(UnparseableResponseError):
+        parse_response("[" * 100_000)
+
+
 def test_parse_serialize_identity():
     source = parse_response(
         '[{"RefactoringType":"Extract Module","Details":"a"},'
@@ -223,6 +228,16 @@ def test_double_garbage_surfaces_unparseable(gradle_commit):
     assert stats.reprompts == 1
 
 
+def test_reply_body_nested_too_deeply_earns_one_reprompt_then_surfaces(gradle_commit):
+    def transport(url, headers, body, timeout):
+        return 200, "[" * 100_000  # not a chat completion, and too deep to decode
+
+    stats = LlmStats()
+    with pytest.raises(UnparseableResponseError):
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats, sleeper=lambda s: None)
+    assert stats.reprompts == 1 and stats.requests == 2
+
+
 def test_reprompt_recovers_strict_format(gradle_commit):
     replies = iter(["nonsense first", '[{"RefactoringType": "DRY", "Details": "ok"}]'])
 
@@ -284,6 +299,20 @@ def test_cache_hit_is_counted_and_sends_nothing(gradle_commit, tmp_path):
     )
     assert again == first
     assert stats == LlmStats(requests=0, retries=0, reprompts=0, cache_hits=1)
+
+
+def test_cache_file_nested_too_deeply_is_a_miss(gradle_commit, tmp_path):
+    reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
+    classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=lambda *a: _ok_response(reply), cache_dir=str(tmp_path))
+    [cache_file] = tmp_path.iterdir()
+    cache_file.write_text("[" * 100_000)
+    stats = LlmStats()
+    again = classify_commit(
+        gradle_commit, GRADLE_SPEC, CFG, transport=lambda *a: _ok_response(reply), stats=stats, cache_dir=str(tmp_path)
+    )
+    assert again == parse_response(reply)
+    assert stats.cache_hits == 0 and stats.requests == 1
+    assert cache_file.read_text() == serialize_detections(again)
 
 
 # --- the standard-library HTTP transport, against a loopback server ------------------
