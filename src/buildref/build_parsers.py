@@ -168,9 +168,6 @@ class _XmlNode:
     def find(self, tag: str) -> Optional["_XmlNode"]:
         return next((c for c in self.children if c.tag == tag), None)
 
-    def findall(self, tag: str) -> list["_XmlNode"]:
-        return [c for c in self.children if c.tag == tag]
-
     def child_text(self, tag: str) -> str:
         node = self.find(tag)
         return node.text.strip() if node is not None else ""
@@ -228,7 +225,9 @@ def _parse_xml(content: str) -> _XmlNode:
     return root[0]
 
 
-def _xml_inner_text(node: _XmlNode) -> str:
+def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
+    """The tokens of a node's inner XML: its text, then each descendant as a
+    start tag with its attributes, its text and its end tag."""
     parts = [node.text]
     stack: list = list(reversed(node.children))  # nodes to open, or end tags
     while stack:
@@ -243,11 +242,22 @@ def _xml_inner_text(node: _XmlNode) -> str:
         parts.append(item.text)
         stack.append(f"</{item.tag}>")
         stack.extend(reversed(item.children))
-    return "".join(parts)
+    return tokenize("".join(parts))
 
 
-def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
-    return tokenize(_xml_inner_text(node))
+def _node_element(
+    kind: ElementKind, node: _XmlNode, name: Optional[str], attributes: Mapping[str, str],
+    body_tokens: Optional[tuple[str, ...]] = None,
+) -> BuildElement:
+    """The element ``node`` declares: it spans the node's lines and, without
+    ``body_tokens``, its body is the node's inner XML."""
+    return BuildElement(
+        kind=kind,
+        name=name,
+        body_tokens=_xml_body_tokens(node) if body_tokens is None else body_tokens,
+        attributes=attributes,
+        span=(node.start_line, node.end_line),
+    )
 
 
 def _literal_flag(value: str) -> str:
@@ -256,12 +266,35 @@ def _literal_flag(value: str) -> str:
     return "false" if "$" in value else "true"
 
 
+def _model(
+    system: BuildSystem, elements: list[BuildElement], links: Sequence[ModuleLink] = (), warnings: Sequence[str] = ()
+) -> BuildModel:
+    """The model of one file, its elements in span order; ``parse_build_file``
+    sets its source path."""
+    elements.sort(key=lambda e: e.span)
+    return BuildModel(
+        build_system=system,
+        elements=tuple(elements),
+        module_links=tuple(links),
+        source_path="",
+        warnings=tuple(warnings),
+    )
+
+
 # --- Maven -----------------------------------------------------------------
 
 _MAVEN_CONFIG_BLOCKS = (
     "scm", "url", "licenses", "developers", "organization", "distributionManagement",
     "repositories", "pluginRepositories", "issueManagement", "ciManagement", "reporting",
 )
+
+
+def _maven_name(node: _XmlNode) -> tuple[str, str, Optional[str]]:
+    """(groupId, artifactId, name) of a dependency or plugin: the name is
+    group:artifact, the artifact alone without a group, None without both."""
+    group = node.child_text("groupId")
+    artifact = node.child_text("artifactId")
+    return group, artifact, (f"{group}:{artifact}" if group else artifact) or None
 
 
 def parse_maven(content: str) -> BuildModel:
@@ -276,49 +309,23 @@ def parse_maven(content: str) -> BuildModel:
 
     for node in root.iter():
         if node.tag == "dependency":
-            group = node.child_text("groupId")
-            artifact = node.child_text("artifactId")
-            name = f"{group}:{artifact}" if group else artifact
+            group, artifact, name = _maven_name(node)
             attrs = {"groupId": group, "artifactId": artifact}
             for extra in ("version", "scope"):
                 value = node.child_text(extra)
                 if value:
                     attrs[extra] = value
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.DEPENDENCY,
-                    name=name or None,
-                    body_tokens=_xml_body_tokens(node),
-                    attributes=attrs,
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            elements.append(_node_element(ElementKind.DEPENDENCY, node, name, attrs))
         elif node.tag == "plugin":
-            group = node.child_text("groupId")
-            artifact = node.child_text("artifactId")
-            name = f"{group}:{artifact}" if group else artifact
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.PLUGIN,
-                    name=name or None,
-                    body_tokens=_xml_body_tokens(node),
-                    attributes={"artifactId": artifact},
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            _, artifact, name = _maven_name(node)
+            elements.append(_node_element(ElementKind.PLUGIN, node, name, {"artifactId": artifact}))
         elif node.tag == "properties":
             for prop in node.children:
                 value = prop.text.strip()
-                elements.append(
-                    BuildElement(
-                        kind=ElementKind.PROPERTY,
-                        name=prop.tag,
-                        body_tokens=tokenize(value),
-                        attributes={"value": value, "literal": _literal_flag(value)},
-                        span=(prop.start_line, prop.end_line),
-                    )
-                )
+                attrs = {"value": value, "literal": _literal_flag(value)}
+                elements.append(_node_element(ElementKind.PROPERTY, prop, prop.tag, attrs, tokenize(value)))
 
+    # <parent> keeps its own rule, not _maven_name's: without a groupId it names ":artifact"
     parent = root.find("parent")
     if parent is not None:
         relative = parent.child_text("relativePath")
@@ -330,31 +337,17 @@ def parse_maven(content: str) -> BuildModel:
 
     modules = root.find("modules")
     if modules is not None:
-        for module in modules.findall("module"):
+        for module in modules.children:
             name = module.text.strip()
-            if name:
+            if module.tag == "module" and name:
                 links.append(ModuleLink(LinkRelation.INCLUDES, name))
 
     for tag in _MAVEN_CONFIG_BLOCKS:
         node = root.find(tag)
         if node is not None:
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.PROPERTY,
-                    name=tag,
-                    body_tokens=_xml_body_tokens(node),
-                    attributes={"block": "true"},
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            elements.append(_node_element(ElementKind.PROPERTY, node, tag, {"block": "true"}))
 
-    elements.sort(key=lambda e: e.span)
-    return BuildModel(
-        build_system=BuildSystem.MAVEN,
-        elements=tuple(elements),
-        module_links=tuple(links),
-        source_path="",
-    )
+    return _model(BuildSystem.MAVEN, elements, links)
 
 
 # --- Ant ---------------------------------------------------------------------
@@ -375,49 +368,19 @@ def parse_ant(content: str) -> BuildModel:
             if "depends" in attrs:
                 names = [n.strip() for n in attrs["depends"].split(",") if n.strip()]
                 attrs["depends"] = ",".join(names)
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.TARGET,
-                    name=node.attrib.get("name"),
-                    body_tokens=_xml_body_tokens(node),
-                    attributes=attrs,
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            elements.append(_node_element(ElementKind.TARGET, node, node.attrib.get("name"), attrs))
         elif node.tag == "property":
             value = node.attrib.get("value", node.attrib.get("location", ""))
-            attrs = dict(node.attrib)
-            attrs.pop("name", None)
+            attrs = {k: v for k, v in node.attrib.items() if k != "name"}
             attrs["literal"] = _literal_flag(value)
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.PROPERTY,
-                    name=node.attrib.get("name"),
-                    body_tokens=tokenize(value) if value else tokenize(node.attrib.get("file", "")),
-                    attributes=attrs,
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            body = tokenize(value or node.attrib.get("file", ""))
+            elements.append(_node_element(ElementKind.PROPERTY, node, node.attrib.get("name"), attrs, body))
         elif node.tag in ("taskdef", "typedef"):
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.PLUGIN,
-                    name=node.attrib.get("name") or node.attrib.get("resource"),
-                    body_tokens=tokenize(" ".join(node.attrib.values())),
-                    attributes=dict(node.attrib),
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            name = node.attrib.get("name") or node.attrib.get("resource")
+            body = tokenize(" ".join(node.attrib.values()))
+            elements.append(_node_element(ElementKind.PLUGIN, node, name, dict(node.attrib), body))
         elif node.tag == "macrodef":
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.METHOD,
-                    name=node.attrib.get("name"),
-                    body_tokens=_xml_body_tokens(node),
-                    attributes={},
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            elements.append(_node_element(ElementKind.METHOD, node, node.attrib.get("name"), {}))
         elif node.tag == "import":
             target = node.attrib.get("file", "")
             if target:
@@ -425,23 +388,10 @@ def parse_ant(content: str) -> BuildModel:
 
     for node in root.children:
         if node.tag not in _ANT_TOP_LEVEL:
-            elements.append(
-                BuildElement(
-                    kind=ElementKind.RAW_BLOCK,
-                    name=node.attrib.get("id") or node.attrib.get("name"),
-                    body_tokens=_xml_body_tokens(node),
-                    attributes={"tag": node.tag},
-                    span=(node.start_line, node.end_line),
-                )
-            )
+            name = node.attrib.get("id") or node.attrib.get("name")
+            elements.append(_node_element(ElementKind.RAW_BLOCK, node, name, {"tag": node.tag}))
 
-    elements.sort(key=lambda e: e.span)
-    return BuildModel(
-        build_system=BuildSystem.ANT,
-        elements=tuple(elements),
-        module_links=tuple(links),
-        source_path="",
-    )
+    return _model(BuildSystem.ANT, elements, links)
 
 
 # --- properties files ------------------------------------------------------
@@ -469,12 +419,7 @@ def parse_properties(content: str) -> BuildModel:
                 span=(lineno, lineno),
             )
         )
-    return BuildModel(
-        build_system=BuildSystem.GRADLE,
-        elements=tuple(elements),
-        module_links=(),
-        source_path="",
-    )
+    return _model(BuildSystem.GRADLE, elements)
 
 
 # --- Gradle ------------------------------------------------------------------
@@ -611,14 +556,7 @@ class _GradleParser:
                 self._add_raw(text.strip(), span)
                 break
             self._dispatch(text, "\n".join(self.masked[start : end + 1]), span)
-        self.elements.sort(key=lambda e: e.span)
-        return BuildModel(
-            build_system=BuildSystem.GRADLE,
-            elements=tuple(self.elements),
-            module_links=tuple(self.links),
-            source_path="",
-            warnings=tuple(self.warnings),
-        )
+        return _model(BuildSystem.GRADLE, self.elements, self.links, self.warnings)
 
     # -- statement dispatch --
 

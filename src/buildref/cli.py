@@ -16,6 +16,7 @@ import contextlib
 import json
 import logging
 import sys
+import threading
 from dataclasses import replace
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -257,6 +258,15 @@ def _cmd_detect(args) -> int:
 def _cmd_detect_llm(args) -> int:
     if not args.endpoint or not args.model:
         raise UsageError("detect --backend llm requires --endpoint and --model")
+    # checked before any request; NaN fails every comparison, so it is out of range too
+    for flag, in_range, takes in (
+        ("temperature", 0 <= args.temperature <= 2, "0 to 2"),
+        ("timeout", 0 < args.timeout <= threading.TIMEOUT_MAX, f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}"),
+        ("max_retries", args.max_retries >= 0, "0 or more"),
+        ("rate", args.rate is None or args.rate >= 0, "0 or more requests per second (0: no limit)"),
+    ):
+        if not in_range:
+            raise UsageError(f"--{flag.replace('_', '-')} takes {takes}, not {getattr(args, flag)}")
     from . import llm_backend
 
     config = llm_backend.LlmConfig(

@@ -227,6 +227,8 @@ def _objects(lines: Iterable[str], what: str) -> Iterator[tuple[str, dict]]:
         place = f"{what} line {number}"
         try:
             obj = json.loads(line)
+        except RecursionError as exc:
+            raise DataError(f"{place}: nested too deeply to decode") from exc
         except ValueError as exc:
             raise DataError(f"{place}: {exc}") from exc
         if not isinstance(obj, dict) or not isinstance(obj.get("commit_hash"), str):

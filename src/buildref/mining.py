@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -592,7 +593,10 @@ def _text(obj: dict, key: str, optional: bool = False) -> Optional[str]:
 def commit_from_json(line: str) -> CommitRecord:
     """Parse one line written by :func:`commit_to_json`; a line of another
     shape is a DataError (a missing key a KeyError, a bad value a ValueError)."""
-    obj = json.loads(line)
+    try:
+        obj = json.loads(line)
+    except RecursionError as exc:
+        raise DataError("nested too deeply to decode") from exc
     if not isinstance(obj, dict):
         raise DataError(f"expected an object, not {type(obj).__name__}")
     file_diffs = obj["file_diffs"]
@@ -609,12 +613,12 @@ def commit_from_json(line: str) -> CommitRecord:
         )
         for d in file_diffs
     )
-    try:
-        timestamp = int(obj["timestamp"])
-    except TypeError as exc:  # a list, an object or null
-        raise DataError(f"timestamp must be a number, not {type(obj['timestamp']).__name__}") from exc
-    except OverflowError as exc:  # JSON's 1e400 reads as an infinite float
-        raise DataError(f"timestamp {obj['timestamp']} is out of range") from exc
+    timestamp = obj["timestamp"]
+    if type(timestamp) is float:  # 1.5, NaN, or JSON's 1e400, which reads as an infinite float
+        reason = "is out of range" if math.isinf(timestamp) else "is not an integer"
+        raise DataError(f"timestamp {timestamp} {reason}")
+    if type(timestamp) is not int:  # a string, a list, an object, a boolean or null
+        raise DataError(f"timestamp must be a number, not {type(timestamp).__name__}")
     return CommitRecord(
         repo_id=_text(obj, "repo_id"),
         commit_hash=_text(obj, "commit_hash"),

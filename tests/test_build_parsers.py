@@ -487,20 +487,181 @@ def gradle_corpus(count=300, seed=9):
     ]
 
 
-def _gradle_dump(script):
-    model = parse_build_file("build.gradle", script)
+def _model_dump(path, text):
+    model = parse_build_file(path, text)
     return json.dumps([model_to_json(model), [e.body_tokens for e in model.elements]], ensure_ascii=False)
+
+
+def _golden_digests(path):
+    return [json.loads(line)["sha256"] for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def test_gradle_corpus_models_match_golden_digests():
     """Each drawn script's model and body tokens hash as they did when the
     golden file was written; ``python tests/test_build_parsers.py`` rewrites it."""
-    golden = [json.loads(line)["sha256"] for line in GOLDEN_GRADLE.read_text(encoding="utf-8").splitlines()]
+    golden = _golden_digests(GOLDEN_GRADLE)
     scripts = gradle_corpus()
     assert len(golden) == len(scripts)
     for number, (script, digest) in enumerate(zip(scripts, golden)):
-        dump = _gradle_dump(script)
+        dump = _model_dump("build.gradle", script)
         assert hashlib.sha256(dump.encode()).hexdigest() == digest, f"script {number}:\n{script}\nmodel now:\n{dump}"
+
+
+# --- a golden corpus of drawn POMs and Ant scripts -------------------------------
+
+GOLDEN_XML = Path(__file__).parent / "golden_xml_models.jsonl"
+
+# Character data and attribute values, escaped as they appear in the file: quotes,
+# entities, CDATA and comments must reach the model as the parser reads them.
+_XML_TEXTS = ("1.0", "${v}", "$w", "a b", "it's", 'say "hi"', "a &amp; b", "&lt;x&gt;", "&#65;&#x42;",
+              "<![CDATA[<raw> & 'q']]>", "x<!-- c -->y", "<!-- only -->", "", "  pad  ", "line\n  two")
+_XML_ATTRS = ("a", "b c", "${v}", "it's", "&quot;q&quot;", "x &amp; y", "&lt;", "p/q.xml", " a , b,,c ", "")
+_XML_NAMES = ("a", "b1", "core", "x.y", "lib-2")
+
+
+def _xml_attrs(rng, keys):
+    """Each of ``keys`` present or not, with a drawn value and drawn quotes."""
+    parts = []
+    for key in keys:
+        if rng.random() < 0.6:
+            value = rng.choice(_XML_NAMES if key in ("name", "id") and rng.random() < 0.7 else _XML_ATTRS)
+            quote = "'" if "'" not in value and rng.random() < 0.3 else '"'
+            parts.append(f" {key}={quote}{value}{quote}")
+    return "".join(parts)
+
+
+def _xml_leaves(rng, tags, chance=0.6):
+    """Some of ``tags`` as leaf elements with drawn text, in drawn order and layout."""
+    chosen = [t for t in tags if rng.random() < chance]
+    rng.shuffle(chosen)
+    sep = rng.choice(("", "\n", "\n    "))
+    return sep.join(f"<{t}>{rng.choice(_XML_NAMES) if rng.random() < 0.6 else rng.choice(_XML_TEXTS)}</{t}>" for t in chosen)
+
+
+def _pom_dependency(rng, depth=0):
+    inner = _xml_leaves(rng, ("groupId", "artifactId", "version", "scope", "type"), 0.7)
+    if depth < 1 and rng.random() < 0.2:
+        inner += "<exclusions><exclusion>" + _xml_leaves(rng, ("groupId", "artifactId")) + "</exclusion></exclusions>"
+    if rng.random() < 0.2:
+        inner += rng.choice(_XML_TEXTS)
+    return f"<dependency{_xml_attrs(rng, ('id',)) if rng.random() < 0.1 else ''}>{inner}</dependency>"
+
+
+def _pom_dependencies(rng, depth=0):
+    dependencies = "\n".join(_pom_dependency(rng, depth) for _ in range(rng.randrange(4)))
+    return f"<dependencies>\n{dependencies}\n</dependencies>"
+
+
+def _pom_plugin(rng):
+    inner = _xml_leaves(rng, ("groupId", "artifactId", "version"), 0.7)
+    if rng.random() < 0.4:
+        inner += "\n" + _pom_dependencies(rng, 1)
+    if rng.random() < 0.4:
+        inner += f"<configuration><source>{rng.choice(_XML_TEXTS)}</source>{rng.choice(_XML_TEXTS)}</configuration>"
+    return f"<plugin>{inner}</plugin>"
+
+
+def _pom_piece(rng):
+    kind = rng.randrange(9)
+    if kind == 0:
+        return "<parent>" + _xml_leaves(rng, ("groupId", "artifactId", "version", "relativePath"), 0.5) + "</parent>"
+    if kind == 1:
+        modules = "".join(
+            f"<module>{rng.choice(_XML_NAMES + ('', ' sub/x ', '../up'))}</module>" for _ in range(rng.randrange(4))
+        )
+        return f"<modules>{modules}{rng.choice(_XML_TEXTS) if rng.random() < 0.2 else ''}</modules>"
+    if kind == 2:
+        props = "\n  ".join(
+            f"<{name}{_xml_attrs(rng, ('combine',)) if rng.random() < 0.1 else ''}>{rng.choice(_XML_TEXTS)}</{name}>"
+            for name in (rng.choice(_XML_NAMES) for _ in range(rng.randrange(5)))
+        )
+        return f"<properties>\n  {props}\n</properties>"
+    if kind == 3:
+        return _pom_dependencies(rng)
+    if kind == 4:
+        return "<dependencyManagement>" + _pom_dependencies(rng) + "</dependencyManagement>"
+    if kind == 5:
+        plugins = "\n".join(_pom_plugin(rng) for _ in range(rng.randrange(4)))
+        wrapped = f"<plugins>\n{plugins}\n</plugins>"
+        if rng.random() < 0.3:
+            wrapped = f"<pluginManagement>{wrapped}</pluginManagement>"
+        return f"<build>{_xml_leaves(rng, ('finalName',))}{wrapped}</build>"
+    if kind == 6:
+        tag = rng.choice(("scm", "url", "licenses", "developers", "organization", "distributionManagement",
+                          "repositories", "pluginRepositories", "issueManagement", "ciManagement", "reporting"))
+        inner = _xml_leaves(rng, ("url", "name", "id", "connection"), 0.5)
+        if rng.random() < 0.3:
+            inner = f"<repository{_xml_attrs(rng, ('id', 'layout'))}>{inner}</repository>{rng.choice(_XML_TEXTS)}"
+        return f"<{tag}{_xml_attrs(rng, ('id',)) if rng.random() < 0.2 else ''}>{inner}</{tag}>"
+    if kind == 7:
+        return _xml_leaves(rng, ("modelVersion", "groupId", "artifactId", "version", "packaging", "name"))
+    tag = rng.choice(("profiles", "extra", "description"))  # not read, but dependencies inside are
+    return f"<{tag}>{rng.choice(_XML_TEXTS)}{_pom_dependency(rng) if rng.random() < 0.5 else ''}</{tag}>"
+
+
+def _ant_inner(rng, depth=0):
+    """The body of a target or macrodef: tasks, nested properties and text."""
+    pieces = []
+    for _ in range(rng.randrange(4)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            pieces.append(f"<echo{_xml_attrs(rng, ('message', 'level'))}>{rng.choice(_XML_TEXTS)}</echo>")
+        elif kind == 1:
+            pieces.append(f"<javac{_xml_attrs(rng, ('srcdir', 'destdir', 'debug'))}/>")
+        elif kind == 2:
+            pieces.append(f"<property{_xml_attrs(rng, ('name', 'value', 'location'))}/>")
+        elif kind == 3 and depth < 2:
+            pieces.append(f"<sequential>{_ant_inner(rng, depth + 1)}</sequential>")
+        else:
+            pieces.append(rng.choice(_XML_TEXTS))
+    return rng.choice(("", "\n  ")).join(pieces)
+
+
+def _ant_piece(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        attrs = _xml_attrs(rng, ("name", "depends", "if", "unless", "description"))
+        return f"<target{attrs}>{_ant_inner(rng)}</target>" if rng.random() < 0.8 else f"<target{attrs}/>"
+    if kind == 1:
+        return f"<property{_xml_attrs(rng, ('name', 'value', 'location', 'file', 'environment'))}/>"
+    if kind == 2:
+        return f"<{rng.choice(('taskdef', 'typedef'))}{_xml_attrs(rng, ('name', 'classname', 'resource', 'classpath'))}/>"
+    if kind == 3:
+        attribute = f"<attribute{_xml_attrs(rng, ('name', 'default'))}/>"
+        return f"<macrodef{_xml_attrs(rng, ('name',))}>{attribute}<sequential>{_ant_inner(rng)}</sequential></macrodef>"
+    if kind == 4:
+        return f"<import{_xml_attrs(rng, ('file', 'optional'))}/>"
+    tag = rng.choice(("path", "fileset", "echo", "condition", "mkdir"))
+    return f"<{tag}{_xml_attrs(rng, ('id', 'name', 'dir'))}>{_ant_inner(rng)}</{tag}>"
+
+
+def xml_corpus(count=300, seed=10):
+    """``count`` (path, text) POMs and Ant scripts drawn with a fixed seed."""
+    rng = random.Random(seed)
+    files = []
+    for _ in range(count):
+        pom = rng.random() < 0.5
+        draw = _pom_piece if pom else _ant_piece
+        pieces = [draw(rng) for _ in range(rng.randrange(8))]
+        if rng.random() < 0.3:
+            pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(("<!-- note -->", rng.choice(_XML_TEXTS))))
+        sep = rng.choice(("\n", "\n  ", "", "\r\n"))
+        root = f"<project{_xml_attrs(rng, ('xmlns',) if pom else ('name', 'default', 'basedir'))}>"
+        head = '<?xml version="1.0" encoding="UTF-8"?>\n' if rng.random() < 0.3 else ""
+        files.append(("pom.xml" if pom else "build.xml", head + root + sep + sep.join(pieces) + sep + "</project>\n"))
+    return files
+
+
+def test_xml_corpus_models_match_golden_digests():
+    """Each drawn POM's or Ant script's model and body tokens hash as they did
+    when the golden file was written; ``python tests/test_build_parsers.py``
+    rewrites it."""
+    golden = _golden_digests(GOLDEN_XML)
+    files = xml_corpus()
+    assert len(golden) == len(files)
+    for number, ((path, text), digest) in enumerate(zip(files, golden)):
+        dump = _model_dump(path, text)
+        assert hashlib.sha256(dump.encode()).hexdigest() == digest, f"{path} {number}:\n{text}\nmodel now:\n{dump}"
 
 
 def test_model_to_json_shape():
@@ -656,6 +817,8 @@ def test_deep_nesting_parses_and_detects(path, content):
 
 if __name__ == "__main__":
     # rewrite the golden digests from the parser on the import path
-    with open(GOLDEN_GRADLE, "w", encoding="utf-8", newline="\n") as fh:
-        for script in gradle_corpus():
-            fh.write(json.dumps({"sha256": hashlib.sha256(_gradle_dump(script).encode()).hexdigest()}) + "\n")
+    for golden, files in ((GOLDEN_GRADLE, [("build.gradle", script) for script in gradle_corpus()]),
+                          (GOLDEN_XML, xml_corpus())):
+        with open(golden, "w", encoding="utf-8", newline="\n") as fh:
+            for path, text in files:
+                fh.write(json.dumps({"sha256": hashlib.sha256(_model_dump(path, text).encode()).hexdigest()}) + "\n")

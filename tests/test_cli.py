@@ -213,6 +213,7 @@ def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
     for bad, message in [
         ("[1]", "expected an object, not list"),
         (re.sub(r'"timestamp": \d+', '"timestamp": 1e400', good), "timestamp inf is out of range"),
+        ("[" * 100_000, "nested too deeply to decode"),
     ]:
         commits.write_text(good + "\n" + bad + "\n")  # the blank line counts
         assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
@@ -281,6 +282,10 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
      "prediction line 2: RefactoringType must be a string"),
     ('{"commit_hash": "%s"}', '{"commit_hash": "%s", "types": []}',
      "gold line 2: types must be a list of strings"),
+    pytest.param("[" * 100_000, '{"commit_hash": "%s", "types": []}',
+                 "gold line 2: nested too deeply to decode", id="deep gold"),
+    pytest.param('{"commit_hash": "%s", "types": ["DRY"]}', "[" * 100_000,
+                 "prediction line 2: nested too deeply to decode", id="deep prediction"),
 ])
 def test_evaluate_line_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, capsys, gold_line, pred_line, message):
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
@@ -466,6 +471,32 @@ def test_mine_exits_2_when_the_head_commit_cannot_be_read(tmp_path, capsys):
     assert run(["mine", "--repo", str(repo), "--out", str(out)]) == EXIT_DATA
     assert out.read_text() == ""
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, takes", [
+    ("--rate", "-1", "0 or more requests per second (0: no limit), not -1.0"),
+    ("--max-retries", "-1", "0 or more, not -1"),
+    ("--temperature", "3", "0 to 2, not 3.0"),
+    ("--temperature", "nan", "0 to 2, not nan"),
+    ("--timeout", "-1", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not -1.0"),
+    ("--timeout", "0", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not 0.0"),
+    ("--timeout", "1e10", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not 10000000000.0"),
+], ids=["rate", "max-retries", "temperature", "temperature nan", "timeout", "timeout 0", "timeout 1e10"])
+def test_out_of_range_llm_flag_is_a_usage_error_before_any_request(tmp_path, monkeypatch, capsys, flag, value, takes):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(2)))
+    from buildref import llm_backend
+
+    requests = []
+    monkeypatch.setattr(llm_backend, "_http_transport", lambda *request: requests.append(request) or (200, "[]"))
+    out = tmp_path / "det.jsonl"
+    code = run([
+        "detect", "--commits", str(commits), "--backend", "llm", "--endpoint", "http://mock/v1", "--model", "m",
+        flag, value, "--out", str(out),
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {flag} takes {takes}\n"
+    assert requests == [] and not out.exists()
 
 
 def test_mine_on_an_empty_repository_writes_nothing_and_exits_0(tmp_path, capsys):

@@ -252,6 +252,10 @@ _DIFF = {"path": "pom.xml", "build_system": "Maven", "change_kind": "modified",
     ({**_COMMIT, "timestamp": [1], "file_diffs": []}, "timestamp must be a number, not list"),
     ({**_COMMIT, "file_diffs": "pom.xml"}, "file_diffs must be a list of objects"),
     ({**_COMMIT, "file_diffs": [["pom.xml"]]}, "file_diffs must be a list of objects"),
+    ({**_COMMIT, "timestamp": float("nan"), "file_diffs": []}, "timestamp nan is not an integer"),
+    ({**_COMMIT, "timestamp": 1.5, "file_diffs": []}, "timestamp 1.5 is not an integer"),
+    ({**_COMMIT, "timestamp": "12", "file_diffs": []}, "timestamp must be a number, not str"),
+    ({**_COMMIT, "timestamp": True, "file_diffs": []}, "timestamp must be a number, not bool"),
 ])
 def test_commit_line_of_the_wrong_shape_is_a_data_error(obj, message):
     import json
