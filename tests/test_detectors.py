@@ -1,10 +1,15 @@
 import dataclasses
+import functools
+import hashlib
 import itertools
 import json
 import logging
 import os
+import posixpath
+import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -536,3 +541,486 @@ def test_sort_key_orders_evidence_free_detections_by_details():
     ]
     for order in itertools.permutations(dets):
         assert [d.details for d in sorted(order, key=sort_key)] == ["a", "b", "c"]
+
+
+# --- a golden corpus of drawn multi-file commits ------------------------------
+
+GOLDEN_COMMITS = Path(__file__).parent / "golden_commit_detections.jsonl"
+
+# A drawn commit starts from a small project per build system and applies type
+# templates to it. A file is a list of (section, text) pieces on each side; a
+# template adds a piece to one side or both, so the two sides differ only where
+# a template made them differ, and only files that differ enter the commit.
+_CORPUS_NAMES = ("alpha", "beta", "gamma", "delta", "omega", "kappa", "sigma", "zeta", "theta", "lambda", "rho", "tau",
+                 "iota", "epsilon", "upsilon", "omicron", "chi", "psi", "phi", "nu")
+_CORPUS_VALUES = ("1.0", "2.3.1", "33", "17", "4.13.2", "5.9.2", "0.8")
+_FAMILIES = {
+    "gradle": ("dependency", "variable", "property", "task", "method"),
+    "maven": ("dependency", "property"),
+    "ant": ("property", "task", "method"),
+}
+_STYLE = ("    ", "\n")  # indent unit and line ending; a reformat draws another
+_RESTYLES = (("  ", "\n"), ("\t", "\n"), ("    ", "\r\n"))
+
+
+def _system_of(path):
+    if path.endswith("pom.xml"):
+        return "maven"
+    return "ant" if path.endswith("build.xml") else "gradle"
+
+
+def _holds(path, family):
+    if path.endswith("settings.gradle"):
+        return False
+    if path.endswith(".properties"):
+        return family == "property"
+    return family in _FAMILIES[_system_of(path)]
+
+
+def _piece(family, path, n, v):
+    """The (section, text) piece that declares ``family`` element ``n`` with value ``v`` in ``path``."""
+    if path.endswith("pom.xml"):
+        if family == "dependency":
+            return ("dependencies", f"<dependency>\n    <groupId>org.{n}</groupId>\n"
+                                    f"    <artifactId>{n}-core</artifactId>\n    <version>{v}</version>\n</dependency>")
+        return ("properties", f"<{n}.version>{v}</{n}.version>")
+    if path.endswith("build.xml"):
+        if family == "property":
+            return ("top", f'<property name="{n}.dir" value="{v}"/>')
+        if family == "task":
+            return ("top", f'<target name="{n}">\n    <mkdir dir="out/{v}"/>\n'
+                           f'    <echo message="made {v}"/>\n</target>')
+        return ("top", f'<macrodef name="{n}">\n    <sequential>\n'
+                       f'        <echo message="{v}"/>\n    </sequential>\n</macrodef>')
+    if path.endswith(".properties"):
+        return ("top", f"{n} = {v}")
+    return {
+        "dependency": ("deps", f"implementation 'org.{n}:{n}-core:{v}'"),
+        "variable": ("top", f"def {n} = '{v}'"),
+        "property": ("top", f"ext.{n} = '{v}'"),
+        "task": ("top", f"task {n} {{\n    doLast {{\n        println 'made {v}'\n    }}\n}}"),
+        "method": ("top", f"def {n}() {{\n    return 'made {v}'\n}}"),
+    }[family]
+
+
+def _gradle_layout(rng):
+    """settings.gradle including two subprojects, a root script unless drawn
+    away, and properties files at the root and in one subproject."""
+    files = {"settings.gradle": [("top", "rootProject.name = 'demo'"), ("top", "include 'sub', 'lib'")]}
+    if rng.random() < 0.8:
+        files["build.gradle"] = [("top", "apply plugin: 'base'")]
+    files["sub/build.gradle"] = [("top", "apply plugin: 'java'")]
+    files["lib/build.gradle"] = [("top", "apply plugin: 'java-library'"), ("deps", "api 'org.slf4j:slf4j-api:2.0.7'")]
+    files["gradle.properties"] = [("top", "org.gradle.jvmargs = -Xmx1g")]
+    files["sub/gradle.properties"] = [("top", "sub.flag = true")]
+    return files
+
+
+def _maven_layout(rng):
+    """A parent with two modules: nested under it, or beside it and found
+    through relativePath or the parent's coordinates."""
+    nested = rng.random() < 0.5
+    parent = "pom.xml" if nested else "parent/pom.xml"
+    modules = "".join(f"\n    <module>{'' if nested else '../'}{m}</module>" for m in ("core", "app"))
+    files = {parent: [("head", "<groupId>org.demo</groupId>"), ("head", "<artifactId>demo-parent</artifactId>"),
+                      ("head", f"<modules>{modules}\n</modules>")]}
+    for module in ("core", "app"):
+        relative = rng.choice(("", "../pom.xml" if nested else "../parent/pom.xml"))
+        link = f"\n    <relativePath>{relative}</relativePath>" if relative else ""
+        files[f"{module}/pom.xml"] = [
+            ("head", f"<parent>\n    <groupId>org.demo</groupId>\n"
+                     f"    <artifactId>demo-parent</artifactId>{link}\n</parent>"),
+            ("head", f"<artifactId>{module}</artifactId>"),
+        ]
+    return files
+
+
+def _ant_layout(rng):
+    """An import chain base <- common <- build.xml, and a tools script outside it."""
+    return {
+        "build.xml": [("top", '<import file="common/build.xml"/>')],
+        "common/build.xml": [("top", '<import file="../base/build.xml"/>')],
+        "base/build.xml": [("top", '<property name="base.home" location="."/>')],
+        "tools/build.xml": [("top", '<target name="lint">\n    <echo message="lint"/>\n</target>')],
+    }
+
+
+_LAYOUTS = {"gradle": _gradle_layout, "maven": _maven_layout, "ant": _ant_layout}
+
+
+class _DrawnCommit:
+    """The pieces of every file of one drawn commit, before and after."""
+
+    def __init__(self, rng, systems):
+        self.rng = rng
+        self.before = {}
+        for system in systems:
+            self.before.update(_LAYOUTS[system](rng))
+        self.after = {path: list(pieces) for path, pieces in self.before.items()}
+        self.styles = {}
+        self._names = iter(rng.sample(_CORPUS_NAMES, len(_CORPUS_NAMES)))
+
+    def name(self):
+        return next(self._names)
+
+    def value(self):
+        return self.rng.choice(_CORPUS_VALUES)
+
+    def holders(self, system, family):
+        return [p for p in self.before if _system_of(p) == system and _holds(p, family)]
+
+    def add(self, side, path, *pieces):
+        """Insert ``pieces``, in order, at one drawn place in ``path`` on ``side``."""
+        at = self.rng.randrange(len(side.setdefault(path, [])) + 1)
+        side[path][at:at] = pieces
+
+    def add_both(self, path, before, after):
+        """Insert one piece into ``path`` on each side, at the same drawn place."""
+        at = self.rng.randrange(len(self.before[path]) + 1)
+        self.before[path].insert(at, before)
+        self.after[path].insert(min(at, len(self.after[path])), after)
+
+    def render(self, side, index):
+        return {p: _render(p, pieces, self.styles.get(p, (_STYLE, _STYLE))[index])
+                for p, pieces in side.items() if pieces is not None}
+
+
+def _render(path, pieces, style):
+    unit, eol = style
+    sections = {}
+    for section, text in pieces:
+        sections.setdefault(section, []).append(text)
+
+    def lines(texts, depth):
+        for text in texts:
+            for line in text.split("\n"):
+                body = line.lstrip(" ")
+                yield unit * (depth + (len(line) - len(body)) // 4) + body
+
+    out = []
+    if path.endswith("pom.xml"):
+        out.append("<project>")
+        for section in ("head", "properties", "dependencies", "top"):
+            wrapped = section in ("properties", "dependencies")
+            if section in sections:
+                out.extend([f"{unit}<{section}>"] * wrapped)
+                out.extend(lines(sections[section], 1 + wrapped))
+                out.extend([f"{unit}</{section}>"] * wrapped)
+        out.append("</project>")
+    elif path.endswith("build.xml"):
+        out.append('<project name="demo" default="build">')
+        out.extend(lines(sections.get("top", ()), 1))
+        out.append("</project>")
+    else:
+        out.extend(lines(sections.get("top", ()), 0))
+        if "deps" in sections:
+            out.append("dependencies {")
+            out.extend(lines(sections["deps"], 1))
+            out.append("}")
+    return eol.join(out) + eol
+
+
+def _relpath(path, start_file):
+    return posixpath.relpath(path, posixpath.dirname(start_file) or ".")
+
+
+# Type templates. Each draws its files and names and edits the commit's sides.
+
+def _t_move(c, system):
+    """An element leaves one file and appears in another: the 14 hierarchy
+    types, Externalize Properties, and the holes between them."""
+    family = c.rng.choice(_FAMILIES[system] + ("property",))  # properties have the most cases
+    src, dst = c.rng.sample(c.holders(system, family), 2)
+    n, v = c.name(), c.value()
+    c.add(c.before, src, _piece(family, src, n, v))
+    c.add(c.after, dst, _piece(family, dst, n, c.value() if c.rng.random() < 0.3 else v))  # a version bump on the way
+
+
+def _t_extract_module(c, system):
+    """A block leaves a file for a new file beside it, above it or below it."""
+    family = c.rng.choice(_FAMILIES[system])
+    src = c.rng.choice([p for p in c.holders(system, family) if not p.endswith(".properties")])
+    base = posixpath.dirname(src)
+    where = c.rng.choice(("sibling", "descendant", "ancestor"))
+    name = {"gradle": "build.gradle", "maven": "pom.xml", "ant": "build.xml"}[system]
+    head = []
+    if where == "sibling":
+        new = posixpath.join(base, "publish.gradle") if system == "gradle" else f"extra/{name}"
+    elif where == "descendant":
+        new = posixpath.join(base, "ext", name)
+        if system == "maven":
+            head = [("head", f"<parent>\n    <relativePath>{_relpath(src, new)}</relativePath>\n</parent>")]
+        elif system == "ant":
+            head = [("top", f'<import file="{_relpath(src, new)}"/>')]
+    elif system == "gradle":
+        new = name if base and name not in c.before else posixpath.join(base, "shared.gradle")
+    else:
+        new = f"shared/{name}"
+        if system == "maven":
+            head = [("head", f"<modules>\n    <module>{posixpath.dirname(_relpath(src, new))}</module>\n</modules>")]
+        else:
+            c.add(c.after, src, ("top", f'<import file="{_relpath(new, src)}"/>'))
+    if new in c.before:
+        return
+    block = [_piece(family, src, c.name(), c.value()) for _ in range(c.rng.choice((1, 2)))]
+    c.add(c.before, src, *block)
+    c.after.setdefault(new, []).extend(head)
+    c.add(c.after, new, *block)
+
+
+def _t_rename(c, system):
+    family = c.rng.choice([f for f in _FAMILIES[system] if f != "dependency"])
+    path = c.rng.choice(c.holders(system, family))
+    v = c.value()
+    c.add(c.before, path, _piece(family, path, c.name(), v))
+    c.add(c.after, path, _piece(family, path, c.name(), v))
+
+
+def _t_remove_unused(c, system):
+    family = c.rng.choice(_FAMILIES[system])
+    path = c.rng.choice(c.holders(system, family))
+    c.add(c.before, path, _piece(family, path, c.name(), c.value()))
+
+
+def _t_reformat(c, system):
+    path = c.rng.choice([p for p in c.before if _system_of(p) == system])
+    if c.rng.random() < 0.5 and any(text.startswith("apply plugin") for _, text in c.after[path]):
+        c.after[path] = [
+            ("top", f"plugins {{\n    id {text.split(':', 1)[1].strip()}\n}}") if text.startswith("apply plugin")
+            else (section, text)
+            for section, text in c.after[path]
+        ]
+    else:
+        c.styles[path] = (_STYLE, c.rng.choice(_RESTYLES))
+
+
+def _t_extract_subroutine(c, system):
+    """A fragment of a host task moves into a new task or method that the host now uses."""
+    path = c.rng.choice(c.holders(system, "task"))
+    host, unit, v = c.name(), c.name(), c.value()
+    method = c.rng.random() < 0.5
+    if system == "gradle":
+        fragment = f"copy {{\n    from 'src/{v}'\n    into 'build/{v}'\n}}"
+        inner = textwrap.indent(fragment, " " * 8)
+        before = f"task {host} {{\n    doLast {{\n{inner}\n        println 'done'\n    }}\n}}"
+        if method:
+            new = f"def {unit}() {{\n{textwrap.indent(fragment, '    ')}\n}}"
+            after = f"task {host} {{\n    doLast {{\n        {unit}()\n        println 'done'\n    }}\n}}"
+        else:
+            new = f"task {unit} {{\n    doLast {{\n{inner}\n    }}\n}}"
+            after = f"task {host} {{\n    dependsOn {unit}\n    doLast {{\n        println 'done'\n    }}\n}}"
+    else:
+        fragment = f'<javac srcdir="src/{v}" destdir="out"/>\n<jar destfile="{v}.jar" basedir="out"/>'
+        before = f'<target name="{host}">\n    <mkdir dir="out"/>\n{textwrap.indent(fragment, "    ")}\n</target>'
+        if method:
+            new = (f'<macrodef name="{unit}">\n    <sequential>\n'
+                   f'{textwrap.indent(fragment, " " * 8)}\n    </sequential>\n</macrodef>')
+            after = f'<target name="{host}">\n    <mkdir dir="out"/>\n    <{unit}/>\n</target>'
+        else:
+            new = f'<target name="{unit}">\n{textwrap.indent(fragment, "    ")}\n</target>'
+            after = f'<target name="{host}" depends="{unit}">\n    <mkdir dir="out"/>\n</target>'
+    c.add(c.before, path, ("top", before))
+    c.add(c.after, path, ("top", new), ("top", after))
+
+
+def _t_dry(c, system):
+    path = c.rng.choice(c.holders(system, "task"))
+    names = [c.name() for _ in range(c.rng.choice((2, 3)))]
+    body = "    environment 'gateway', props.gateway\n    environment 'user', props.user\n" \
+           "    classpath = sourceSets.main.runtimeClasspath"
+    c.add(c.before, path, *[("top", f"task('{n}', type: JavaExec) {{\n{body}\n    main = '{n}'\n}}") for n in names])
+    loop = ", ".join(f"'{n}'" for n in names)
+    inner = textwrap.indent(body, "    ")
+    c.add(c.after, path, ("top", f"[{loop}].each {{ name ->\n    task \"$name\" (type: JavaExec) {{\n{inner}\n"
+                                 "        main = name\n    }\n}"))
+
+
+def _t_scheduling(c, system):
+    path = c.rng.choice(c.holders(system, "task"))
+    first, then = c.name(), c.name()
+    pieces = [_piece("task", path, first, c.value()), _piece("task", path, then, c.value())]
+    c.add(c.before, path, *pieces)
+    if system == "ant":
+        section, text = pieces[1]
+        pieces[1] = (section, text.replace(f'name="{then}"', f'name="{then}" depends="{first}"', 1))
+    elif c.rng.random() < 0.5:
+        pieces.append(("top", f"{then}.mustRunAfter({first})"))
+    else:
+        section, text = pieces[1]
+        pieces[1] = (section, text.replace("{\n", f"{{\n    dependsOn {first}\n", 1))
+    c.add(c.after, path, *pieces)
+
+
+def _t_externalize(c, system):
+    """Literal settings leave a script, which now reads a properties file; the
+    first may stay, reading its value from there."""
+    path = c.rng.choice(c.holders(system, "task"))
+    settings = [(c.name(), c.value()) for _ in range(c.rng.choice((1, 2)))]
+    first = settings[0][0]
+    if system == "gradle":
+        c.add(c.before, path, *[("top", f"{n}Version = '{v}'") for n, v in settings])
+        after = [("top", 'ext.configFile = file "build.properties"'),
+                 ("top", "configFile.withReader {\n    project.ext.config = new ConfigSlurper().parse it\n}")]
+        kept = ("top", f"{first}Version = config.{first}")
+    else:
+        c.add(c.before, path, *[_piece("property", path, n, v) for n, v in settings])
+        after = [("top", '<property file="build.properties"/>')]
+        kept = ("top", f'<property name="{first}.dir" value="${{config.{first}}}"/>')
+    c.add(c.after, path, *after + [kept] * (c.rng.random() < 0.5))
+
+
+def _uses(path, literal, count):
+    """Pieces of ``path`` that use ``literal`` (a value or a reference) ``count`` times."""
+    if path.endswith("pom.xml"):
+        return [_piece("dependency", path, f"use{i}", literal) for i in range(count)]
+    if path.endswith("build.xml"):
+        attrs = " ".join(f'a{i}="{literal}"' for i in range(count))
+        return [("top", f'<target name="uses">\n    <javac {attrs}/>\n</target>')]
+    if path.endswith(".properties"):
+        return [("top", f"use{i} = {literal}") for i in range(count)]
+    return [("top", f"use{i}Level = {literal}") for i in range(count)]
+
+
+def _reference(path, n):
+    if path.endswith("pom.xml"):
+        return f"${{{n}.version}}"
+    if path.endswith("build.xml"):
+        return f"${{{n}.dir}}"
+    return n if path.endswith(".gradle") else f"${{{n}}}"
+
+
+def _quoted(path, v):
+    return f"'{v}'" if path.endswith(".gradle") else v
+
+
+def _t_extract_variable(c, system):
+    """A literal used in a file (the same one or another) becomes a variable;
+    drawn the other way round it is inlined, or deleted with its uses."""
+    family = c.rng.choice(("variable", "property") if system == "gradle" else ("property",))
+    definer = c.rng.choice(c.holders(system, family))
+    user = definer if c.rng.random() < 0.4 else c.rng.choice(c.holders(system, "property"))
+    n, v = c.name(), c.value()
+    count = c.rng.choice((1, 2, 3))
+    without = {user: _uses(user, _quoted(user, v), count)}
+    with_ = {user: _uses(user, _reference(user, n), count)}
+    with_.setdefault(definer, []).insert(0, _piece(family, definer, n, v))
+    sides = (c.before, c.after) if c.rng.random() < 0.7 else (c.after, c.before)
+    if sides[0] is c.after and c.rng.random() < 0.3:
+        without = {}
+    for side, pieces in zip(sides, (without, with_)):
+        for path, added in pieces.items():
+            c.add(side, path, *added)
+
+
+def _t_neutral(c, system):
+    """An edit no rule names: an added element, or a changed version."""
+    family = c.rng.choice(_FAMILIES[system])
+    path = c.rng.choice(c.holders(system, family))
+    n = c.name()
+    if c.rng.random() < 0.5:
+        c.add(c.after, path, _piece(family, path, n, c.value()))
+    else:
+        old, new = c.rng.sample(_CORPUS_VALUES, 2)
+        c.add_both(path, _piece(family, path, n, old), _piece(family, path, n, new))
+
+
+_NOISE = {
+    "gradle": ("// a comment with a { brace", "/* block\n   comment } */", "println \"a { in a string\"",
+               "repositories {\n    mavenCentral()\n}", "task broken {"),
+    "maven": ("<!-- a comment -->", "<description>a &amp; b &lt;c&gt;</description>",
+              "<url><![CDATA[http://example.org/?a=1&b=2]]></url>", "<broken>"),
+    "ant": ("<!-- a comment -->", '<echo message="a &amp; b"/>',
+            '<path id="cp">\n    <pathelement location="lib"/>\n</path>', "<broken>"),
+}
+
+
+def _t_noise(c, system):
+    """Text or a layout the parsers must survive, on both sides; the last
+    entry, which they cannot parse, goes into the after side alone."""
+    path = c.rng.choice([p for p in c.before if _system_of(p) == system and not p.endswith(".properties")])
+    noise = c.rng.choice(_NOISE[system])
+    section = "head" if system == "maven" else "top"
+    if noise == _NOISE[system][-1]:
+        c.add(c.after, path, (section, noise))
+    elif c.rng.random() < 0.3:  # CRLF, or XML files on one line, where elements share their span
+        style = ("    ", "\r\n") if system == "gradle" else c.rng.choice((("    ", "\r\n"), ("", "")))
+        for p in c.after:
+            if _system_of(p) == system:
+                c.styles[p] = (style, style)
+    else:
+        c.add_both(path, (section, noise), (section, noise))
+
+
+_TEMPLATES = {  # drawn without replacement; repeats weight a template up
+    "gradle": (_t_move,) * 8 + (_t_extract_module, _t_extract_variable) * 2 + (
+        _t_rename, _t_remove_unused, _t_reformat, _t_extract_subroutine, _t_scheduling, _t_externalize, _t_dry),
+    "maven": (_t_move,) * 4 + (_t_extract_module, _t_extract_variable) * 2 + (_t_rename, _t_remove_unused, _t_reformat),
+    "ant": (_t_move,) * 4 + (_t_extract_module, _t_extract_variable) * 2 + (
+        _t_rename, _t_remove_unused, _t_reformat, _t_extract_subroutine, _t_scheduling, _t_externalize),
+}
+
+
+def detection_corpus(count=300, seed=40):
+    """``count`` multi-file commits drawn with a fixed seed: type templates in
+    one or two projects, neutral edits, parser noise, and commits that should
+    yield nothing."""
+    rng = random.Random(seed)
+    commits = []
+    for number in range(count):
+        systems = [rng.choice(("ant", "gradle", "gradle", "maven"))]  # Gradle has the most types
+        if rng.random() < 0.25:
+            systems.append(rng.choice([s for s in sorted(_FAMILIES) if s != systems[0]]))
+        c = _DrawnCommit(rng, systems)
+        for system in systems:
+            for template in rng.sample(_TEMPLATES[system], rng.choice((0, 1, 1, 2, 2))):
+                template(c, system)
+            if rng.random() < 0.3:
+                _t_neutral(c, system)
+            if rng.random() < 0.25:
+                _t_noise(c, system)
+        if rng.random() < 0.1:
+            c.after[rng.choice(sorted(c.before))] = None  # a file deleted with whatever it held
+        commit = make_commit(c.render(c.before, 0), c.render(c.after, 1))
+        commits.append(dataclasses.replace(commit, commit_hash=f"{number:040x}"))
+    return commits
+
+
+def _detection_lines(commit):
+    found = detect_all(CommitContext.from_commit(commit))
+    return "".join(detection_to_json(commit.commit_hash, det) + "\n" for det in sorted(found, key=sort_key))
+
+
+@functools.cache
+def _corpus_detections():
+    return [(commit, _detection_lines(commit)) for commit in detection_corpus()]
+
+
+def _show(commit):
+    parts = [f"commit {commit.commit_hash}"]
+    for fd in commit.file_diffs:
+        for side, text in (("before", fd.before_content), ("after", fd.after_content)):
+            if text is not None:
+                parts.append(f"--- {fd.path} ({side})\n{text}")
+    return "\n".join(parts)
+
+
+def test_detection_corpus_matches_golden_digests():
+    """Each drawn commit's sorted static detection JSONL hashes as it did when
+    the golden file was written; ``python tests/test_detectors.py`` rewrites it."""
+    golden = [json.loads(line)["sha256"] for line in GOLDEN_COMMITS.read_text(encoding="utf-8").splitlines()]
+    corpus = _corpus_detections()
+    assert len(golden) == len(corpus)
+    for (commit, lines), digest in zip(corpus, golden):
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, f"{_show(commit)}\ndetections now:\n{lines}"
+
+
+def test_detection_corpus_covers_every_type():
+    found = {json.loads(line)["RefactoringType"] for _, lines in _corpus_detections() for line in lines.splitlines()}
+    assert sorted(found) == sorted(taxonomy.ALL_TYPE_IDS)
+
+
+if __name__ == "__main__":
+    # rewrite the golden digests from the detectors on the import path
+    with open(GOLDEN_COMMITS, "w", encoding="utf-8", newline="\n") as fh:
+        for _, lines in _corpus_detections():
+            fh.write(json.dumps({"sha256": hashlib.sha256(lines.encode()).hexdigest()}) + "\n")
