@@ -150,11 +150,13 @@ class _Move:
     dst_el: BuildElement
 
     @property
-    def evidence(self) -> tuple[Evidence, Evidence]:
-        return (
-            Evidence(self.src_path, self.src_el.span, "source"),
-            Evidence(self.dst_path, self.dst_el.span, "destination"),
-        )
+    def family(self) -> str:
+        """The family `_HIERARCHY_TYPES` knows the move by: a property moved
+        from a script into a .properties file is externalized, whatever the relation."""
+        into_properties = self.dst_path.endswith(".properties") and not self.src_path.endswith(".properties")
+        if self.kind is ElementKind.PROPERTY and into_properties:
+            return "externalized"
+        return "subroutine" if self.kind in SUBROUTINE_KINDS else self.kind.value
 
 
 @dataclass(frozen=True)
@@ -344,6 +346,69 @@ def _dir_contains(outer: str, inner: str) -> bool:
     return inner.startswith(outer + "/")
 
 
+_EXTRACTED = "literal '{literal}' used in {src} extracted into {kind} '{name}' defined in {dst}"
+
+# The types named by where something went relative to where it came from:
+# (family, relation of the destination file to the source file) gives the type
+# and its Details. A missing key is a hole in the taxonomy and names no type:
+# a property has no Push Down or Move type, and a subroutine, whose types pair
+# Pull Up Method with Push Down Task, has no sideways move.
+_HIERARCHY_TYPES: Mapping[tuple[str, str], tuple[str, str]] = {
+    ("dependency", "ancestor"): ("Pull Up Dependency", "dependency {name} moved from {src} to {dst}"),
+    ("dependency", "descendant"): ("Push Down Dependency", "dependency {name} moved from {src} to {dst}"),
+    ("dependency", "sibling"): ("Move Dependency", "dependency {name} moved from {src} to {dst}"),
+    ("variable", "ancestor"): ("Pull Up Variable", "variable '{name}' moved from {src} to {dst}"),
+    ("variable", "descendant"): ("Push Down Variable", "variable '{name}' moved from {src} to {dst}"),
+    ("variable", "sibling"): ("Move Variable", "variable '{name}' moved from {src} to {dst}"),
+    ("property", "ancestor"): ("Pull Up Properties", "property '{name}' pulled up from {src} to {dst}"),
+    ("externalized", "ancestor"): ("Externalize Properties", "property '{name}' moved out of {src} into {dst}"),
+    ("externalized", "descendant"): ("Externalize Properties", "property '{name}' moved out of {src} into {dst}"),
+    ("externalized", "sibling"): ("Externalize Properties", "property '{name}' moved out of {src} into {dst}"),
+    ("subroutine", "ancestor"): ("Pull Up Method", "{kind} '{name}' pulled up from {src} to {dst}"),
+    ("subroutine", "descendant"): ("Push Down Task", "{kind} '{name}' pushed down from {src} to {dst}"),
+    ("module", "ancestor"): (
+        "Extract And Pull Up Module", "logic from {src} extracted into a newly created parent build file {dst}"
+    ),
+    ("module", "descendant"): (
+        "Extract And Push Down Module", "logic from {src} extracted into a newly created child build file {dst}"
+    ),
+    ("module", "sibling"): (
+        "Extract Module", "logic from {src} extracted into a new build file at the same level {dst}"
+    ),
+    ("extracted variable", "ancestor"): ("Extract And Pull Up Variable", _EXTRACTED),
+    ("extracted variable", "descendant"): ("Extract And Move Variable", _EXTRACTED),
+    ("extracted variable", "sibling"): ("Extract And Move Variable", _EXTRACTED),
+}
+
+_Place = tuple[str, tuple[int, int]]  # a path and a line span in it
+
+
+def _hierarchy_move(
+    ctx: CommitContext, family: str, src: _Place, dst: _Place, **fields: str
+) -> Optional[DetectedRefactoring]:
+    """The detection of a `family` element that left `src` and appeared at
+    `dst`, or None where the taxonomy has a hole; `fields` fill in the Details."""
+    entry = _HIERARCHY_TYPES.get((family, _relation(ctx, dst[0], src[0])))
+    if entry is None:
+        return None
+    type_id, details = entry
+    return DetectedRefactoring(
+        type=type_id,
+        details=details.format(src=src[0], dst=dst[0], **fields),
+        evidence=(Evidence(*src, "source"), Evidence(*dst, "destination")),
+    )
+
+
+def _move_detections(ctx: CommitContext, kinds: Sequence[ElementKind]) -> set[DetectedRefactoring]:
+    found = (
+        _hierarchy_move(
+            ctx, m.family, (m.src_path, m.src_el.span), (m.dst_path, m.dst_el.span), name=m.name, kind=m.kind.value
+        )
+        for m in ctx.moves_of(kinds)
+    )
+    return {det for det in found if det is not None}
+
+
 def _literal_value(el: BuildElement) -> Optional[str]:
     if el.kind in VALUE_KINDS and el.attributes.get("literal") == "true":
         value = el.attributes.get("value", "")
@@ -501,26 +566,9 @@ def detect_module_hierarchy(
             if moved is None:
                 continue
             src_el, dst_el = moved
-            relation = _relation(ctx, new_path, src_path)
-            if relation == "ancestor":
-                type_id = "Extract And Pull Up Module"
-                wording = "a newly created parent build file"
-            elif relation == "descendant":
-                type_id = "Extract And Push Down Module"
-                wording = "a newly created child build file"
-            else:
-                type_id = "Extract Module"
-                wording = "a new build file at the same level"
-            out.add(
-                DetectedRefactoring(
-                    type=type_id,
-                    details=f"logic from {src_path} extracted into {wording} {new_path}",
-                    evidence=(
-                        Evidence(src_path, src_el.span, "source"),
-                        Evidence(new_path, dst_el.span, "destination"),
-                    ),
-                )
-            )
+            det = _hierarchy_move(ctx, "module", (src_path, src_el.span), (new_path, dst_el.span))
+            if det is not None:
+                out.add(det)
     return out
 
 
@@ -555,26 +603,7 @@ def detect_subroutine(
         scheduled = _detect_scheduling(path, changes)
         if scheduled:
             out.add(scheduled)
-
-    for move in ctx.moves_of(SUBROUTINE_KINDS):
-        relation = _relation(ctx, move.dst_path, move.src_path)
-        if relation == "ancestor":
-            out.add(
-                DetectedRefactoring(
-                    type="Pull Up Method",
-                    details=f"{move.kind.value} '{move.name}' pulled up from {move.src_path} to {move.dst_path}",
-                    evidence=move.evidence,
-                )
-            )
-        elif relation == "descendant":
-            out.add(
-                DetectedRefactoring(
-                    type="Push Down Task",
-                    details=f"{move.kind.value} '{move.name}' pushed down from {move.src_path} to {move.dst_path}",
-                    evidence=move.evidence,
-                )
-            )
-    return out
+    return out | _move_detections(ctx, SUBROUTINE_KINDS)
 
 
 def _extract_subroutines(path: str, changes: _FileChanges) -> set[DetectedRefactoring]:
@@ -723,23 +752,7 @@ def _detect_dry(
 def detect_dependency(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
-    out: set[DetectedRefactoring] = set()
-    for move in ctx.moves_of((ElementKind.DEPENDENCY,)):
-        relation = _relation(ctx, move.dst_path, move.src_path)
-        if relation == "ancestor":
-            type_id = "Pull Up Dependency"
-        elif relation == "descendant":
-            type_id = "Push Down Dependency"
-        else:
-            type_id = "Move Dependency"
-        out.add(
-            DetectedRefactoring(
-                type=type_id,
-                details=f"dependency {move.name} moved from {move.src_path} to {move.dst_path}",
-                evidence=move.evidence,
-            )
-        )
-    return out
+    return _move_detections(ctx, (ElementKind.DEPENDENCY,))
 
 
 _EXTERNAL_CONFIG_MARKERS = ("ConfigSlurper", "loadProperties", "withReader", "withInputStream")
@@ -748,28 +761,7 @@ _EXTERNAL_CONFIG_MARKERS = ("ConfigSlurper", "loadProperties", "withReader", "wi
 def detect_properties(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
-    out: set[DetectedRefactoring] = set()
-
-    for move in ctx.moves_of((ElementKind.PROPERTY,)):
-        src_is_props = move.src_path.endswith(".properties")
-        dst_is_props = move.dst_path.endswith(".properties")
-        relation = _relation(ctx, move.dst_path, move.src_path)
-        if dst_is_props and not src_is_props:
-            out.add(
-                DetectedRefactoring(
-                    type="Externalize Properties",
-                    details=f"property '{move.name}' moved out of {move.src_path} into {move.dst_path}",
-                    evidence=move.evidence,
-                )
-            )
-        elif relation == "ancestor":
-            out.add(
-                DetectedRefactoring(
-                    type="Pull Up Properties",
-                    details=f"property '{move.name}' pulled up from {move.src_path} to {move.dst_path}",
-                    evidence=move.evidence,
-                )
-            )
+    out = _move_detections(ctx, (ElementKind.PROPERTY,))
 
     # In-file externalization: a literal leaves the script and the script now
     # reads an external .properties (or similar) configuration source.
@@ -777,13 +769,13 @@ def detect_properties(
         if path.endswith(".properties"):
             continue
         changes = ctx.changes[path]
-        literal_gone: list[BuildElement] = []
+        literal_gone: list[tuple[BuildElement, str]] = []  # (evidence anchor, its role)
         for b_el, a_el in changes.modified:
             if _literal_value(b_el) and not _literal_value(a_el):
-                literal_gone.append(a_el)
+                literal_gone.append((a_el, "destination"))
         for el in changes.removed:
             if _literal_value(el):
-                literal_gone.append(el)
+                literal_gone.append((el, "source"))
         if not literal_gone:
             continue
         gained = ctx.after_index[path].tokens.keys() - ctx.before_index[path].tokens.keys()
@@ -800,12 +792,12 @@ def detect_properties(
             ]
             reads_external = bool(new_prop_files)
         if reads_external:
-            anchor = literal_gone[0]
+            anchor, role = literal_gone[0]
             out.add(
                 DetectedRefactoring(
                     type="Externalize Properties",
                     details=f"hardcoded configuration moved out of {path} into an external properties file",
-                    evidence=(Evidence(path, anchor.span, "destination" if anchor in [a for _, a in changes.modified] else "source"),),
+                    evidence=(Evidence(path, anchor.span, role),),
                 )
             )
     return out
@@ -814,22 +806,7 @@ def detect_properties(
 def detect_variables(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
-    out: set[DetectedRefactoring] = set()
-    for move in ctx.moves_of((ElementKind.VARIABLE,)):  # property moves: detect_properties
-        relation = _relation(ctx, move.dst_path, move.src_path)
-        if relation == "ancestor":
-            type_id = "Pull Up Variable"
-        elif relation == "descendant":
-            type_id = "Push Down Variable"
-        else:
-            type_id = "Move Variable"
-        out.add(
-            DetectedRefactoring(
-                type=type_id,
-                details=f"variable '{move.name}' moved from {move.src_path} to {move.dst_path}",
-                evidence=move.evidence,
-            )
-        )
+    out = _move_detections(ctx, (ElementKind.VARIABLE,))  # property moves: detect_properties
 
     # Extract Variable (same file) and the cross-file extract variants.
     for path in sorted(ctx.after_models):
@@ -863,26 +840,12 @@ def detect_variables(
                 after_uses = o_after.tokens[literal]
                 refs = o_after.reference_count(el.name)
                 if before_uses >= 1 and after_uses < before_uses and refs >= 1:
-                    relation = _relation(ctx, path, other)
-                    type_id = (
-                        "Extract And Pull Up Variable"
-                        if relation == "ancestor"
-                        else "Extract And Move Variable"
+                    det = _hierarchy_move(
+                        ctx, "extracted variable", (other, _first_literal_span(o_before.model, literal)),
+                        (path, el.span), literal=literal, kind=el.kind.value, name=el.name,
                     )
-                    use_site = _first_literal_span(o_before.model, literal)
-                    out.add(
-                        DetectedRefactoring(
-                            type=type_id,
-                            details=(
-                                f"literal '{literal}' used in {other} extracted into "
-                                f"{el.kind.value} '{el.name}' defined in {path}"
-                            ),
-                            evidence=(
-                                Evidence(other, use_site, "source"),
-                                Evidence(path, el.span, "destination"),
-                            ),
-                        )
-                    )
+                    if det is not None:
+                        out.add(det)
 
     out.update(_detect_inline_variables(ctx))
     return out
