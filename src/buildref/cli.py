@@ -233,6 +233,18 @@ def _detect_llm(record: CommitRecord, args, config, rate_limiter) -> tuple[list[
 
 
 def _cmd_detect(args) -> int:
+    # checked before any input is read or request sent; NaN fails every
+    # comparison, so it is out of range too
+    for flag, in_range, takes in (
+        ("move_similarity", 0 <= args.move_similarity <= 1, "0 to 1"),
+        ("rename_similarity", 0 <= args.rename_similarity <= 1, "0 to 1"),
+        ("temperature", 0 <= args.temperature <= 2, "0 to 2"),
+        ("timeout", 0 < args.timeout <= threading.TIMEOUT_MAX, f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}"),
+        ("max_retries", args.max_retries >= 0, "0 or more"),
+        ("rate", args.rate is None or args.rate >= 0, "0 or more requests per second (0: no limit)"),
+    ):
+        if not in_range:
+            raise UsageError(f"--{flag.replace('_', '-')} takes {takes}, not {getattr(args, flag)}")
     if args.backend == "llm":
         return _cmd_detect_llm(args)
     from .detectors import DetectorConfig
@@ -258,15 +270,6 @@ def _cmd_detect(args) -> int:
 def _cmd_detect_llm(args) -> int:
     if not args.endpoint or not args.model:
         raise UsageError("detect --backend llm requires --endpoint and --model")
-    # checked before any request; NaN fails every comparison, so it is out of range too
-    for flag, in_range, takes in (
-        ("temperature", 0 <= args.temperature <= 2, "0 to 2"),
-        ("timeout", 0 < args.timeout <= threading.TIMEOUT_MAX, f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}"),
-        ("max_retries", args.max_retries >= 0, "0 or more"),
-        ("rate", args.rate is None or args.rate >= 0, "0 or more requests per second (0: no limit)"),
-    ):
-        if not in_range:
-            raise UsageError(f"--{flag.replace('_', '-')} takes {takes}, not {getattr(args, flag)}")
     from . import llm_backend
 
     config = llm_backend.LlmConfig(

@@ -499,6 +499,16 @@ def test_out_of_range_llm_flag_is_a_usage_error_before_any_request(tmp_path, mon
     assert requests == [] and not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--move-similarity", "--rename-similarity"])
+@pytest.mark.parametrize("value, shown", [("2", "2.0"), ("-0.1", "-0.1"), ("nan", "nan")])
+def test_out_of_range_similarity_is_a_usage_error_before_the_commits_are_read(tmp_path, capsys, flag, value, shown):
+    out = tmp_path / "det.jsonl"
+    code = run(["detect", "--commits", str(tmp_path / "missing.jsonl"), flag, value, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {flag} takes 0 to 1, not {shown}\n"
+    assert not out.exists()
+
+
 def test_mine_on_an_empty_repository_writes_nothing_and_exits_0(tmp_path, capsys):
     repo = tmp_path / "repo"
     subprocess.run(["git", "init", "-q", str(repo)], check=True)

@@ -260,6 +260,38 @@ def test_pull_up_and_push_down_antisymmetry(kind):
     assert down_type in detected_types(after, before)
 
 
+HIERARCHY_TYPES = {
+    "Pull Up Dependency", "Push Down Dependency", "Move Dependency", "Pull Up Variable", "Push Down Variable",
+    "Move Variable", "Pull Up Properties", "Pull Up Method", "Push Down Task", "Extract And Move Variable",
+    "Extract And Pull Up Variable", "Extract Module", "Extract And Pull Up Module", "Extract And Push Down Module",
+}
+
+
+def test_hierarchy_table_names_the_14_types_and_keeps_the_holes():
+    category = {
+        "dependency": taxonomy.MainCategory.DEPENDENCY_ORGANIZATION,
+        "variable": taxonomy.MainCategory.VARIABLES_ORGANIZATION,
+        "extracted variable": taxonomy.MainCategory.VARIABLES_ORGANIZATION,
+        "property": taxonomy.MainCategory.SYNCHRONIZING_SHARED_BUILD_PROPERTIES,
+        "externalized": taxonomy.MainCategory.SYNCHRONIZING_SHARED_BUILD_PROPERTIES,
+        "subroutine": taxonomy.MainCategory.SUBROUTINE_ORGANIZATION,
+        "module": taxonomy.MainCategory.MODULE_HIERARCHY_ORGANIZATION,
+    }
+    table = detectors._HIERARCHY_TYPES
+    for (family, relation), (type_id, _) in table.items():
+        assert relation in ("ancestor", "descendant", "sibling")
+        assert taxonomy.get_type(type_id).category is category[family]
+    assert {type_id for type_id, _ in table.values()} == HIERARCHY_TYPES | {"Externalize Properties"}
+    for hole in (("subroutine", "sibling"), ("property", "descendant"), ("property", "sibling")):
+        assert hole not in table
+    # a script's property moved into a .properties file is externalized, whatever the relation
+    el = BuildElement(ElementKind.PROPERTY, "p", (), {}, (1, 1))
+    family = lambda src, dst: detectors._Move(ElementKind.PROPERTY, "p", src, dst, el, el).family
+    assert family("sub/build.gradle", "gradle.properties") == "externalized"
+    assert family("gradle.properties", "sub/gradle.properties") == "property"
+    assert {("externalized", r) for r in ("ancestor", "descendant", "sibling")} <= table.keys()
+
+
 def test_move_symmetry_for_dependencies():
     before = {"movedep/moduleA/pom.xml": fixtures.MOVE_DEP_A_BEFORE,
               "movedep/moduleB/pom.xml": fixtures.MOVE_DEP_B_BEFORE}
