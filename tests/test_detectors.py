@@ -345,6 +345,15 @@ def test_property_moved_into_properties_file_is_externalize():
     assert "Externalize Properties" in detected_types(before, after)
 
 
+def test_in_file_externalization_cites_a_removed_anchor_as_source():
+    # the first of two definitions changes and the second is removed; the after
+    # version keeps an equal definition on the removed one's line
+    before = {"build.gradle": "version = '1.0'\nversion = '2.0'\n"}
+    after = {"build.gradle": "ext.configFile = file \"build.properties\"\nversion = '2.0'\n"}
+    found = [d.evidence for d in detect_all(make_context(before, after)) if d.type == "Externalize Properties"]
+    assert found == [(Evidence("build.gradle", (2, 2), "source"),)]
+
+
 # --- variables ------------------------------------------------------------------------
 
 def test_extract_and_pull_up_variable():
