@@ -19,7 +19,7 @@ import sys
 import threading
 from dataclasses import replace
 from functools import partial
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .mining import (
     BackendError,
@@ -30,8 +30,8 @@ from .mining import (
     MiningStats,
     commit_from_json,
     commit_to_json,
+    json_lines,
     mine_commits,
-    numbered_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -156,17 +156,6 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _commit_records(lines: Iterable[str]) -> Iterator[CommitRecord]:
-    """The record of each commit line, one at a time; a bad line is a DataError
-    naming its number."""
-    for number, line in numbered_lines(lines):
-        try:
-            record = commit_from_json(line)
-        except (DataError, KeyError, ValueError) as exc:
-            raise DataError(f"commits line {number}: {exc}") from exc
-        yield record
-
-
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_mine(args) -> int:
@@ -256,13 +245,13 @@ def _cmd_detect(args) -> int:
         # a file is read twice; a pipe can be read once, so its lines are held
         lines = fh if fh.seekable() else fh.readlines()
         # a bad line fails here, before any output file exists; no record is kept
-        collections.deque(_commit_records(lines), maxlen=0)
+        collections.deque(json_lines(lines, "commits", commit_from_json), maxlen=0)
         if lines is fh:
             fh.seek(0)
         dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
         with dump_models as dump, _open_out(args.out) as out:
             # one commit at a time: a record is decoded, detected and freed before the next
-            for record in _commit_records(lines):
+            for _, record in json_lines(lines, "commits", commit_from_json):
                 _detect_static(record, config, out, dump)
     return EXIT_OK
 
@@ -283,7 +272,7 @@ def _cmd_detect_llm(args) -> int:
     )
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1)) if args.rate else None
     with open(args.commits, encoding="utf-8") as fh:
-        records = list(_commit_records(fh))
+        records = [record for _, record in json_lines(fh, "commits", commit_from_json)]
     pool = None
     if args.parallelism > 1:  # the threads overlap their waits on the endpoint
         from concurrent.futures import ThreadPoolExecutor
@@ -371,7 +360,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, OSError, KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # an input file that is not UTF-8
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

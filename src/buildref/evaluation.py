@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import taxonomy
-from .mining import DataError, numbered_lines
+from .mining import DataError, json_lines, loads
 
 UNKNOWN_ROW = "unknown"
 
@@ -163,9 +163,9 @@ def report_from_json(text: str) -> EvaluationReport:
     """Read back what :func:`report_to_json` wrote; text of another shape is a
     DataError naming what is wrong."""
     try:
-        obj = json.loads(text)
-    except RecursionError as exc:
-        raise DataError("report: nested too deeply to decode") from exc
+        obj = loads(text)
+    except ValueError as exc:
+        raise DataError(f"report: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"report: expected an object, not {type(obj).__name__}")
     if not isinstance(obj.get("per_type"), dict):
@@ -219,50 +219,35 @@ def render_report(report: EvaluationReport, format: str = "markdown_table") -> s
 
 # --- line-oriented gold / prediction files -------------------------------------
 
-def _objects(lines: Iterable[str], what: str) -> Iterator[tuple[str, dict]]:
-    """(place, object) of each non-blank line, where place names the line as
-    ``"<what> line <number>"``; a line that is not a JSON object with a string
-    commit_hash is a DataError naming its place."""
-    for number, line in numbered_lines(lines):
-        place = f"{what} line {number}"
-        try:
-            obj = json.loads(line)
-        except RecursionError as exc:
-            raise DataError(f"{place}: nested too deeply to decode") from exc
-        except ValueError as exc:
-            raise DataError(f"{place}: {exc}") from exc
-        if not isinstance(obj, dict) or not isinstance(obj.get("commit_hash"), str):
-            raise DataError(f"{place}: expected an object with a string commit_hash")
-        yield place, obj
-
-
-def _types(place: str, obj: dict) -> list[str]:
-    types = obj.get("types")
-    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-        raise DataError(f"{place}: types must be a list of strings")
-    return types
+def _labels(line: str, detections: bool = False) -> tuple[str, tuple[str, ...]]:
+    """(commit_hash, types) of a ``{commit_hash, types}`` line or, given
+    ``detections``, of a line without types that names its one type in
+    RefactoringType (the detectors' output format) or names none."""
+    obj = loads(line)
+    if not isinstance(obj, dict) or not isinstance(obj.get("commit_hash"), str):
+        raise DataError("expected an object with a string commit_hash")
+    if detections and "types" not in obj:
+        types = [obj["RefactoringType"]] if "RefactoringType" in obj else []
+        if not all(isinstance(t, str) for t in types):
+            raise DataError("RefactoringType must be a string")
+    else:
+        types = obj.get("types")
+        if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+            raise DataError("types must be a list of strings")
+    return obj["commit_hash"], tuple(types)
 
 
 def gold_from_lines(lines: Iterable[str]) -> list[GoldLabel]:
     """One label per non-blank ``{commit_hash, types}`` line."""
-    return [
-        GoldLabel(commit_hash=obj["commit_hash"], types=tuple(_types(place, obj)))
-        for place, obj in _objects(lines, "gold")
-    ]
+    return [label for _, label in json_lines(lines, "gold", lambda line: GoldLabel(*_labels(line)))]
 
 
 def predictions_from_lines(lines: Iterable[str]) -> list[tuple[str, list[str]]]:
     """Accept either grouped {commit_hash, types} lines or per-detection lines
-    carrying a RefactoringType key (the detectors' output format)."""
+    carrying a RefactoringType key, grouped by commit in order of appearance."""
     grouped: dict[str, list[str]] = {}
-    for place, obj in _objects(lines, "prediction"):
-        types = grouped.setdefault(obj["commit_hash"], [])
-        if "types" in obj:
-            types.extend(_types(place, obj))
-        elif "RefactoringType" in obj:
-            if not isinstance(obj["RefactoringType"], str):
-                raise DataError(f"{place}: RefactoringType must be a string")
-            types.append(obj["RefactoringType"])
+    for _, (commit_hash, types) in json_lines(lines, "prediction", lambda line: _labels(line, detections=True)):
+        grouped.setdefault(commit_hash, []).extend(types)
     return list(grouped.items())
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import taxonomy
 from .taxonomy import DetectedRefactoring
-from .mining import BackendError, BuildSystem, CommitRecord, DataError
+from .mining import BackendError, BuildSystem, CommitRecord, DataError, loads
 
 logger = logging.getLogger(__name__)
 
@@ -168,25 +168,18 @@ def build_prompt(commit: CommitRecord, spec: PromptSpec) -> str:
 # --- response parsing -------------------------------------------------------
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.S)
-_DECODER = json.JSONDecoder()
 
 
 def _candidate_payloads(text: str) -> Iterator[object]:
     """The JSON values a reply may hold, in order: each fenced block, the whole
     reply, and the values that start at its first ``[`` and at its first ``{``.
     Text that does not decode, or is nested too deeply to, yields nothing."""
-    for candidate in [m.group(1).strip() for m in _FENCE_RE.finditer(text)] + [text.strip()]:
+    candidates = [(m.group(1).strip(), None) for m in _FENCE_RE.finditer(text)] + [(text.strip(), None)]
+    candidates += [(text, start) for start in (text.find("["), text.find("{")) if start != -1]
+    for candidate, start in candidates:
         try:
-            payload = json.loads(candidate)
-        except (json.JSONDecodeError, RecursionError):
-            continue
-        yield payload
-    for start in (text.find("["), text.find("{")):
-        if start == -1:
-            continue
-        try:
-            payload = _DECODER.raw_decode(text, start)[0]
-        except (json.JSONDecodeError, RecursionError):
+            payload = loads(candidate, start)
+        except ValueError:
             continue
         yield payload
 
@@ -243,7 +236,7 @@ def serialize_detections(detections: Iterable[DetectedRefactoring]) -> str:
 
 def deserialize_detections(text: str) -> set[DetectedRefactoring]:
     """Read back what :func:`serialize_detections` wrote; ValueError on anything else."""
-    payload = json.loads(text)
+    payload = loads(text)
     detections = _detections_from_payload(payload) if isinstance(payload, list) else None
     if detections is None:
         raise ValueError("not an array of {RefactoringType, Details} objects")
@@ -359,7 +352,7 @@ def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
             return deserialize_detections(fh.read())
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         logger.warning("unreadable cache file %s, asking again: %s", path, exc)
         return None
 
@@ -431,8 +424,7 @@ def _complete(
 
 def _extract_content(body_text: str) -> str:
     try:
-        body = json.loads(body_text)
-        return body["choices"][0]["message"]["content"]
-    except (json.JSONDecodeError, RecursionError, KeyError, IndexError, TypeError):
+        return loads(body_text)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError):
         # some serving stacks return the completion text directly
         return body_text

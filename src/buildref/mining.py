@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -574,12 +574,35 @@ def commit_to_json(record: CommitRecord) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
-def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """(number, line) of each non-blank line of a JSONL file, numbered from 1
-    with blank lines counted, without its newline; a raw U+2028 ends none."""
+_DECODER = json.JSONDecoder()
+T = TypeVar("T")
+
+
+def loads(text: str, start: Optional[int] = None):
+    """The JSON value of ``text``, or the one that begins at ``start`` whatever
+    follows it; a ValueError when it does not decode or is nested too deeply to."""
+    try:
+        return json.loads(text) if start is None else _DECODER.raw_decode(text, start)[0]
+    except RecursionError as exc:
+        raise ValueError("nested too deeply to decode") from exc
+
+
+def json_lines(lines: Iterable[str], what: str, read: Callable[[str], T] = loads) -> Iterator[tuple[str, T]]:
+    """(place, ``read(line)``) of each non-blank line without its newline, placed
+    as ``"<what> line <n>"`` with blank lines counted (a raw U+2028 ends none). A
+    DataError, ValueError or KeyError from ``read`` is a DataError naming the
+    place, a missing key as ``missing <key>``."""
     for number, line in enumerate(lines, 1):
-        if line.strip():
-            yield number, line.rstrip("\n")
+        if not line.strip():
+            continue
+        place = f"{what} line {number}"
+        try:
+            value = read(line.rstrip("\n"))
+        except KeyError as exc:
+            raise DataError(f"{place}: missing {exc.args[0]}") from exc
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{place}: {exc}") from exc
+        yield place, value
 
 
 def _text(obj: dict, key: str, optional: bool = False) -> Optional[str]:
@@ -593,10 +616,7 @@ def _text(obj: dict, key: str, optional: bool = False) -> Optional[str]:
 def commit_from_json(line: str) -> CommitRecord:
     """Parse one line written by :func:`commit_to_json`; a line of another
     shape is a DataError (a missing key a KeyError, a bad value a ValueError)."""
-    try:
-        obj = json.loads(line)
-    except RecursionError as exc:
-        raise DataError("nested too deeply to decode") from exc
+    obj = loads(line)
     if not isinstance(obj, dict):
         raise DataError(f"expected an object, not {type(obj).__name__}")
     file_diffs = obj["file_diffs"]

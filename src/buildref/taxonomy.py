@@ -279,7 +279,7 @@ def get_type(type_id: str) -> RefactoringType:
     try:
         return _BY_ID[type_id]
     except KeyError:
-        raise UnknownTypeError(type_id) from None
+        raise UnknownTypeError(f"unknown type {type_id}") from None
 
 
 def resolve_type(name: str) -> Optional[RefactoringType]:
@@ -291,14 +291,14 @@ def td_categories_for(type_or_id: RefactoringType | str) -> frozenset[TechnicalD
     """Technical debts repaid by a refactoring type (empty for five types)."""
     type_id = type_or_id.id if isinstance(type_or_id, RefactoringType) else type_or_id
     if type_id not in _BY_ID:
-        raise UnknownTypeError(type_id)
+        raise UnknownTypeError(f"unknown type {type_id}")
     return _TD_MAP[type_id]
 
 
 def example_snippet(type_id: str, system: BuildSystem) -> str:
     """Short diff-style illustration of one type in one build system."""
     if type_id not in _BY_ID:
-        raise UnknownTypeError(type_id)
+        raise UnknownTypeError(f"unknown type {type_id}")
     return _EXAMPLES[type_id][system]
 
 

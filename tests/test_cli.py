@@ -146,7 +146,8 @@ def test_report_markdown(tmp_path, capsys):
     ('{"per_type": {}, "n_commits": 1, "backend": "b", "overall_macro": {"precision": 1, "recall": 1, "f1": null}}',
      "overall_macro must be an object with the numbers precision, recall, f1"),
     ("[" * 100_000, "nested too deeply to decode"),
-], ids=["list", "per_type list", "n_commits null", "type row short", "rate null", "deep"])
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["list", "per_type list", "n_commits null", "type row short", "rate null", "deep", "not json"])
 def test_report_file_of_the_wrong_shape_is_a_data_error(tmp_path, capsys, text, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(text)
@@ -207,6 +208,16 @@ def test_bad_last_commit_line_creates_no_output_file(tmp_path, capsys):
     assert not out.exists() and not dump.exists()
 
 
+def _without(line, key, diff_key=None):
+    """A commit line without ``key``, or without ``diff_key`` in the first of its diffs."""
+    obj = json.loads(line)
+    if diff_key:
+        del obj["file_diffs"][0][diff_key]
+    else:
+        del obj[key]
+    return json.dumps(obj)
+
+
 def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
     commits = tmp_path / "commits.jsonl"
     good = _commit_lines(1)[0]
@@ -214,6 +225,12 @@ def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
         ("[1]", "expected an object, not list"),
         (re.sub(r'"timestamp": \d+', '"timestamp": 1e400', good), "timestamp inf is out of range"),
         ("[" * 100_000, "nested too deeply to decode"),
+        (_without(good, "file_diffs"), "missing file_diffs"),
+        (_without(good, "timestamp"), "missing timestamp"),
+        (_without(good, None, "path"), "missing path"),
+        (good.replace('"build_system": "Gradle"', '"build_system": "Foo"'), "'Foo' is not a valid BuildSystem"),
+        (good.replace(f'"{1:040x}"', f'"{1:039x}"'),
+         f"commit_hash must be 40 lowercase hex chars: '{1:039x}'"),
     ]:
         commits.write_text(good + "\n" + bad + "\n")  # the blank line counts
         assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
@@ -286,6 +303,8 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
                  "gold line 2: nested too deeply to decode", id="deep gold"),
     pytest.param('{"commit_hash": "%s", "types": ["DRY"]}', "[" * 100_000,
                  "prediction line 2: nested too deeply to decode", id="deep prediction"),
+    pytest.param('{"commit_hash": "%s", "types": ["Nope"]}', '{"commit_hash": "%s", "types": []}',
+                 "gold line 2: unknown type Nope", id="unknown gold type"),
 ])
 def test_evaluate_line_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, capsys, gold_line, pred_line, message):
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
@@ -293,6 +312,34 @@ def test_evaluate_line_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, ca
     pred.write_text("\n" + pred_line.replace("%s", "6" * 40) + "\n")
     assert run(["evaluate", "--gold", str(gold), "--pred", str(pred), "--out", str(tmp_path / "r.json")]) == EXIT_DATA
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
+    good = tmp_path / "gold.jsonl"
+    good.write_text(json.dumps({"commit_hash": "6" * 40, "types": ["DRY"]}) + "\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'{"commit_hash": "\xff"}\n')
+    for argv in (
+        ["detect", "--commits", str(bad), "--out", str(tmp_path / "det.jsonl")],
+        ["evaluate", "--gold", str(bad), "--pred", str(good), "--out", str(tmp_path / "r.json")],
+        ["report", "--in", str(bad)],
+    ):
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
+
+
+def test_a_bug_is_not_a_data_error(tmp_path, monkeypatch):
+    from buildref import evaluation
+
+    def score(*args, **kwargs):
+        raise KeyError("x")
+
+    monkeypatch.setattr(evaluation, "score", score)
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"commit_hash": "6" * 40, "types": ["DRY"]}) + "\n")
+    with pytest.raises(KeyError):
+        run(["evaluate", "--gold", str(gold), "--pred", str(gold), "--out", str(tmp_path / "r.json")])
 
 
 def test_unknown_pred_commit_is_data_error(tmp_path, capsys):

@@ -301,11 +301,12 @@ def test_cache_hit_is_counted_and_sends_nothing(gradle_commit, tmp_path):
     assert stats == LlmStats(requests=0, retries=0, reprompts=0, cache_hits=1)
 
 
-def test_cache_file_nested_too_deeply_is_a_miss(gradle_commit, tmp_path):
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff"], ids=["deep", "not utf-8"])
+def test_cache_file_nested_too_deeply_is_a_miss(gradle_commit, tmp_path, content):
     reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
     classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=lambda *a: _ok_response(reply), cache_dir=str(tmp_path))
     [cache_file] = tmp_path.iterdir()
-    cache_file.write_text("[" * 100_000)
+    cache_file.write_bytes(content)
     stats = LlmStats()
     again = classify_commit(
         gradle_commit, GRADLE_SPEC, CFG, transport=lambda *a: _ok_response(reply), stats=stats, cache_dir=str(tmp_path)
