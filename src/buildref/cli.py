@@ -105,21 +105,13 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _apply_config_file(parsers: Sequence[_Parser], argv: Sequence[str]) -> None:
-    """Set the defaults a ``--config`` file gives on every subcommand parser.
+def _apply_config_file(parsers: Sequence[_Parser], path: str) -> None:
+    """Set the defaults the ``--config`` file at ``path`` gives on every subcommand parser.
 
     A key is a subcommand flag without its dashes. An on/off flag takes
     true/false, yes/no or 1/0 in any case, and a flag with choices one of
     them. Any other key or value of those flags is a usage error.
     """
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-    if not path:
-        return
     flags = {
         option.lstrip("-").replace("-", "_"): action
         for parser in parsers
@@ -147,6 +139,17 @@ def _apply_config_file(parsers: Sequence[_Parser], argv: Sequence[str]) -> None:
     # subparsers do not inherit parent defaults, so set them on each
     for parser in parsers:
         parser.set_defaults(**defaults)
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of ``argv``; a ``--config`` file (under any abbreviation
+    argparse accepts) sets the defaults of a second parse."""
+    parser, subparsers = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        _apply_config_file(subparsers, args.config)
+        args = parser.parse_args(argv)
+    return args
 
 
 def _open_out(path: str):
@@ -241,7 +244,7 @@ def _cmd_detect(args) -> int:
     # pure-Python detection gains nothing from threads under the interpreter lock,
     # so every commit runs in this thread whatever --parallelism says
     config = DetectorConfig(move_similarity=args.move_similarity, rename_similarity=args.rename_similarity)
-    with open(args.commits, encoding="utf-8") as fh:
+    with open(args.commits, "rb") as fh:  # json_lines decodes each line, so an error names it
         # a file is read twice; a pipe can be read once, so its lines are held
         lines = fh if fh.seekable() else fh.readlines()
         # a bad line fails here, before any output file exists; no record is kept
@@ -271,7 +274,7 @@ def _cmd_detect_llm(args) -> int:
         max_retries=args.max_retries,
     )
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1)) if args.rate else None
-    with open(args.commits, encoding="utf-8") as fh:
+    with open(args.commits, "rb") as fh:
         records = [record for _, record in json_lines(fh, "commits", commit_from_json)]
     pool = None
     if args.parallelism > 1:  # the threads overlap their waits on the endpoint
@@ -295,8 +298,8 @@ def _cmd_detect_llm(args) -> int:
 def _cmd_evaluate(args) -> int:
     from . import evaluation
 
-    # whole files, so an error names a line by its number in its file
-    with open(args.gold, encoding="utf-8") as gold_lines, open(args.pred, encoding="utf-8") as pred_lines:
+    # whole files of bytes, so an error, a byte that is not UTF-8 too, names a line by its number in its file
+    with open(args.gold, "rb") as gold_lines, open(args.pred, "rb") as pred_lines:
         gold = evaluation.gold_from_lines(gold_lines)
         pred = evaluation.predictions_from_lines(pred_lines)
     report = evaluation.score(gold, pred, backend=args.backend_label, set_mode=args.set_mode)
@@ -344,10 +347,8 @@ _COMMANDS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     try:
-        _apply_config_file(subparsers, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         logging.basicConfig(
             level=logging.DEBUG if args.verbose > 1 else logging.INFO if args.verbose else logging.WARNING,
             stream=sys.stderr,
@@ -360,7 +361,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (DataError, OSError, UnicodeDecodeError) as exc:  # an input file that is not UTF-8
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # a report file that is not UTF-8
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

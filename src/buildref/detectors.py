@@ -8,8 +8,9 @@ removal.
 
 Derived data is built once per commit and shared: `CommitContext` holds one
 index per model (named elements, body-token counts, name reference counts),
-the element pairing of every before-path and the commit's one move list, each
-built on first use. The detectors are pure queries over it.
+the element pairing of every before-path, the elements whose (kind, name) key
+left or arrived in each file, and the commit's one move list, each built on
+first use. The detectors are pure queries over it.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ class CommitContext:
     @cached_property
     def changes(self) -> dict[str, _FileChanges]:
         """Element pairing of every before-path; everything is removed when
-        the path has no after-version."""
+        the path has no after-version. Same-key elements pair one to one, so
+        where a key repeats in a file its unpaired copies are removed or added
+        here even though `vanished` and `appeared` leave them out."""
         out = {}
         for path, b_index in self.before_index.items():
             a_index = self.after_index.get(path)
@@ -217,31 +220,51 @@ class CommitContext:
         return out
 
     @cached_property
-    def moves(self) -> list[_Move]:
-        """Named elements (raw blocks aside) that vanished from one file and
-        appeared in another."""
-        moves: list[_Move] = []
-        for src_path in sorted(self.before_index):
-            a_index = self.after_index.get(src_path)
+    def vanished(self) -> list[tuple[str, BuildElement]]:
+        """(path, element) for each named before-element, raw blocks aside,
+        whose (kind, name) key is missing from its path's after-version (every
+        one when the path has none), by path, then in file order. Unlike
+        `changes`, this asks only whether the key is left."""
+        out = []
+        for path in sorted(self.before_index):
+            a_index = self.after_index.get(path)
             a_named = a_index.named if a_index else {}
-            for el in self.before_index[src_path].model.elements:
-                if el.kind is ElementKind.RAW_BLOCK or not el.name:
-                    continue
-                if (el.kind, el.name) in a_named:
-                    continue  # still present: not a move away
-                for dst_path in sorted(self.after_index):
-                    if dst_path == src_path:
-                        continue
-                    dst_candidates = self.after_index[dst_path].named.get((el.kind, el.name))
-                    if not dst_candidates:
-                        continue
-                    dst_before = self.before_index.get(dst_path)
-                    if dst_before and (el.kind, el.name) in dst_before.named:
-                        continue  # destination already had it
-                    moves.append(
-                        _Move(el.kind, el.name, src_path, dst_path, el, dst_candidates[0])
-                    )
-        return moves
+            out.extend(
+                (path, el)
+                for el in self.before_models[path].elements
+                if el.name and el.kind is not ElementKind.RAW_BLOCK and (el.kind, el.name) not in a_named
+            )
+        return out
+
+    @cached_property
+    def appeared(self) -> list[tuple[str, BuildElement]]:
+        """(path, element) for each after-element that is unnamed or whose
+        (kind, name) key is missing from its path's before-version, by path,
+        then in file order. Unlike `changes`, this asks only whether the key was there."""
+        out = []
+        for path in sorted(self.after_index):
+            b_index = self.before_index.get(path)
+            b_named = b_index.named if b_index else {}
+            out.extend(
+                (path, el)
+                for el in self.after_models[path].elements
+                if not el.name or (el.kind, el.name) not in b_named
+            )
+        return out
+
+    @cached_property
+    def moves(self) -> list[_Move]:
+        """Each `vanished` element paired with the first arrival of its key in
+        every other path (never its own, which lost the key)."""
+        arrivals: dict[tuple[ElementKind, str], dict[str, BuildElement]] = {}
+        for path, el in self.appeared:
+            if el.name:
+                arrivals.setdefault((el.kind, el.name), {}).setdefault(path, el)
+        return [
+            _Move(el.kind, el.name, src_path, dst_path, el, dst_el)
+            for src_path, el in self.vanished
+            for dst_path, dst_el in arrivals.get((el.kind, el.name), {}).items()
+        ]
 
     @cached_property
     def moved_sources(self) -> set[int]:
@@ -460,7 +483,6 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
             )
 
     # Rename Field: same body, new name, within one file.
-    rename_pairs: list[tuple[str, BuildElement, BuildElement, float]] = []
     for path in ctx.shared_paths:
         changes = ctx.changes[path]
         candidates = []
@@ -474,69 +496,46 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
                 if sim >= config.rename_similarity:
                     candidates.append((sim, b_el, a_el))
         candidates.sort(key=lambda c: (-c[0], c[1].span, c[2].span))
-        used_b: set[int] = set()
         used_a: set[int] = set()
         for sim, b_el, a_el in candidates:
-            if id(b_el) in used_b or id(a_el) in used_a:
+            if id(b_el) in renamed_sources or id(a_el) in used_a:
                 continue
-            used_b.add(id(b_el))
+            renamed_sources.add(id(b_el))
             used_a.add(id(a_el))
-            rename_pairs.append((path, b_el, a_el, sim))
-
-    for path, b_el, a_el, sim in rename_pairs:
-        renamed_sources.add(id(b_el))
-        out.add(
-            DetectedRefactoring(
-                type="Rename Field",
-                details=f"{b_el.kind.value} '{b_el.name}' renamed to '{a_el.name}' in {path}",
-                evidence=(
-                    Evidence(path, b_el.span, "source"),
-                    Evidence(path, a_el.span, "destination"),
-                ),
+            out.add(
+                DetectedRefactoring(
+                    type="Rename Field",
+                    details=f"{b_el.kind.value} '{b_el.name}' renamed to '{a_el.name}' in {path}",
+                    evidence=(
+                        Evidence(path, b_el.span, "source"),
+                        Evidence(path, a_el.span, "destination"),
+                    ),
+                )
             )
-        )
 
     # Remove Unused Code: deletion of an element nothing referenced. Raw
     # blocks carry lexical pseudo-names, not referenceable identifiers, so
-    # they are out of scope here.
-    for path in sorted(ctx.before_models):
-        after_index = ctx.after_index.get(path)
-        after_named = after_index.named if after_index else {}
-        for el in ctx.before_models[path].elements:
-            if el.kind is ElementKind.RAW_BLOCK:
-                continue
-            if not el.name or (el.kind, el.name) in after_named:
-                continue
-            if id(el) in renamed_sources or id(el) in ctx.moved_sources:
-                continue
-            if any(m.references(el.name, exclude=el) for m in ctx.before_index.values()):
-                continue
-            if any(m.references(el.name) for m in ctx.after_index.values()):
-                continue
-            if _similar_added_elsewhere(ctx, el, config):
-                continue
-            out.add(
-                DetectedRefactoring(
-                    type="Remove Unused Code",
-                    details=f"unreferenced {el.kind.value} '{el.name}' deleted from {path}",
-                    evidence=(Evidence(path, el.span, "source"),),
-                )
+    # they never vanish.
+    for path, el in ctx.vanished:
+        if id(el) in renamed_sources or id(el) in ctx.moved_sources:
+            continue
+        if any(m.references(el.name, exclude=el) for m in ctx.before_index.values()):
+            continue
+        if any(m.references(el.name) for m in ctx.after_index.values()):
+            continue
+        if any(
+            a.kind is el.kind and jaccard(el.body_tokens, a.body_tokens) >= config.move_similarity
+            for _, a in ctx.appeared
+        ):
+            continue  # something like it arrived: reworked, not unused
+        out.add(
+            DetectedRefactoring(
+                type="Remove Unused Code",
+                details=f"unreferenced {el.kind.value} '{el.name}' deleted from {path}",
+                evidence=(Evidence(path, el.span, "source"),),
             )
+        )
     return out
-
-
-def _similar_added_elsewhere(ctx: CommitContext, el: BuildElement, config: DetectorConfig) -> bool:
-    for path in sorted(ctx.after_models):
-        before_index = ctx.before_index.get(path)
-        before_named = before_index.named if before_index else {}
-        for candidate in ctx.after_models[path].elements:
-            if candidate.kind is not el.kind:
-                continue
-            if candidate.name and (candidate.kind, candidate.name) in before_named:
-                continue
-            if jaccard(el.body_tokens, candidate.body_tokens) >= config.move_similarity:
-                return True
-    return False
 
 
 def _changed_span(diff: FileDiff) -> tuple[int, int]:
@@ -552,10 +551,8 @@ def detect_module_hierarchy(
     ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG
 ) -> set[DetectedRefactoring]:
     out: set[DetectedRefactoring] = set()
-    added_paths = [
-        fd.path for fd in ctx.commit.file_diffs if fd.change_kind is ChangeKind.ADDED
-    ]
-    for new_path in sorted(added_paths):
+    added_paths = sorted(fd.path for fd in ctx.commit.file_diffs if fd.change_kind is ChangeKind.ADDED)
+    for new_path in added_paths:
         new_model = ctx.after_models.get(new_path)
         if new_model is None:
             continue
@@ -586,9 +583,7 @@ def _block_moved_from(
             if sim >= config.move_similarity:
                 if best is None or sim > best[0]:
                     best = (sim, b_el, n_el)
-    if best is None:
-        return None
-    return best[1], best[2]
+    return None if best is None else best[1:]
 
 
 def detect_subroutine(
@@ -610,43 +605,34 @@ def _extract_subroutines(path: str, changes: _FileChanges) -> set[DetectedRefact
     """Extract Method / Extract Task: a fragment leaves a host element and
     reappears as a new named unit that the file now invokes."""
     out: set[DetectedRefactoring] = set()
-    hosts: list[tuple[BuildElement, Optional[BuildElement]]] = [
-        (b, a) for b, a in changes.modified
-    ] + [(el, None) for el in changes.removed]
+    units = [
+        el for el in changes.added
+        if el.name and el.kind in SUBROUTINE_KINDS and len(el.body_tokens) >= MIN_FRAGMENT_TOKENS
+    ]
+    if not units:
+        return out
+    # each host with the tokens it lost: all of a removed one's, the dropped part of a modified one's
+    hosts = [(b, Counter(b.body_tokens) - Counter(a.body_tokens)) for b, a in changes.modified] + [
+        (el, Counter(el.body_tokens)) for el in changes.removed
+    ]
+    hosts = [(host, lost) for host, lost in hosts if lost]
+    invokers = changes.added + [a for _, a in changes.modified]
 
-    for new_el in changes.added:
-        if not new_el.name or len(new_el.body_tokens) < MIN_FRAGMENT_TOKENS:
+    for new_el in units:
+        if not any(_element_mentions(other, new_el.name) for other in invokers if other is not new_el):
             continue
-        if new_el.kind is ElementKind.METHOD:
-            type_id = "Extract Method"
-            noun = "method"
-        elif new_el.kind in (ElementKind.TASK, ElementKind.TARGET):
-            type_id = "Extract Task"
-            noun = "task"
-        else:
-            continue
-        referenced = any(
-            _element_mentions(other, new_el.name)
-            for other in changes.added + [a for _, a in changes.modified if a is not None]
-            if other is not new_el
-        )
-        if not referenced:
-            continue
-        for host_before, host_after in hosts:
-            lost = Counter(host_before.body_tokens)
-            if host_after is not None:
-                lost -= Counter(host_after.body_tokens)
-            if not lost:
-                continue
-            overlap = sum(min(n, lost[t]) for t, n in Counter(new_el.body_tokens).items())
+        type_id, noun = ("Extract Method", "method") if new_el.kind is ElementKind.METHOD else ("Extract Task", "task")
+        new_tokens = Counter(new_el.body_tokens)
+        for host, lost in hosts:
+            overlap = sum(min(n, lost[t]) for t, n in new_tokens.items())
             if overlap / len(new_el.body_tokens) >= 0.5:
-                origin = host_before.name or "an existing block"
+                origin = host.name or "an existing block"
                 out.add(
                     DetectedRefactoring(
                         type=type_id,
                         details=f"fragment of '{origin}' extracted into new {noun} '{new_el.name}' in {path}",
                         evidence=(
-                            Evidence(path, host_before.span, "source"),
+                            Evidence(path, host.span, "source"),
                             Evidence(path, new_el.span, "destination"),
                         ),
                     )
@@ -708,7 +694,6 @@ def _detect_dry(
         return out
     groups: list[list[BuildElement]] = []
     for el in removed:
-        placed = False
         for group in groups:
             if all(
                 g.kind is el.kind
@@ -716,9 +701,8 @@ def _detect_dry(
                 for g in group
             ):
                 group.append(el)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([el])
 
     loop_markers = {"each", "for", "collect", "foreach"}
@@ -779,19 +763,14 @@ def detect_properties(
         if not literal_gone:
             continue
         gained = ctx.after_index[path].tokens.keys() - ctx.before_index[path].tokens.keys()
-        reads_external = any(t.endswith(".properties") for t in gained) or any(
-            m in gained for m in _EXTERNAL_CONFIG_MARKERS
-        )
-        if not reads_external:
-            # an Ant-style <property file="..."/> read added
-            new_prop_files = [
-                el
+        if (
+            any(t.endswith(".properties") for t in gained)
+            or any(m in gained for m in _EXTERNAL_CONFIG_MARKERS)
+            or any(  # an Ant-style <property file="..."/> read added
+                el.kind is ElementKind.PROPERTY and el.attributes.get("file", "").endswith(".properties")
                 for el in changes.added
-                if el.kind is ElementKind.PROPERTY
-                and el.attributes.get("file", "").endswith(".properties")
-            ]
-            reads_external = bool(new_prop_files)
-        if reads_external:
+            )
+        ):
             anchor, role = literal_gone[0]
             out.add(
                 DetectedRefactoring(
@@ -809,43 +788,39 @@ def detect_variables(
     out = _move_detections(ctx, (ElementKind.VARIABLE,))  # property moves: detect_properties
 
     # Extract Variable (same file) and the cross-file extract variants.
-    for path in sorted(ctx.after_models):
+    for path, el in ctx.appeared:
+        if el.kind not in VALUE_KINDS or not el.name:
+            continue
+        literal = _literal_value(el)
+        if not literal:
+            continue
         after = ctx.after_index[path]
         before = ctx.before_index.get(path)
-        before_named = before.named if before else {}
-        for el in after.model.elements:
-            if el.kind not in VALUE_KINDS or not el.name:
-                continue
-            if (el.kind, el.name) in before_named:
-                continue
-            literal = _literal_value(el)
-            if not literal:
-                continue
-            if before is not None:
-                before_count = before.tokens[literal]
-                after_count = after.tokens[literal] - el.body_tokens.count(literal)
-                refs = after.reference_count(el.name, exclude=el)
-                if before_count >= 2 and after_count < before_count and refs >= 1:
-                    out.add(
-                        DetectedRefactoring(
-                            type="Extract Variable",
-                            details=f"repeated literal '{literal}' replaced by {el.kind.value} '{el.name}' in {path}",
-                            evidence=(Evidence(path, el.span, "destination"),),
-                        )
+        if before is not None:
+            before_count = before.tokens[literal]
+            after_count = after.tokens[literal] - el.body_tokens.count(literal)
+            refs = after.reference_count(el.name, exclude=el)
+            if before_count >= 2 and after_count < before_count and refs >= 1:
+                out.add(
+                    DetectedRefactoring(
+                        type="Extract Variable",
+                        details=f"repeated literal '{literal}' replaced by {el.kind.value} '{el.name}' in {path}",
+                        evidence=(Evidence(path, el.span, "destination"),),
                     )
-            for other in sorted(set(ctx.shared_paths) - {path}):
-                o_before = ctx.before_index[other]
-                o_after = ctx.after_index[other]
-                before_uses = o_before.tokens[literal]
-                after_uses = o_after.tokens[literal]
-                refs = o_after.reference_count(el.name)
-                if before_uses >= 1 and after_uses < before_uses and refs >= 1:
-                    det = _hierarchy_move(
-                        ctx, "extracted variable", (other, _first_literal_span(o_before.model, literal)),
-                        (path, el.span), literal=literal, kind=el.kind.value, name=el.name,
-                    )
-                    if det is not None:
-                        out.add(det)
+                )
+        for other in sorted(set(ctx.shared_paths) - {path}):
+            o_before = ctx.before_index[other]
+            o_after = ctx.after_index[other]
+            before_uses = o_before.tokens[literal]
+            after_uses = o_after.tokens[literal]
+            refs = o_after.reference_count(el.name)
+            if before_uses >= 1 and after_uses < before_uses and refs >= 1:
+                det = _hierarchy_move(
+                    ctx, "extracted variable", (other, _first_literal_span(o_before.model, literal)),
+                    (path, el.span), literal=literal, kind=el.kind.value, name=el.name,
+                )
+                if det is not None:
+                    out.add(det)
 
     out.update(_detect_inline_variables(ctx))
     return out

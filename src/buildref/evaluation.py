@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import taxonomy
 from .mining import DataError, json_lines, loads
@@ -237,12 +237,12 @@ def _labels(line: str, detections: bool = False) -> tuple[str, tuple[str, ...]]:
     return obj["commit_hash"], tuple(types)
 
 
-def gold_from_lines(lines: Iterable[str]) -> list[GoldLabel]:
+def gold_from_lines(lines: Iterable[Union[str, bytes]]) -> list[GoldLabel]:
     """One label per non-blank ``{commit_hash, types}`` line."""
     return [label for _, label in json_lines(lines, "gold", lambda line: GoldLabel(*_labels(line)))]
 
 
-def predictions_from_lines(lines: Iterable[str]) -> list[tuple[str, list[str]]]:
+def predictions_from_lines(lines: Iterable[Union[str, bytes]]) -> list[tuple[str, list[str]]]:
     """Accept either grouped {commit_hash, types} lines or per-detection lines
     carrying a RefactoringType key, grouped by commit in order of appearance."""
     grouped: dict[str, list[str]] = {}

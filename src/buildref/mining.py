@@ -20,13 +20,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, TypeVar, Union
 
 logger = logging.getLogger(__name__)
 
 MAX_BUILD_FILE_BYTES = 5 * 1024 * 1024  # larger build files are skipped: parser protection
 
-_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+_HASH_RE = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")  # SHA-1 or SHA-256 object names, matched whole
 
 _READ_CHUNK = 64 * 1024  # bytes asked of a git child's stdout per read: a pipe's capacity
 
@@ -195,8 +195,8 @@ class CommitRecord:
     file_diffs: tuple[FileDiff, ...]
 
     def __post_init__(self) -> None:
-        if not _HASH_RE.match(self.commit_hash):
-            raise ValueError(f"commit_hash must be 40 lowercase hex chars: {self.commit_hash!r}")
+        if not _HASH_RE.fullmatch(self.commit_hash):
+            raise ValueError(f"commit_hash must be 40 or 64 lowercase hex chars: {self.commit_hash!r}")
 
 
 @dataclass(frozen=True)
@@ -587,16 +587,21 @@ def loads(text: str, start: Optional[int] = None):
         raise ValueError("nested too deeply to decode") from exc
 
 
-def json_lines(lines: Iterable[str], what: str, read: Callable[[str], T] = loads) -> Iterator[tuple[str, T]]:
+def json_lines(
+    lines: Iterable[Union[str, bytes]], what: str, read: Callable[[str], T] = loads
+) -> Iterator[tuple[str, T]]:
     """(place, ``read(line)``) of each non-blank line without its newline, placed
-    as ``"<what> line <n>"`` with blank lines counted (a raw U+2028 ends none). A
-    DataError, ValueError or KeyError from ``read`` is a DataError naming the
-    place, a missing key as ``missing <key>``."""
+    as ``"<what> line <n>"`` with blank lines counted (a raw U+2028 ends none).
+    A line of bytes is decoded as UTF-8 first. A DataError, ValueError (a byte
+    that is not UTF-8 among them) or KeyError from the decoding or ``read`` is
+    a DataError naming the place, a missing key as ``missing <key>``."""
     for number, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
         place = f"{what} line {number}"
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
             value = read(line.rstrip("\n"))
         except KeyError as exc:
             raise DataError(f"{place}: missing {exc.args[0]}") from exc

@@ -12,7 +12,7 @@ import pytest
 
 import fixtures
 from buildref import cli
-from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _apply_config_file, _build_parser, run
+from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _parse_args, run
 from buildref.evaluation import report_from_json
 from buildref.mining import commit_to_json
 from conftest import build_git_repo, closed_port, make_commit
@@ -230,7 +230,7 @@ def test_bad_commit_line_is_named_by_its_number(tmp_path, capsys):
         (_without(good, None, "path"), "missing path"),
         (good.replace('"build_system": "Gradle"', '"build_system": "Foo"'), "'Foo' is not a valid BuildSystem"),
         (good.replace(f'"{1:040x}"', f'"{1:039x}"'),
-         f"commit_hash must be 40 lowercase hex chars: '{1:039x}'"),
+         f"commit_hash must be 40 or 64 lowercase hex chars: '{1:039x}'"),
     ]:
         commits.write_text(good + "\n" + bad + "\n")  # the blank line counts
         assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_DATA
@@ -318,15 +318,29 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
     good = tmp_path / "gold.jsonl"
     good.write_text(json.dumps({"commit_hash": "6" * 40, "types": ["DRY"]}) + "\n")
     bad = tmp_path / "bad"
-    bad.write_bytes(b'{"commit_hash": "\xff"}\n')
-    for argv in (
-        ["detect", "--commits", str(bad), "--out", str(tmp_path / "det.jsonl")],
-        ["evaluate", "--gold", str(bad), "--pred", str(good), "--out", str(tmp_path / "r.json")],
-        ["report", "--in", str(bad)],
+    bad.write_bytes(b'\n{"commit_hash": "\xff"}\n')  # the blank first line counts
+    for argv, place in (
+        (["detect", "--commits", str(bad), "--out", str(tmp_path / "det.jsonl")], "commits line 2: "),
+        (["evaluate", "--gold", str(bad), "--pred", str(good), "--out", str(tmp_path / "r.json")], "gold line 2: "),
+        (["evaluate", "--gold", str(good), "--pred", str(bad), "--out", str(tmp_path / "r.json")],
+         "prediction line 2: "),
+        (["report", "--in", str(bad)], ""),
     ):
         assert run(argv) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and "Traceback" not in err
+        assert err.startswith(f"data error: {place}") and "Traceback" not in err
+
+
+def test_crlf_commits_file_detects_the_same_as_lf(tmp_path):
+    lines = [commit_to_json(replace(make_commit(before, after), commit_hash=f"{n:040x}"))
+             for n, (_, before, after, _) in enumerate(fixtures.PIPELINE_CASES, 1)]
+    outputs = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        commits, out = tmp_path / f"{name}.jsonl", tmp_path / f"det-{name}.jsonl"
+        commits.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+        assert run(["detect", "--commits", str(commits), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_text())
+    assert outputs[0].count("\n") >= len(lines) and outputs[0] == outputs[1]
 
 
 def test_a_bug_is_not_a_data_error(tmp_path, monkeypatch):
@@ -520,6 +534,34 @@ def test_mine_exits_2_when_the_head_commit_cannot_be_read(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_mine_and_detect_a_sha256_repository(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q", "--object-format=sha256")
+    git("config", "user.email", "tester@example.org")
+    git("config", "user.name", "Tester")
+    for message, properties in [
+        ("initial build", "<unused.flag>on</unused.flag>"),
+        ("refactor: drop an unused property", ""),
+    ]:
+        (repo / "pom.xml").write_text(f"<project>\n<properties>{properties}</properties>\n</project>\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", message)
+    head = git("rev-parse", "HEAD").strip()
+    assert len(head) == 64
+
+    commits, detections = tmp_path / "commits.jsonl", tmp_path / "det.jsonl"
+    assert run(["mine", "--repo", str(repo), "--out", str(commits)]) == EXIT_OK
+    assert [json.loads(line)["commit_hash"] for line in commits.read_text().splitlines()] == [head]
+    assert run(["detect", "--commits", str(commits), "--out", str(detections)]) == EXIT_OK
+    found = [(d["commit_hash"], d["RefactoringType"]) for d in map(json.loads, detections.read_text().splitlines())]
+    assert found == [(head, "Remove Unused Code")]
+
+
 @pytest.mark.parametrize("flag, value, takes", [
     ("--rate", "-1", "0 or more requests per second (0: no limit), not -1.0"),
     ("--max-retries", "-1", "0 or more, not -1"),
@@ -663,10 +705,7 @@ def test_cache_dir_naming_a_file_is_a_data_error(tmp_path, capsys):
 def _parse_with_config(tmp_path, text, *argv):
     cfg = tmp_path / "buildref.cfg"
     cfg.write_text(text)
-    argv = ["--config", str(cfg), *argv]
-    parser, subparsers = _build_parser()
-    _apply_config_file(subparsers, argv)
-    return parser.parse_args(argv)
+    return _parse_args(["--config", str(cfg), *argv])
 
 
 @pytest.mark.parametrize("value, expected", [
@@ -697,6 +736,16 @@ def test_config_no_cache_false_keeps_the_cache(pipeline, tmp_path, monkeypatch):
     cfg.write_text("no-cache=yes\n")
     detect("c.jsonl", config=cfg)
     assert calls["n"] == 24
+
+
+@pytest.mark.parametrize("flag", ["--config", "--conf", "--con"])
+def test_abbreviated_config_flag_reads_the_file(tmp_path, capsys, flag):
+    cfg = tmp_path / "buildref.cfg"
+    cfg.write_text("backend=llm\n")
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("")
+    assert run([flag, str(cfg), "detect", "--commits", str(commits), "--out", "-"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: detect --backend llm requires --endpoint and --model\n"
 
 
 @pytest.mark.parametrize("text", [

@@ -120,6 +120,14 @@ def test_referenced_deletion_is_not_unused():
     assert "Remove Unused Code" not in detected_types(before, after)
 
 
+def test_deletion_with_a_similar_unnamed_arrival_is_not_unused():
+    # the target lost its name but kept its body: an unnamed element counts as arrived
+    javac = '<javac srcdir="src" destdir="out"/>'
+    before = {"build.xml": f'<project name="p">\n<target name="build">\n{javac}\n</target>\n</project>\n'}
+    after = {"build.xml": f'<project name="p">\n<target>\n{javac}\n</target>\n</project>\n'}
+    assert "Remove Unused Code" not in detected_types(before, after)
+
+
 # --- module hierarchy ------------------------------------------------------------
 
 PULL_UP_MODULE_BEFORE = {
@@ -195,6 +203,15 @@ def test_extract_method_fixture():
         "        file('v.txt').text = buildStamp()\n    }\n}\n"
     }
     assert "Extract Method" in detected_types(before, after)
+
+
+def test_extract_method_with_half_its_body_from_the_host():
+    # 4 of the new method's 8 tokens (println one println two) left the task: exactly half is enough
+    before = {"build.gradle": "task stamp {\n    doLast {\n        println 'one'\n        println 'two'\n"
+              "        println 'keep'\n    }\n}\n"}
+    after = {"build.gradle": "def greet() {\n    println 'one'\n    println 'two'\n    done\n}\n"
+             "task stamp {\n    doLast {\n        greet()\n        println 'keep'\n    }\n}\n"}
+    assert detected_types(before, after) == {"Extract Method"}
 
 
 def test_scheduling_not_claimed_when_other_changes_present():
@@ -315,6 +332,22 @@ def test_multiple_dependencies_emit_one_detection_each():
     assert len(pulled) == 2
 
 
+def test_move_cites_the_first_arrival_of_its_key():
+    before = {
+        "build.gradle": "apply plugin: 'java'\n",
+        "sub/build.gradle": "dependencies {\n    implementation 'org.acme:lib:1.0'\n}\n",
+    }
+    after = {
+        "build.gradle": "apply plugin: 'java'\ndependencies {\n    implementation 'org.acme:lib:1.0'\n"
+        "    testImplementation 'org.acme:lib:1.0'\n}\n",
+        "sub/build.gradle": "apply plugin: 'java'\n",
+    }
+    (pulled,) = [d for d in detect_all(make_context(before, after)) if d.type == "Pull Up Dependency"]
+    assert pulled.evidence == (
+        Evidence("sub/build.gradle", (2, 2), "source"), Evidence("build.gradle", (3, 3), "destination"),
+    )
+
+
 # --- properties ---------------------------------------------------------------------
 
 def test_pull_up_properties_maven_scm():
@@ -384,6 +417,19 @@ def test_inline_variable_single_use():
     before = {"build.gradle": "def v = '1.0'\ntask pack(type: Zip) {\n    archiveVersion = v\n    from 'dist'\n}\n"}
     after = {"build.gradle": "task pack(type: Zip) {\n    archiveVersion = '1.0'\n    from 'dist'\n}\n"}
     assert detected_types(before, after) == {"Inline Variable"}
+
+
+def test_moved_definition_is_not_inlined():
+    # the child's use is inlined as its definition moves up: a move, not an Inline Variable
+    before = {
+        "build.gradle": "apply plugin: 'base'\n",
+        "app/build.gradle": "def v = '1.0'\ntask pack(type: Zip) {\n    archiveVersion = v\n    from 'dist'\n}\n",
+    }
+    after = {
+        "build.gradle": "apply plugin: 'base'\ndef v = '1.0'\n",
+        "app/build.gradle": "task pack(type: Zip) {\n    archiveVersion = '1.0'\n    from 'dist'\n}\n",
+    }
+    assert detected_types(before, after) == {"Pull Up Variable"}
 
 
 def test_extract_variable_needs_two_uses():

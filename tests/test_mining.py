@@ -100,6 +100,14 @@ def test_commit_hash_must_be_40_hex():
         CommitRecord("r", "ABC", "m", "a", 0, ())
 
 
+@pytest.mark.parametrize("length", [40, 64])
+def test_commit_hash_is_exactly_40_or_64_lowercase_hex(length):
+    assert CommitRecord("r", "a" * length, "m", "a", 0, ()).commit_hash == "a" * length
+    for bad in ("a" * (length - 1), "a" * (length + 1), "A" * length, "a" * length + "\n"):
+        with pytest.raises(ValueError, match="commit_hash must be 40 or 64 lowercase hex chars"):
+            CommitRecord("r", bad, "m", "a", 0, ())
+
+
 def test_added_file_rejects_before_content():
     with pytest.raises(ValueError):
         FileDiff(
