@@ -99,12 +99,25 @@ _TOKEN_RE = re.compile(
 )
 
 
+_TOKENS: dict[str, tuple[str, ...]] = {}  # tokenize's memo, emptied by forget_tokens
+
+
 def tokenize(text: str) -> tuple[str, ...]:
     """Whitespace-normalized token sequence; string literals lose their quotes.
 
     Tokens are interned, so the many equal tokens of one model (each
-    dependency's ``groupId``, ``<``, ``>`` ...) share one string."""
-    return tuple(map(sys.intern, map("".join, _TOKEN_RE.findall(text))))
+    dependency's ``groupId``, ``<``, ``>`` ...) share one string. Each text is
+    tokenized once until `forget_tokens` is called, so equal texts share one
+    tuple too."""
+    tokens = _TOKENS.get(text)
+    if tokens is None:
+        tokens = _TOKENS[text] = tuple(map(sys.intern, map("".join, _TOKEN_RE.findall(text))))
+    return tokens
+
+
+def forget_tokens() -> None:
+    """Empty `tokenize`'s memo; `CommitContext.from_commit` does, so it holds one commit's texts."""
+    _TOKENS.clear()
 
 
 # What a script scan blanks: a string literal (group ``string``), a // comment

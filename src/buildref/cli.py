@@ -11,15 +11,16 @@ loads the parsers, the detectors or the LLM client.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import json
 import logging
+import os
+import struct
 import sys
 import threading
 from dataclasses import replace
 from functools import partial
-from typing import Optional, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .mining import (
     BackendError,
@@ -78,7 +79,10 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     p_detect.add_argument("--timeout", type=float, default=60.0)
     p_detect.add_argument("--max-retries", type=int, default=3)
     p_detect.add_argument("--rate", type=float, default=None, help="max requests per second")
-    p_detect.add_argument("--parallelism", type=int, default=1)
+    p_detect.add_argument(
+        "--parallelism", type=int, default=None,
+        help="static: worker processes (default: the usable CPUs); llm: threads (default: 1)",
+    )
     p_detect.add_argument("--cache-dir", default=None)
     p_detect.add_argument("--no-cache", action="store_true")
     p_detect.add_argument("--move-similarity", type=float, default=0.7)
@@ -187,22 +191,159 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _detect_static(record: CommitRecord, config, out: TextIO, dump: Optional[TextIO]) -> None:
-    """Write the detections of one commit to ``out`` and, unless ``dump`` is None,
-    its parsed build models to ``dump``. The commit's context is freed on return."""
+def _detect_static(record: CommitRecord, config, dump: bool) -> tuple[str, str]:
+    """The detection lines of one commit and, when ``dump``, the lines of its
+    parsed build models (else ""). The commit's context is freed on return."""
     from .build_parsers import model_to_json
     from .detectors import CommitContext, detect_all
     from .taxonomy import detection_to_json, sort_key
 
     ctx = CommitContext.from_commit(record)
-    if dump is not None:
-        for side, models in (("before", ctx.before_models), ("after", ctx.after_models)):
-            for path in sorted(models):
-                dump.write(json.dumps(
-                    {"commit_hash": record.commit_hash, "version": side, **model_to_json(models[path])}
-                ) + "\n")
-    for det in sorted(detect_all(ctx, config), key=sort_key):
-        out.write(detection_to_json(record.commit_hash, det) + "\n")
+    models = ""
+    if dump:
+        models = "".join(
+            json.dumps({"commit_hash": record.commit_hash, "version": side, **model_to_json(side_models[path])}) + "\n"
+            for side, side_models in (("before", ctx.before_models), ("after", ctx.after_models))
+            for path in sorted(side_models)
+        )
+    found = sorted(detect_all(ctx, config), key=sort_key)
+    return "".join(detection_to_json(record.commit_hash, det) + "\n" for det in found), models
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _own_lines(lines: Iterable[bytes], worker: int, workers: int) -> Iterator[bytes]:
+    """``lines`` with each non-blank line but every ``workers``-th from the
+    ``worker``-th (counting from 0) emptied, so that ``json_lines`` decodes only
+    those and still numbers them as in the whole file."""
+    commit = 0
+    for line in lines:
+        if line.decode("utf-8").strip():  # the blank test of json_lines
+            commit += 1
+            if (commit - 1) % workers != worker:
+                line = b""
+        yield line
+
+
+# A worker's frame: the byte lengths of one commit's detection and model lines,
+# then those lines; or -1 and the length of a pickled (exception, traceback text).
+_FRAME = struct.Struct("<qq")
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception a detect worker raised, shown as the
+    cause of the same exception raised again in the parent."""
+
+    def __str__(self) -> str:
+        return "\n" + self.args[0]
+
+
+def _frame(found: str, models: str) -> bytes:
+    found_bytes, model_bytes = found.encode("utf-8"), models.encode("utf-8")
+    return _FRAME.pack(len(found_bytes), len(model_bytes)) + found_bytes + model_bytes
+
+
+def _detect_worker(
+    path: str, lines: Optional[list[bytes]], worker: int, workers: int, config, dump: bool, pipe: BinaryIO
+) -> None:
+    """Write one frame per commit of this worker's share to ``pipe``; when a
+    commit raises, write a failure frame and raise again. A regular file is
+    opened again, as a forked child shares the offset of the parent's file."""
+    try:
+        with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as all_lines:
+            for _, record in json_lines(_own_lines(all_lines, worker, workers), "commits", commit_from_json):
+                pipe.write(_frame(*_detect_static(record, config, dump)))
+                pipe.flush()
+                del record  # one commit at a time, as in the parent
+    except BaseException as exc:
+        import pickle
+        import traceback
+
+        text = "".join(traceback.format_exception(exc))
+        try:
+            payload = pickle.dumps((exc, text))
+            pickle.loads(payload)  # fails for an exception whose __init__ does not take its args
+        except Exception:
+            payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+        pipe.write(_FRAME.pack(-1, len(payload)) + payload)
+        pipe.flush()
+        raise
+
+
+def _receive(pipe: BinaryIO, worker: int, commit: int) -> tuple[str, str]:
+    """The detection and model lines of the next frame on ``pipe``, from
+    ``worker``; a failure frame's exception is raised here again."""
+
+    def read(size: int) -> bytes:
+        data = pipe.read(size)
+        if len(data) < size:
+            raise RuntimeError(f"detect worker {worker} ended before it sent commit {commit}")
+        return data
+
+    found, models = _FRAME.unpack(read(_FRAME.size))
+    if found < 0:
+        import pickle
+
+        exc, text = pickle.loads(read(models))
+        raise exc from _WorkerTraceback(text)
+    return read(found).decode("utf-8"), read(models).decode("utf-8")
+
+
+def _detect_forked(
+    path: str, lines: Optional[list[bytes]], commits: int, workers: int, config, out: TextIO, dump: Optional[TextIO]
+) -> None:
+    """Detect ``commits`` commits in ``workers`` forked processes, worker ``w``
+    taking commits ``w``, ``w + workers``, ... (from 0), and write their lines
+    in input order. A worker's exception is raised here again once the commits
+    before it are written; every worker is reaped however this ends."""
+    for stream in (out, dump, sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()  # or a child could write out what the parent buffered
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    done = False
+    try:
+        for worker in range(workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_fd)
+                    for pipe in pipes:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        _detect_worker(path, lines, worker, workers, config, dump is not None, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write_fd)
+            pipes.append(open(read_fd, "rb"))
+        # commit j comes from pipe j % workers; every earlier frame of its worker
+        # is read already, so no worker waits on a pipe this loop does not read
+        for j in range(commits):
+            found, models = _receive(pipes[j % workers], j % workers, j + 1)
+            if dump is not None:
+                dump.write(models)
+            out.write(found)
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if not done:
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"detect workers ended with exit codes {codes}")
 
 
 def _detect_llm(record: CommitRecord, args, config, rate_limiter) -> tuple[list[str], object]:
@@ -230,7 +371,9 @@ def _cmd_detect(args) -> int:
     for flag, in_range, takes in (
         ("move_similarity", 0 <= args.move_similarity <= 1, "0 to 1"),
         ("rename_similarity", 0 <= args.rename_similarity <= 1, "0 to 1"),
+        ("parallelism", args.parallelism is None or args.parallelism >= 1, "1 or more"),
         ("temperature", 0 <= args.temperature <= 2, "0 to 2"),
+        ("max_output_tokens", args.max_output_tokens >= 1, "1 or more"),
         ("timeout", 0 < args.timeout <= threading.TIMEOUT_MAX, f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}"),
         ("max_retries", args.max_retries >= 0, "0 or more"),
         ("rate", args.rate is None or args.rate >= 0, "0 or more requests per second (0: no limit)"),
@@ -239,23 +382,30 @@ def _cmd_detect(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} takes {takes}, not {getattr(args, flag)}")
     if args.backend == "llm":
         return _cmd_detect_llm(args)
+    # imported before any fork, so no worker imports them again
     from .detectors import DetectorConfig
 
-    # pure-Python detection gains nothing from threads under the interpreter lock,
-    # so every commit runs in this thread whatever --parallelism says
     config = DetectorConfig(move_similarity=args.move_similarity, rename_similarity=args.rename_similarity)
     with open(args.commits, "rb") as fh:  # json_lines decodes each line, so an error names it
         # a file is read twice; a pipe can be read once, so its lines are held
         lines = fh if fh.seekable() else fh.readlines()
         # a bad line fails here, before any output file exists; no record is kept
-        collections.deque(json_lines(lines, "commits", commit_from_json), maxlen=0)
+        commits = sum(1 for _ in json_lines(lines, "commits", commit_from_json))
         if lines is fh:
             fh.seek(0)
+        cpus = _usable_cpus()
+        workers = min(args.parallelism or cpus, cpus, commits)
         dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
         with dump_models as dump, _open_out(args.out) as out:
+            if workers > 1 and hasattr(os, "fork"):
+                _detect_forked(args.commits, None if lines is fh else lines, commits, workers, config, out, dump)
+                return EXIT_OK
             # one commit at a time: a record is decoded, detected and freed before the next
             for _, record in json_lines(lines, "commits", commit_from_json):
-                _detect_static(record, config, out, dump)
+                found, models = _detect_static(record, config, dump is not None)
+                if dump is not None:
+                    dump.write(models)
+                out.write(found)
     return EXIT_OK
 
 
@@ -273,14 +423,15 @@ def _cmd_detect_llm(args) -> int:
         timeout_seconds=args.timeout,
         max_retries=args.max_retries,
     )
-    rate_limiter = llm_backend.RateLimiter(args.rate, burst=max(args.parallelism, 1)) if args.rate else None
+    parallelism = args.parallelism or 1  # a real endpoint sees no concurrency unless asked
+    rate_limiter = llm_backend.RateLimiter(args.rate, burst=parallelism) if args.rate else None
     with open(args.commits, "rb") as fh:
         records = [record for _, record in json_lines(fh, "commits", commit_from_json)]
     pool = None
-    if args.parallelism > 1:  # the threads overlap their waits on the endpoint
+    if parallelism > 1:  # the threads overlap their waits on the endpoint
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = ThreadPoolExecutor(max_workers=args.parallelism)
+        pool = ThreadPoolExecutor(max_workers=parallelism)
     total = llm_backend.LlmStats()
     classify = partial(_detect_llm, args=args, config=config, rate_limiter=rate_limiter)
     with pool or contextlib.nullcontext(), _open_out(args.out) as out:

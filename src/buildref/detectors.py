@@ -30,6 +30,7 @@ from .build_parsers import (
     ElementKind,
     HierarchyGraph,
     XmlMalformedError,
+    forget_tokens,
     infer_hierarchy,
     parse_build_file,
     tokenize,
@@ -170,7 +171,9 @@ class CommitContext:
 
     @classmethod
     def from_commit(cls, commit: CommitRecord) -> "CommitContext":
-        """Parse every touched build-file version into models."""
+        """Parse every touched build-file version into models. Equal texts of
+        the commit are tokenized once; those of earlier commits are forgotten."""
+        forget_tokens()
         before: dict[str, BuildModel] = {}
         after: dict[str, BuildModel] = {}
         for fd in commit.file_diffs:

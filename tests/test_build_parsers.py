@@ -328,6 +328,25 @@ def test_equal_tokens_share_one_string():
     assert first[1] == second[1] and first[1] is second[1]
 
 
+def test_tokenize_memo_holds_one_commits_texts():
+    from buildref import build_parsers
+
+    kept = "<dependency><groupId>org.kept</groupId><artifactId>kept-lib</artifactId></dependency>"
+    added = "<dependency><groupId>org.new</groupId><artifactId>new-lib</artifactId></dependency>"
+    pom = "<project>\n<dependencies>\n%s\n</dependencies>\n</project>\n"
+    ctx = make_context({"pom.xml": pom % kept}, {"pom.xml": pom % (kept + "\n" + added)})
+    (before,) = [el for el in ctx.before_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
+    (after,) = [el for el in ctx.after_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
+    # the element present unchanged on both sides is tokenized once
+    assert before.body_tokens is after.body_tokens
+    assert any("kept-lib" in text for text in build_parsers._TOKENS)
+    other = "<dependency><groupId>org.other</groupId><artifactId>other-lib</artifactId></dependency>"
+    make_context({"pom.xml": pom % other}, {"pom.xml": pom % ""})
+    texts = list(build_parsers._TOKENS)
+    assert any("other-lib" in text for text in texts)
+    assert not any("kept-lib" in text or "new-lib" in text for text in texts)
+
+
 # the tokenizer before string bodies became regex groups: quotes stripped per token
 _ORACLE_TOKEN_RE = re.compile(
     r"\"(?:[^\"\\\n]|\\.)*\""

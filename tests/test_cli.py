@@ -1,4 +1,6 @@
+import collections
 import gc
+import hashlib
 import json
 import logging
 import os
@@ -277,11 +279,114 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
     monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
     gc.disable()  # the records must go when their last reference does, not at a collection
     try:
-        assert run(["detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
+        # in this process: the recorder would not see the records of forked workers
+        assert run(["detect", "--commits", str(commits), "--parallelism", "1", "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
     finally:
         gc.enable()
     assert len(decoded) >= 5 and alive == []
     assert len((tmp_path / "det.jsonl").read_text().splitlines()) == 5
+
+
+def _unused_property_commit_lines(count):
+    """``count`` commit lines, the n-th (from 1) dropping an unused property
+    from a POM with artifactId ``a<n>``, each a Remove Unused Code."""
+    lines = []
+    for n in range(1, count + 1):
+        pom = f"<project>\n<artifactId>a{n}</artifactId>\n<properties>%s</properties>\n</project>\n"
+        record = make_commit({"pom.xml": pom % "<unused.flag>on</unused.flag>"}, {"pom.xml": pom % ""})
+        lines.append(commit_to_json(replace(record, commit_hash=f"{n:040x}")) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_a_commit_that_raises_ends_the_run_after_the_commits_before_it(tmp_path, monkeypatch, parallelism):
+    from buildref import build_parsers
+
+    commits, out = tmp_path / "commits.jsonl", tmp_path / "det.jsonl"
+    commits.write_text("".join(_unused_property_commit_lines(4)))
+    parse = build_parsers.parse_maven
+
+    def parse_maven(content):
+        if "<artifactId>a3</artifactId>" in content:
+            raise RuntimeError("parser bug on a3")
+        return parse(content)
+
+    monkeypatch.setattr(build_parsers, "parse_maven", parse_maven)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two workers on any machine
+    with pytest.raises(RuntimeError, match="parser bug on a3") as raised:
+        run(["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(out)])
+    if parallelism == "2":  # the worker's traceback is the cause
+        assert "in parse_maven" in str(raised.value.__cause__)
+    assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [f"{n:040x}" for n in (1, 2)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="without os.fork the commits run in this process")
+def test_a_worker_that_dies_ends_the_run_after_the_commits_before_it(tmp_path, monkeypatch):
+    from buildref import build_parsers
+
+    commits, out = tmp_path / "commits.jsonl", tmp_path / "det.jsonl"
+    commits.write_text("".join(_unused_property_commit_lines(4)))
+    parse = build_parsers.parse_maven
+    monkeypatch.setattr(
+        build_parsers, "parse_maven", lambda content: os._exit(3) if "<artifactId>a3</artifactId>" in content else parse(content)
+    )
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match="detect worker 0 ended before it sent commit 3"):
+        run(["detect", "--commits", str(commits), "--parallelism", "2", "--out", str(out)])
+    assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [f"{n:040x}" for n in (1, 2)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parallelism, commits, workers", [(None, 3, 2), ("64", 3, 2), ("64", 1, 0), ("1", 3, 0)])
+def test_static_detect_forks_at_most_one_worker_per_usable_cpu_and_commit(tmp_path, monkeypatch, parallelism, commits, workers):
+    path = tmp_path / "commits.jsonl"
+    path.write_text("".join(_commit_lines(commits)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    flag = [] if parallelism is None else ["--parallelism", parallelism]
+    assert run(["detect", "--commits", str(path), *flag, "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
+    assert len(forks) == workers
+    assert len((tmp_path / "det.jsonl").read_text().splitlines()) == commits
+
+
+def test_worker_pool_output_is_byte_identical_on_the_detection_corpus(tmp_path, monkeypatch):
+    """The 300 drawn commits of the detection golden corpus, detected in this
+    process, by two workers, by the default pool, by seven workers (more than
+    this machine may have cores, each taking an unequal share) and from a pipe."""
+    from test_detectors import GOLDEN_COMMITS, detection_corpus
+
+    commits = tmp_path / "commits.jsonl"
+    text = "".join(commit_to_json(record) + "\n" for record in detection_corpus())
+    commits.write_text(text)
+    outputs = set()
+    for parallelism in ("1", "2", None, "7"):
+        if parallelism == "7":
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: 7)
+        out, dump = tmp_path / f"det{parallelism}.jsonl", tmp_path / f"models{parallelism}.jsonl"
+        flag = [] if parallelism is None else ["--parallelism", parallelism]
+        assert run(["detect", "--commits", str(commits), *flag, "--out", str(out), "--dump-models", str(dump)]) == EXIT_OK
+        outputs.add((out.read_bytes(), dump.read_bytes()))
+    fifo = tmp_path / "commits.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    out, dump = tmp_path / "pipe.jsonl", tmp_path / "pipe-models.jsonl"
+    assert run(["detect", "--commits", str(fifo), "--parallelism", "2", "--out", str(out), "--dump-models", str(dump)]) == EXIT_OK
+    writer.join(timeout=10)
+    outputs.add((out.read_bytes(), dump.read_bytes()))
+    assert len(outputs) == 1
+    ((detections, models),) = outputs
+    assert models
+    by_commit = collections.defaultdict(str)
+    for line in detections.decode().splitlines(keepends=True):
+        by_commit[json.loads(line)["commit_hash"]] += line
+    digests = [hashlib.sha256(by_commit[f"{n:040x}"].encode()).hexdigest() for n in range(300)]
+    assert digests == [json.loads(line)["sha256"] for line in GOLDEN_COMMITS.read_text(encoding="utf-8").splitlines()]
 
 
 @pytest.mark.parametrize("gold_line, pred_line, message", [
@@ -570,7 +675,11 @@ def test_mine_and_detect_a_sha256_repository(tmp_path):
     ("--timeout", "-1", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not -1.0"),
     ("--timeout", "0", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not 0.0"),
     ("--timeout", "1e10", f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}, not 10000000000.0"),
-], ids=["rate", "max-retries", "temperature", "temperature nan", "timeout", "timeout 0", "timeout 1e10"])
+    ("--parallelism", "0", "1 or more, not 0"),
+    ("--parallelism", "-2", "1 or more, not -2"),
+    ("--max-output-tokens", "0", "1 or more, not 0"),
+], ids=["rate", "max-retries", "temperature", "temperature nan", "timeout", "timeout 0", "timeout 1e10",
+        "parallelism 0", "parallelism -2", "max-output-tokens 0"])
 def test_out_of_range_llm_flag_is_a_usage_error_before_any_request(tmp_path, monkeypatch, capsys, flag, value, takes):
     commits = tmp_path / "commits.jsonl"
     commits.write_text("".join(_commit_lines(2)))
@@ -595,6 +704,15 @@ def test_out_of_range_similarity_is_a_usage_error_before_the_commits_are_read(tm
     code = run(["detect", "--commits", str(tmp_path / "missing.jsonl"), flag, value, "--out", str(out)])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {flag} takes 0 to 1, not {shown}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_static_parallelism_below_one_is_a_usage_error_before_the_commits_are_read(tmp_path, capsys, value):
+    out = tmp_path / "det.jsonl"
+    code = run(["detect", "--commits", str(tmp_path / "missing.jsonl"), "--parallelism", value, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: --parallelism takes 1 or more, not {value}\n"
     assert not out.exists()
 
 

@@ -105,15 +105,15 @@ def test_static_detect_loads_no_llm_client_or_scoring(inputs, tmp_path):
         "buildref", "buildref.cli", "buildref.mining", "buildref.build_parsers", "buildref.detectors",
         "buildref.taxonomy",
     }
-    assert not {"hashlib", "concurrent.futures"} & modules
+    assert not {"hashlib", "concurrent.futures", "multiprocessing"} & modules
 
 
 def test_static_detect_starts_no_thread_at_any_parallelism(inputs, tmp_path):
-    modules = _run(
-        "detect", "--commits", str(inputs / "commits.jsonl"), "--parallelism", "4",
-        "--out", str(tmp_path / "pred.jsonl"),
-    )
-    assert "concurrent.futures" not in modules
+    # two commits, so that on two or more usable CPUs workers are forked, without multiprocessing
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text((inputs / "commits.jsonl").read_text() * 2)
+    modules = _run("detect", "--commits", str(commits), "--parallelism", "4", "--out", str(tmp_path / "pred.jsonl"))
+    assert not {"concurrent.futures", "multiprocessing"} & modules
 
 
 def test_llm_detect_loads_no_parsers_or_detectors(inputs, tmp_path, monkeypatch):
