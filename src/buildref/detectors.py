@@ -15,6 +15,7 @@ first use. The detectors are pure queries over it.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import posixpath
 
@@ -30,7 +31,7 @@ from .build_parsers import (
     ElementKind,
     HierarchyGraph,
     XmlMalformedError,
-    forget_tokens,
+    forget_texts,
     infer_hierarchy,
     parse_build_file,
     tokenize,
@@ -43,6 +44,7 @@ logger = logging.getLogger(__name__)
 SUBROUTINE_KINDS = (ElementKind.TASK, ElementKind.TARGET, ElementKind.METHOD)
 VALUE_KINDS = (ElementKind.VARIABLE, ElementKind.PROPERTY)
 MIN_FRAGMENT_TOKENS = 5  # smallest new unit or unnamed block that counts as extracted
+_KIND_VALUES = {kind: kind.value for kind in ElementKind}  # Enum.value is a Python-level descriptor
 
 
 @dataclass(frozen=True)
@@ -90,43 +92,40 @@ class _ModelIndex:
     @cached_property
     def tokens(self) -> Counter:
         """Body tokens of every element, with multiplicity."""
-        return Counter(t for el in self.model.elements for t in el.body_tokens)
+        return Counter(itertools.chain.from_iterable(el.body_tokens for el in self.model.elements))
 
     @cached_property
-    def _references(self) -> tuple[Counter, Counter, dict[int, int]]:
+    def _references(self) -> tuple[Counter, Counter]:
         """Reference counts over body tokens and tokenized attribute values.
 
         A plain token refers to itself and, after a leading `$`, to the rest.
         A token embedding `${...}` or `@{...}` refers to every substring from
         such an opener to any later `}`, quadratically many names, so these
-        few tokens are kept with their counts and matched per query. `own`
-        counts, per named element, its tokens that refer to its own name.
+        few tokens are kept with their counts and matched per query.
         """
-        plain: Counter = Counter()
-        own: dict[int, int] = {}
-        for el in self.model.elements:
-            tokens = el.body_tokens
-            for value in el.attributes.values():
-                tokens += tokenize(value)
-            plain.update(tokens)
-            name = el.name
-            # scan only elements with a token that can refer to their name
-            if name and (name in tokens or f"${name}" in tokens or "{" in "".join(tokens)):
-                own[id(el)] = sum(1 for t in tokens if _token_matches_name(t, name))
+        plain = self.tokens.copy()  # the detectors that ask for references ask for these too
+        plain.update(itertools.chain.from_iterable(
+            tokenize(value) for el in self.model.elements for value in el.attributes.values()
+        ))
         embedding = Counter({t: plain.pop(t) for t in list(plain) if "${" in t or "@{" in t})
         for tok, n in [(t, n) for t, n in plain.items() if t.startswith("$")]:
             plain[tok[1:]] += n
-        return plain, embedding, own
+        return plain, embedding
+
+    @cached_property
+    def _element_ids(self) -> set[int]:
+        return {id(el) for el in self.model.elements}
 
     def reference_count(self, name: str, exclude: Optional[BuildElement] = None) -> int:
         """Tokens of the model that refer to `name`, leaving out those of
-        `exclude` (an element of this model named `name`)."""
-        plain, embedding, own = self._references
+        `exclude` when it is an element of this model."""
+        plain, embedding = self._references
         count = plain[name] + sum(
             n for tok, n in embedding.items() if _token_matches_name(tok, name)
         )
-        if exclude is not None:
-            count -= own.get(id(exclude), 0)
+        if exclude is not None and id(exclude) in self._element_ids:
+            own = itertools.chain(exclude.body_tokens, *map(tokenize, exclude.attributes.values()))
+            count -= sum(1 for t in own if _token_matches_name(t, name))
         return count
 
     def references(self, name: str, exclude: Optional[BuildElement] = None) -> bool:
@@ -173,7 +172,7 @@ class CommitContext:
     def from_commit(cls, commit: CommitRecord) -> "CommitContext":
         """Parse every touched build-file version into models. Equal texts of
         the commit are tokenized once; those of earlier commits are forgotten."""
-        forget_tokens()
+        forget_texts()
         before: dict[str, BuildModel] = {}
         after: dict[str, BuildModel] = {}
         for fd in commit.file_diffs:
@@ -318,11 +317,14 @@ def _element_changes(before: _ModelIndex, after: _ModelIndex) -> _FileChanges:
     changes = _FileChanges()
     b_index = before.named
     a_index = after.named
-    for key in sorted(set(b_index) | set(a_index), key=lambda k: (k[0].value, k[1])):
+    keys = b_index.keys() | a_index.keys()
+    for *_, key in sorted((_KIND_VALUES[kind], name, (kind, name)) for kind, name in keys):  # by kind value, name
         b_els = b_index.get(key, [])
         a_els = a_index.get(key, [])
         for b_el, a_el in zip(b_els, a_els):
-            if b_el.body_tokens != a_el.body_tokens or dict(b_el.attributes) != dict(a_el.attributes):
+            # an element parsed from an unchanged fragment shares its before-twin's attributes
+            same_attributes = b_el.attributes is a_el.attributes or dict(b_el.attributes) == dict(a_el.attributes)
+            if b_el.body_tokens != a_el.body_tokens or not same_attributes:
                 changes.modified.append((b_el, a_el))
         changes.removed.extend(b_els[len(a_els):])
         changes.added.extend(a_els[len(b_els):])
@@ -456,9 +458,9 @@ def _canonical_signature(el: BuildElement):
             el.attributes.get("configuration", ""),
         )
     if el.kind in VALUE_KINDS:
-        return (el.kind.value, el.name, el.attributes.get("value", " ".join(el.body_tokens)))
+        return (el.kind, el.name, el.attributes.get("value", " ".join(el.body_tokens)))
     ordering = tuple(sorted(_ordering_attrs(el).items()))
-    return (el.kind.value, el.name, el.body_tokens, ordering)
+    return (el.kind, el.name, el.body_tokens, ordering)
 
 
 def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> set[DetectedRefactoring]:
@@ -473,9 +475,10 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
         before, after = ctx.before_models[path], ctx.after_models[path]
         if not before.elements and not after.elements:
             continue
-        if Counter(map(_canonical_signature, before.elements)) == Counter(
-            map(_canonical_signature, after.elements)
-        ):
+        # equal multisets have equal sizes, so the signatures are counted only then
+        if len(before.elements) == len(after.elements) and Counter(
+            map(_canonical_signature, before.elements)
+        ) == Counter(map(_canonical_signature, after.elements)):
             span = _changed_span(diff)
             out.add(
                 DetectedRefactoring(

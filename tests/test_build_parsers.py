@@ -22,11 +22,16 @@ from buildref.build_parsers import (
     parse_maven,
     parse_properties,
     tokenize,
+    _parse_xml,
     _scan_groovy,
+    _xml_body_tokens,
 )
-from buildref.detectors import detect_all
+from buildref import build_parsers
+from buildref.detectors import CommitContext, _safe_parse, detect_all
 from buildref.mining import BuildSystem
 from conftest import make_context
+import fixtures
+from test_detectors import detection_corpus, file_set
 
 
 def kinds(model, kind):
@@ -328,23 +333,28 @@ def test_equal_tokens_share_one_string():
     assert first[1] == second[1] and first[1] is second[1]
 
 
-def test_tokenize_memo_holds_one_commits_texts():
-    from buildref import build_parsers
+def _fragment_texts():
+    return [part for key in build_parsers._FRAGMENTS for part in key if isinstance(part, str)]
 
+
+def test_tokenize_memo_holds_one_commits_texts():
     kept = "<dependency><groupId>org.kept</groupId><artifactId>kept-lib</artifactId></dependency>"
     added = "<dependency><groupId>org.new</groupId><artifactId>new-lib</artifactId></dependency>"
     pom = "<project>\n<dependencies>\n%s\n</dependencies>\n</project>\n"
     ctx = make_context({"pom.xml": pom % kept}, {"pom.xml": pom % (kept + "\n" + added)})
     (before,) = [el for el in ctx.before_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
     (after,) = [el for el in ctx.after_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
-    # the element present unchanged on both sides is tokenized once
-    assert before.body_tokens is after.body_tokens
+    # the element present unchanged on both sides is tokenized and built once,
+    # but each model has an element of its own
+    assert before.body_tokens is after.body_tokens and before.attributes is after.attributes
+    assert before is not after
     assert any("kept-lib" in text for text in build_parsers._TOKENS)
+    assert any("kept-lib" in text for text in _fragment_texts())
     other = "<dependency><groupId>org.other</groupId><artifactId>other-lib</artifactId></dependency>"
     make_context({"pom.xml": pom % other}, {"pom.xml": pom % ""})
-    texts = list(build_parsers._TOKENS)
-    assert any("other-lib" in text for text in texts)
-    assert not any("kept-lib" in text or "new-lib" in text for text in texts)
+    for texts in (list(build_parsers._TOKENS), _fragment_texts()):
+        assert any("other-lib" in text for text in texts)
+        assert not any("kept-lib" in text or "new-lib" in text for text in texts)
 
 
 # the tokenizer before string bodies became regex groups: quotes stripped per token
@@ -687,6 +697,154 @@ def test_model_to_json_shape():
     payload = model_to_json(parse_build_file("build.gradle", GRADLE_SAMPLE))
     assert payload["build_system"] == "Gradle"
     assert all({"kind", "name", "attributes", "span"} <= set(e) for e in payload["elements"])
+
+
+# --- one-pass XML body tokens and reused fragments --------------------------------
+
+def _serialized_inner_tokens(node):
+    """The body tokens as the parsers built them before they tokenized piece
+    by piece: the node's inner XML serialized whole, then tokenized."""
+    parts = [node.text]
+    stack = list(reversed(node.children))
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(f"<{item.tag}")
+        parts.extend(f' {k}="{v}"' for k, v in item.attrib.items())
+        parts += ">", item.text
+        stack.append(f"</{item.tag}>")
+        stack.extend(reversed(item.children))
+    return tokenize("".join(parts))
+
+
+def _assert_one_pass_tokens_match(text):
+    try:
+        root, _ = _parse_xml(text)
+    except XmlMalformedError:
+        return
+    nodes = [root]
+    while nodes:
+        node = nodes.pop()
+        assert _xml_body_tokens(node) == _serialized_inner_tokens(node), (node.tag, text)
+        nodes += node.children
+
+
+def _fixture_texts():
+    for _, before, after, _ in fixtures.PIPELINE_CASES:
+        yield from before.items()
+        yield from after.items()
+
+
+def test_xml_body_tokens_equal_the_serialized_inner_xml_on_fixtures_and_corpus():
+    for path, text in [*xml_corpus(), *_fixture_texts()]:
+        if path.endswith(".xml"):
+            _assert_one_pass_tokens_match(text)
+    # the quote after y opens a literal that the quote before z closes
+    _assert_one_pass_tokens_match('<project><x><a k="x&#10;y"/><b v="z"/></x></project>')
+
+
+# texts and attribute values with what can make a string literal span pieces
+_XML_TEXT = st.lists(st.sampled_from(["a", "1.0", " ", "\n", "'", '"', "\\", "&quot;", "&#10;", "&lt;b&gt;", "${v}"]), max_size=5)
+_XML_TAGS = st.sampled_from(["a", "dependency", "groupId", "c-d", "x.y"])
+
+
+@st.composite
+def _xml_element(draw, depth=0):
+    tag = draw(_XML_TAGS)
+    names = draw(st.lists(st.sampled_from(["k", "name", "v"]), max_size=2, unique=True))
+    attrs = "".join(f' {n}="{"".join(draw(_XML_TEXT)).replace(chr(34), "&quot;")}"' for n in names)
+    children = draw(st.lists(_xml_element(depth + 1), max_size=3)) if depth < 2 else []
+    texts = [draw(_XML_TEXT) for _ in range(len(children) + 1)]
+    inner = "".join("".join(t) + c for t, c in zip(texts, children + [""]))
+    return f"<{tag}{attrs}>{inner}</{tag}>"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_xml_element())
+def test_xml_body_tokens_equal_the_serialized_inner_xml_with_quotes_and_backslashes(element):
+    _assert_one_pass_tokens_match(f"<project>{element}</project>")
+
+
+def _assert_parsed_as_if_alone(ctx: CommitContext):
+    """Every model of the commit, each parsed after the commit's versions
+    before it, equals a parse with empty memos; and no element object is in
+    two models, since the detectors tell elements apart by identity."""
+    for fd in ctx.commit.file_diffs:
+        for models, path, text in ((ctx.before_models, fd.old_path or fd.path, fd.before_content),
+                                   (ctx.after_models, fd.path, fd.after_content)):
+            if text is not None:
+                build_parsers.forget_texts()
+                assert models[path] == _safe_parse(path, text), (path, text)
+    ids = [id(el) for models in (ctx.before_models, ctx.after_models) for m in models.values() for el in m.elements]
+    assert len(ids) == len(set(ids))
+
+
+def _edited(rng, text):
+    """``text`` with one line added, removed, repeated or changed, so that
+    what follows it moves."""
+    lines = text.split("\n")
+    at = rng.randrange(len(lines))
+    edit = rng.randrange(4)
+    if edit == 0:
+        lines.insert(at, rng.choice(("", "  ", "<!-- moved -->", "// moved", "# moved", "x = 1")))
+    elif edit == 1 and len(lines) > 1:
+        del lines[at]
+    elif edit == 2:
+        lines.insert(at, lines[at])
+    else:
+        lines[0] = rng.choice(("", "// rev 2", "<!-- rev 2 -->", "# rev 2"))
+    return "\n".join(lines)
+
+
+def test_each_version_parses_as_if_alone_on_fixtures_and_corpora():
+    for _, before, after, _ in fixtures.PIPELINE_CASES:
+        _assert_parsed_as_if_alone(make_context(before, after))
+    for commit in detection_corpus():
+        _assert_parsed_as_if_alone(CommitContext.from_commit(commit))
+    rng = random.Random(11)
+    for path, text in [*[("build.gradle", script) for script in gradle_corpus()], *xml_corpus()]:
+        for _ in range(2):
+            _assert_parsed_as_if_alone(make_context({path: text}, {path: _edited(rng, text)}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(file_set(), file_set())
+def test_each_version_parses_as_if_alone_on_drawn_file_sets(before, after):
+    _assert_parsed_as_if_alone(make_context(before, after))
+
+
+def test_each_version_parses_as_if_alone_with_carriage_return_line_ends():
+    # expat counts a lone \r as a line end, so fragments are keyed by its lines
+    dependency = "<dependency><groupId>g</groupId><artifactId>%s</artifactId></dependency>"
+    pom = "<project>\r<dependencies>\r%s\r%s\r</dependencies>\r</project>"
+    ctx = make_context({"pom.xml": pom % (dependency % "a", dependency % "b")},
+                       {"pom.xml": pom % (dependency % "b", dependency % "a")})
+    assert [el.name for el in ctx.after_models["pom.xml"].elements] == ["g:b", "g:a"]
+    _assert_parsed_as_if_alone(ctx)
+
+
+def test_a_changed_doctype_entity_is_seen_in_unchanged_lines():
+    pom = (
+        '<!DOCTYPE project [<!ENTITY v "%s">]>\n<project>\n<dependencies>\n'
+        "<dependency><groupId>g</groupId><artifactId>a</artifactId><version>&v;</version></dependency>\n"
+        "</dependencies>\n</project>\n"
+    )
+    ctx = make_context({"pom.xml": pom % "1.0"}, {"pom.xml": pom % "2.0"})
+    (after,) = ctx.after_models["pom.xml"].elements
+    assert after.attributes["version"] == "2.0"
+    _assert_parsed_as_if_alone(ctx)
+
+
+_PROPERTY_LINES = st.sampled_from(["a=1", "b = x", "# note", "", "  c: ${a}", "a=1", "!x", "d"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PROPERTY_LINES, max_size=8), st.randoms(use_true_random=False))
+def test_each_version_parses_as_if_alone_when_properties_lines_move(lines, rng):
+    text = "\n".join(lines)
+    _assert_parsed_as_if_alone(make_context({"gradle.properties": text}, {"gradle.properties": _edited(rng, text)}))
 
 
 # --- hierarchy -----------------------------------------------------------------

@@ -101,9 +101,9 @@ def test_mine_loads_only_mining(inputs, tmp_path):
 
 def test_static_detect_loads_no_llm_client_or_scoring(inputs, tmp_path):
     modules = _run("detect", "--commits", str(inputs / "commits.jsonl"), "--out", str(tmp_path / "pred.jsonl"))
-    assert _buildref(modules) == {
+    assert _buildref(modules) == {  # the line diff too: Reformat Code cites the changed lines
         "buildref", "buildref.cli", "buildref.mining", "buildref.build_parsers", "buildref.detectors",
-        "buildref.taxonomy",
+        "buildref.linediff", "buildref.taxonomy",
     }
     assert not {"hashlib", "concurrent.futures", "multiprocessing"} & modules
 
@@ -133,7 +133,7 @@ def test_llm_detect_loads_no_parsers_or_detectors(inputs, tmp_path, monkeypatch)
     modules = _run(*argv, "--out", str(tmp_path / "warm.jsonl"))
     assert (tmp_path / "warm.jsonl").read_text() == (tmp_path / "cold.jsonl").read_text()
     assert _buildref(modules) == {
-        "buildref", "buildref.cli", "buildref.mining", "buildref.llm_backend", "buildref.taxonomy",
+        "buildref", "buildref.cli", "buildref.mining", "buildref.linediff", "buildref.llm_backend", "buildref.taxonomy",
     }
     _, modules = _loads("import buildref.llm_backend\ncode = 0")
     assert _buildref(modules) == {"buildref", "buildref.mining", "buildref.llm_backend", "buildref.taxonomy"}

@@ -1,3 +1,5 @@
+import difflib
+import random
 import subprocess
 import sys
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buildref import linediff
 from buildref.mining import (
     BuildSystem,
     ChangeKind,
@@ -91,6 +94,128 @@ def test_diff_round_trip_property(before_lines, after_lines):
     before = "\n".join(before_lines)
     after = "\n".join(after_lines)
     assert apply_hunks(before, extract_diff(before, after)) == after
+
+
+def _difflib_hunks(before, after):
+    """The hunks of difflib's opcodes, as extract_diff built them before it
+    had a matcher of its own: each run of opcodes between equal ones."""
+    a, b = before.split("\n"), after.split("\n")
+    hunks, run = [], []
+    for op in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes() + [("equal", 0, 0, 0, 0)]:
+        if op[0] != "equal":
+            run.append(op)
+        elif run:
+            (_, i1, _, j1, _), (_, _, i2, _, j2) = run[0], run[-1]
+            hunks.append((i1 + 1 if i2 > i1 else i1, i2 - i1, j1 + 1 if j2 > j1 else j1, j2 - j1, a[i1:i2], b[j1:j2]))
+            run = []
+    return hunks
+
+
+def _as_tuples(hunks):
+    return [(h.old_start, h.old_len, h.new_start, h.new_len, list(h.removed), list(h.added)) for h in hunks]
+
+
+def fuzzed_pairs(seed, count):
+    """``count`` pairs of line lists over alphabets of 1 to 26 lines: half
+    drawn apart, half an edited copy (inserts, deletes, replacements)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = "abcdefghijklmnopqrstuvwxyz"[: rng.choice((1, 2, 3, 5, 26))]
+        a = [rng.choice(alphabet) for _ in range(rng.randrange(31))]
+        if rng.random() < 0.5:
+            b = [rng.choice(alphabet) for _ in range(rng.randrange(31))]
+        else:
+            b = list(a)
+            for _ in range(rng.randrange(5)):
+                at = rng.randrange(len(b) + 1)
+                if rng.random() < 0.4 or not b:
+                    b.insert(at, rng.choice(alphabet))
+                elif rng.random() < 0.5:
+                    del b[min(at, len(b) - 1)]
+                else:
+                    b[min(at, len(b) - 1)] = rng.choice(alphabet)
+        yield a, b
+
+
+# SequenceMatcher is not minimal here: trimming the common prefix and suffix
+# gives other hunks, so only difflib's own recursion and tie rule give these.
+_NOT_MINIMAL = (["b", "a", "a", "a", "a", "a"], ["b", "a", "a", "b", "a", "a", "a"])
+
+
+def _check_against_difflib(pairs, hunks_every=1):
+    """Equal matching blocks, hence equal opcodes, for every pair; equal hunks
+    from `extract_diff` for every ``hunks_every``-th."""
+    for n, (a, b) in enumerate(pairs):
+        expected = [tuple(m) for m in difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()[:-1]]
+        assert linediff.matching_blocks(a, b) == expected, (a, b)
+        if n % hunks_every == 0:
+            before, after = "\n".join(a), "\n".join(b)
+            assert _as_tuples(extract_diff(before, after)) == _difflib_hunks(before, after), (a, b)
+
+
+def test_line_diff_equals_difflib_on_fuzzed_pairs(monkeypatch):
+    monkeypatch.setattr(linediff, "_SMALL_QUERY", 0)  # every query by hashed windows, none by difflib
+    _check_against_difflib([_NOT_MINIMAL, *fuzzed_pairs(16, 20_000)], hunks_every=10)
+
+
+def test_line_diff_equals_difflib_on_large_edited_pairs():
+    # large enough that the top queries are answered by hashed windows, the small ones by difflib
+    rng = random.Random(17)
+    pairs = []
+    for _ in range(60):
+        alphabet = [str(n) for n in range(rng.choice((2, 3, 8, 50)))] + ["}"] * 3
+        a = [rng.choice(alphabet) for _ in range(rng.randrange(70, 300))]
+        b = list(a)
+        for _ in range(rng.randrange(12)):
+            at = rng.randrange(len(b) + 1)
+            b[at:at] = b[rng.randrange(len(b)) :][: rng.randrange(1, 30)] if rng.random() < 0.3 else [rng.choice(alphabet)]
+            del b[rng.randrange(len(b))]
+        pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+    _check_against_difflib(pairs)
+
+
+class _TooManySteps(Exception):
+    pass
+
+
+def _traced_steps(call, budget):
+    """How many calls and lines the interpreter traces while ``call()`` runs;
+    past ``budget`` the call is stopped, so a quadratic matcher fails fast."""
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise _TooManySteps(f"more than {budget} steps")
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+def test_line_diff_steps_grow_near_linearly_on_repeated_lines():
+    """5,000 lines of which 1,000 are ``}``: difflib's search pairs every ``}``
+    with every other in each longest-match query, and the whole diff traces
+    about 44 million steps; the matcher traces about 333,000. Steps are
+    counted, not seconds, so the guard does not depend on the host; nor are
+    line comparisons counted, as difflib's quadratic work is bookkeeping on
+    the positions of equal lines, which compares no lines."""
+    blocks = [[f"task t{n} {{", f"    from 'src/{n}'", f"    into 'out/{n}'", "    include '**/*'", "}"] for n in range(1000)]
+    before = [line for block in blocks for line in block]
+    after = ["// reformatted", *before[1:]]
+    for n in range(50, 1000, 100):  # a block gone and a line added every hundred blocks
+        after[5 * n : 5 * n + 5] = [f"task t{n}.b {{", "}", "", "", ""]
+    before_text, after_text = "\n".join(before), "\n".join(after)
+    hunks = []
+    steps = _traced_steps(lambda: hunks.extend(extract_diff(before_text, after_text)), budget=1_000_000)
+    assert apply_hunks(before_text, hunks) == after_text
+    assert steps < 1_000_000
 
 
 # --- record invariants ---------------------------------------------------------
@@ -430,3 +555,12 @@ def test_stopping_early_leaves_no_git_child_running(tmp_repo, monkeypatch):
     started.clear()
     assert len(list(mine_commits(tmp_repo, MiningFilter(max_commits=1)))) == 1
     assert started and all(p.returncode is not None for p in started)
+
+
+if __name__ == "__main__":
+    # the long fuzz: PYTHONPATH=src python tests/test_mining.py [pairs] [seed]
+    count = int(sys.argv[1]) if len(sys.argv) > 1 else 10**6
+    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+    linediff._SMALL_QUERY = 0
+    _check_against_difflib(fuzzed_pairs(seed, count), hunks_every=10)
+    print(f"{count} pairs: the line diff equals difflib's")
