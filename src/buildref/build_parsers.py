@@ -18,7 +18,7 @@ import xml.parsers.expat
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .mining import BuildSystem, DataError, classify_build_file
 
@@ -32,10 +32,6 @@ class ElementKind(Enum):
     PLUGIN = "plugin"
     VARIABLE = "variable"
     RAW_BLOCK = "raw_block"
-
-    # Members are singletons, so hashing by identity is exact; Enum's own
-    # __hash__ is a Python call, paid per lookup of a (kind, name) key.
-    __hash__ = object.__hash__
 
 
 class LinkRelation(Enum):
@@ -104,13 +100,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-_TOKENS: dict[str, tuple[str, ...]] = {}  # tokenize's memo, emptied by forget_texts
-
-# What the parsers made of each fragment of source text they met, emptied by
-# forget_texts: a Gradle statement, a properties line or an XML element gives
-# the same elements wherever it stands, its spans shifted with it (see
-# `_GradleParser.parse`, `parse_properties` and `_xml_element`).
-_FRAGMENTS: dict[tuple, tuple] = {}
+_TOKENS: dict[str, tuple[str, ...]] = {}  # tokenize's memo, emptied by forget_tokens
 
 
 def tokenize(text: str) -> tuple[str, ...]:
@@ -118,7 +108,7 @@ def tokenize(text: str) -> tuple[str, ...]:
 
     Tokens are interned, so the many equal tokens of one model (each
     dependency's ``groupId``, ``<``, ``>`` ...) share one string. Each text is
-    tokenized once until `forget_texts` is called, so equal texts share one
+    tokenized once until `forget_tokens` is called, so equal texts share one
     tuple too."""
     tokens = _TOKENS.get(text)
     if tokens is None:
@@ -126,19 +116,9 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tokens
 
 
-def forget_texts() -> None:
-    """Empty the memos of `tokenize` and of the parsed fragments;
-    `CommitContext.from_commit` does, so they hold one commit's texts."""
+def forget_tokens() -> None:
+    """Empty `tokenize`'s memo; `CommitContext.from_commit` does, so it holds one commit's texts."""
     _TOKENS.clear()
-    _FRAGMENTS.clear()
-
-
-def _shifted(element: BuildElement, lines: int) -> BuildElement:
-    """A new element like ``element``, ``lines`` further down its file. Each
-    model gets elements of its own: the detectors tell elements apart by
-    identity."""
-    start, end = element.span
-    return BuildElement(element.kind, element.name, element.body_tokens, element.attributes, (start + lines, end + lines))
 
 
 # What a script scan blanks: a string literal (group ``string``), a // comment
@@ -147,19 +127,16 @@ def _shifted(element: BuildElement, lines: int) -> BuildElement:
 # a newline too; a literal or comment left open runs to the end of the text, and
 # the */ may reuse the * of its /*, as in ``/*/``.
 _GROOVY_LEXEME_RE = re.compile(
-    r'(?=["\'/])'  # no lexeme starts elsewhere; this lets the scan skip ahead
-    r'(?:(?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*(?:"""|\\?\Z)'
+    r'(?P<string>"""(?:[^"\\]|\\[\s\S]|"(?!""))*(?:"""|\\?\Z)'
     r"|'''(?:[^'\\]|\\[\s\S]|'(?!''))*(?:'''|\\?\Z)"
     r'|"(?:[^"\\\n]|\\[\s\S])*(?:["\n]|\\?\Z)'
     r"|'(?:[^'\\\n]|\\[\s\S])*(?:['\n]|\\?\Z))"
-    r"|//[^\n]*|/(?=\*)[\s\S]*?(?:\*/|\Z))"
+    r"|//[^\n]*|/(?=\*)[\s\S]*?(?:\*/|\Z)"
 )
 
 
 def _blank(text: str) -> str:
     """``text`` with every character but a newline turned into a space."""
-    if "\n" not in text:
-        return " " * len(text)
     return "\n".join(" " * len(line) for line in text.split("\n"))
 
 
@@ -190,47 +167,44 @@ _NO_ATTRS: Mapping[str, str] = MappingProxyType({})
 class _XmlNode:
     """An element: its text is all its character data, that after its
     children too, in one string. A leaf shares an empty tuple of children and,
-    without attributes, one empty read-only attribute mapping. Its start tag
-    opens at ``column`` of line ``start_line``."""
+    without attributes, one empty read-only attribute mapping."""
 
-    __slots__ = ("tag", "attrib", "children", "text", "start_line", "column", "end_line")
+    __slots__ = ("tag", "attrib", "children", "text", "start_line", "end_line")
 
-    def __init__(self, tag: str, attrib: Mapping[str, str], start_line: int, column: int):
+    def __init__(self, tag: str, attrib: Mapping[str, str], start_line: int):
         self.tag = tag
         self.attrib = attrib
         self.children: list[_XmlNode] | tuple[()] = ()
         self.text = ""
         self.start_line = start_line
-        self.column = column
         self.end_line = start_line
 
     def find(self, tag: str) -> Optional["_XmlNode"]:
-        for child in self.children:
-            if child.tag == tag:
-                return child
-        return None
+        return next((c for c in self.children if c.tag == tag), None)
 
     def child_text(self, tag: str) -> str:
         node = self.find(tag)
         return node.text.strip() if node is not None else ""
 
+    def iter(self) -> Iterator["_XmlNode"]:
+        """This node and its descendants in document order (no recursion, so
+        nesting depth is not limited by the interpreter's stack)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
-def _parse_xml(content: str, tags: Collection[str] = ()) -> tuple[_XmlNode, list[_XmlNode]]:
-    """The root element of an XML text and, in document order, its elements
-    whose tag is in ``tags``, so no rule walks the tree to find them."""
+
+def _parse_xml(content: str) -> _XmlNode:
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True  # a run of character data arrives in one call
     root: list[_XmlNode] = []
     stack: list[_XmlNode] = []
-    found: list[_XmlNode] = []
-    # All character data in document order. An element's own pieces are those
-    # from where it opened; it takes them when it closes, so its parent's
-    # pieces then follow on.
-    pieces: list[str] = []
-    firsts: list[int] = []  # where each open element's pieces start
+    texts: list[list[str]] = []  # the character data of each open element, in pieces
 
     def start(tag, attrs):
-        node = _XmlNode(tag, attrs or _NO_ATTRS, parser.CurrentLineNumber, parser.CurrentColumnNumber)
+        node = _XmlNode(tag, attrs or _NO_ATTRS, parser.CurrentLineNumber)
         if not stack:
             root.append(node)
         elif stack[-1].children:
@@ -238,20 +212,20 @@ def _parse_xml(content: str, tags: Collection[str] = ()) -> tuple[_XmlNode, list
         else:
             stack[-1].children = [node]
         stack.append(node)
-        firsts.append(len(pieces))
-        if tag in tags:
-            found.append(node)
+        texts.append([])
 
     def end(tag):
         node = stack.pop()
-        first = firsts.pop()
-        node.text = "".join(pieces[first:])
-        del pieces[first:]
+        node.text = "".join(texts.pop())
         node.end_line = parser.CurrentLineNumber
+
+    def chars(data):
+        if texts:
+            texts[-1].append(data)
 
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.CharacterDataHandler = pieces.append
+    parser.CharacterDataHandler = chars
     try:
         parser.Parse(content, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -262,19 +236,20 @@ def _parse_xml(content: str, tags: Collection[str] = ()) -> tuple[_XmlNode, list
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
     if not root:
         raise XmlMalformedError(1, "no root element")
-    return root[0], found
+    return root[0]
 
 
 def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
     """The tokens of a node's inner XML: its text, then each descendant as a
     start tag with its attributes, its text and its end tag.
 
-    Each start tag, text and end tag is tokenized on its own, through
-    `tokenize`'s memo (so ``<groupId>`` once per commit, and a text as the
-    value it gives an attribute), and the tokens are joined. That equals
-    tokenizing the joined text unless a string literal spans pieces, which
-    needs a quote or a backslash in a text, or a ``"``, backslash or newline
-    in an attribute value; then the joined text is tokenized."""
+    The inner XML is a text of `tokenize`'s memo. When it is not yet there,
+    each start tag, text and end tag is tokenized on its own, through the
+    memo too (so ``<groupId>`` once per commit), and the tokens are joined.
+    That equals tokenizing the inner XML unless a string literal spans
+    pieces, which needs a quote or a backslash in a text, or a ``"``,
+    backslash or newline in an attribute value; then the inner XML is
+    tokenized whole."""
     parts = [node.text]
     whole = _plain_text(node.text)
     stack: list = list(reversed(node.children))  # nodes to open, or end tags
@@ -291,10 +266,13 @@ def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
         parts += f"<{item.tag}{attributes}>", item.text
         stack.append(f"</{item.tag}>")
         stack.extend(reversed(item.children))
-    if not whole:
-        return tokenize("".join(parts))
-    memo = _TOKENS  # most pieces are in it: look them up without a call
-    return tuple(itertools.chain.from_iterable([memo[p] if p in memo else tokenize(p) for p in parts]))
+    text = "".join(parts)
+    tokens = _TOKENS.get(text)
+    if tokens is None:
+        if not whole:
+            return tokenize(text)
+        tokens = _TOKENS[text] = tuple(itertools.chain.from_iterable(map(tokenize, parts)))
+    return tokens
 
 
 def _plain_text(text: str) -> bool:
@@ -302,33 +280,19 @@ def _plain_text(text: str) -> bool:
     return not ('"' in text or "'" in text or "\\" in text)
 
 
-# What a rule makes of an XML node: (kind, name, attributes, body tokens).
-_Made = tuple[ElementKind, Optional[str], Mapping[str, str], tuple[str, ...]]
-_XmlRule = Callable[[_XmlNode], _Made]
-
-
-def _xml_lines(content: str) -> Optional[list[str]]:
-    """The lines of an XML text as expat numbers them, which `_xml_element`
-    keys nodes by; None when a DOCTYPE could make one text mean two things
-    (its entities and default attributes apply to the whole document)."""
-    if "<!DOCTYPE" in content:
-        return None
-    return content.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # expat's line ends
-
-
-def _xml_element(rule: _XmlRule, node: _XmlNode, lines: Optional[list[str]]) -> BuildElement:
-    """The element ``rule`` makes of ``node``, spanning the node's lines. The
-    node's source text (its lines, from its column on) gives the same node,
-    so each rule runs once per commit on each text, unless ``lines`` is None."""
-    if lines is None:
-        kind, name, attributes, body_tokens = rule(node)
-    else:
-        key = (rule, node.column, "\n".join(lines[node.start_line - 1 : node.end_line]))
-        made = _FRAGMENTS.get(key)
-        if made is None:
-            made = _FRAGMENTS[key] = rule(node)
-        kind, name, attributes, body_tokens = made
-    return BuildElement(kind, name, body_tokens, attributes, (node.start_line, node.end_line))
+def _node_element(
+    kind: ElementKind, node: _XmlNode, name: Optional[str], attributes: Mapping[str, str],
+    body_tokens: Optional[tuple[str, ...]] = None,
+) -> BuildElement:
+    """The element ``node`` declares: it spans the node's lines and, without
+    ``body_tokens``, its body is the node's inner XML."""
+    return BuildElement(
+        kind=kind,
+        name=name,
+        body_tokens=_xml_body_tokens(node) if body_tokens is None else body_tokens,
+        attributes=attributes,
+        span=(node.start_line, node.end_line),
+    )
 
 
 def _literal_flag(value: str) -> str:
@@ -368,50 +332,33 @@ def _maven_name(node: _XmlNode) -> tuple[str, str, Optional[str]]:
     return group, artifact, (f"{group}:{artifact}" if group else artifact) or None
 
 
-def _maven_dependency(node: _XmlNode) -> _Made:
-    group, artifact, name = _maven_name(node)
-    attrs = {"groupId": group, "artifactId": artifact}
-    for extra in ("version", "scope"):
-        value = node.child_text(extra)
-        if value:
-            attrs[extra] = value
-    return ElementKind.DEPENDENCY, name, attrs, _xml_body_tokens(node)
-
-
-def _maven_plugin(node: _XmlNode) -> _Made:
-    _, artifact, name = _maven_name(node)
-    return ElementKind.PLUGIN, name, {"artifactId": artifact}, _xml_body_tokens(node)
-
-
-def _maven_property(node: _XmlNode) -> _Made:
-    """A child of ``<properties>``."""
-    value = node.text.strip()
-    return ElementKind.PROPERTY, node.tag, {"value": value, "literal": _literal_flag(value)}, tokenize(value)
-
-
-def _maven_block(node: _XmlNode) -> _Made:
-    """One of the `_MAVEN_CONFIG_BLOCKS`."""
-    return ElementKind.PROPERTY, node.tag, {"block": "true"}, _xml_body_tokens(node)
-
-
 def parse_maven(content: str) -> BuildModel:
     """Parse a POM into dependency/property/plugin elements and module links.
 
     Dependency identity is groupId:artifactId; the version is kept as an
     attribute so version bumps do not read as moves.
     """
-    root, found = _parse_xml(content, ("dependency", "plugin", "properties"))
-    lines = _xml_lines(content)
+    root = _parse_xml(content)
     elements: list[BuildElement] = []
     links: list[ModuleLink] = []
 
-    for node in found:
+    for node in root.iter():
         if node.tag == "dependency":
-            elements.append(_xml_element(_maven_dependency, node, lines))
+            group, artifact, name = _maven_name(node)
+            attrs = {"groupId": group, "artifactId": artifact}
+            for extra in ("version", "scope"):
+                value = node.child_text(extra)
+                if value:
+                    attrs[extra] = value
+            elements.append(_node_element(ElementKind.DEPENDENCY, node, name, attrs))
         elif node.tag == "plugin":
-            elements.append(_xml_element(_maven_plugin, node, lines))
+            _, artifact, name = _maven_name(node)
+            elements.append(_node_element(ElementKind.PLUGIN, node, name, {"artifactId": artifact}))
         elif node.tag == "properties":
-            elements.extend(_xml_element(_maven_property, prop, lines) for prop in node.children)
+            for prop in node.children:
+                value = prop.text.strip()
+                attrs = {"value": value, "literal": _literal_flag(value)}
+                elements.append(_node_element(ElementKind.PROPERTY, prop, prop.tag, attrs, tokenize(value)))
 
     # <parent> keeps its own rule, not _maven_name's: without a groupId it names ":artifact"
     parent = root.find("parent")
@@ -433,66 +380,42 @@ def parse_maven(content: str) -> BuildModel:
     for tag in _MAVEN_CONFIG_BLOCKS:
         node = root.find(tag)
         if node is not None:
-            elements.append(_xml_element(_maven_block, node, lines))
+            elements.append(_node_element(ElementKind.PROPERTY, node, tag, {"block": "true"}))
 
     return _model(BuildSystem.MAVEN, elements, links)
 
 
 # --- Ant ---------------------------------------------------------------------
 
-def _ant_target(node: _XmlNode) -> _Made:
-    attrs = {k: v for k, v in node.attrib.items() if k != "name"}
-    if "depends" in attrs:
-        names = [n.strip() for n in attrs["depends"].split(",") if n.strip()]
-        attrs["depends"] = ",".join(names)
-    return ElementKind.TARGET, node.attrib.get("name"), attrs, _xml_body_tokens(node)
-
-
-def _ant_property(node: _XmlNode) -> _Made:
-    value = node.attrib.get("value", node.attrib.get("location", ""))
-    attrs = {k: v for k, v in node.attrib.items() if k != "name"}
-    attrs["literal"] = _literal_flag(value)
-    return ElementKind.PROPERTY, node.attrib.get("name"), attrs, tokenize(value or node.attrib.get("file", ""))
-
-
-def _ant_definition(node: _XmlNode) -> _Made:
-    """A ``<taskdef>`` or ``<typedef>``."""
-    name = node.attrib.get("name") or node.attrib.get("resource")
-    return ElementKind.PLUGIN, name, dict(node.attrib), tokenize(" ".join(node.attrib.values()))
-
-
-def _ant_macrodef(node: _XmlNode) -> _Made:
-    return ElementKind.METHOD, node.attrib.get("name"), {}, _xml_body_tokens(node)
-
-
-def _ant_raw_block(node: _XmlNode) -> _Made:
-    """A top-level node of no other rule."""
-    name = node.attrib.get("id") or node.attrib.get("name")
-    return ElementKind.RAW_BLOCK, name, {"tag": node.tag}, _xml_body_tokens(node)
-
-
-_ANT_RULES: Mapping[str, _XmlRule] = {
-    "target": _ant_target,
-    "property": _ant_property,
-    "taskdef": _ant_definition,
-    "typedef": _ant_definition,
-    "macrodef": _ant_macrodef,
-}
-_ANT_TOP_LEVEL = {*_ANT_RULES, "import"}
+_ANT_TOP_LEVEL = {"target", "property", "taskdef", "typedef", "import", "macrodef"}
 
 
 def parse_ant(content: str) -> BuildModel:
     """Parse an Ant build.xml: targets with ordered depends lists, properties,
     task/type definitions as plugins, macrodefs as methods, imports as links."""
-    root, found = _parse_xml(content, _ANT_TOP_LEVEL)
-    lines = _xml_lines(content)
+    root = _parse_xml(content)
     elements: list[BuildElement] = []
     links: list[ModuleLink] = []
 
-    for node in found:
-        rule = _ANT_RULES.get(node.tag)
-        if rule is not None:
-            elements.append(_xml_element(rule, node, lines))
+    for node in root.iter():
+        if node.tag == "target":
+            attrs = {k: v for k, v in node.attrib.items() if k != "name"}
+            if "depends" in attrs:
+                names = [n.strip() for n in attrs["depends"].split(",") if n.strip()]
+                attrs["depends"] = ",".join(names)
+            elements.append(_node_element(ElementKind.TARGET, node, node.attrib.get("name"), attrs))
+        elif node.tag == "property":
+            value = node.attrib.get("value", node.attrib.get("location", ""))
+            attrs = {k: v for k, v in node.attrib.items() if k != "name"}
+            attrs["literal"] = _literal_flag(value)
+            body = tokenize(value or node.attrib.get("file", ""))
+            elements.append(_node_element(ElementKind.PROPERTY, node, node.attrib.get("name"), attrs, body))
+        elif node.tag in ("taskdef", "typedef"):
+            name = node.attrib.get("name") or node.attrib.get("resource")
+            body = tokenize(" ".join(node.attrib.values()))
+            elements.append(_node_element(ElementKind.PLUGIN, node, name, dict(node.attrib), body))
+        elif node.tag == "macrodef":
+            elements.append(_node_element(ElementKind.METHOD, node, node.attrib.get("name"), {}))
         elif node.tag == "import":
             target = node.attrib.get("file", "")
             if target:
@@ -500,7 +423,8 @@ def parse_ant(content: str) -> BuildModel:
 
     for node in root.children:
         if node.tag not in _ANT_TOP_LEVEL:
-            elements.append(_xml_element(_ant_raw_block, node, lines))
+            name = node.attrib.get("id") or node.attrib.get("name")
+            elements.append(_node_element(ElementKind.RAW_BLOCK, node, name, {"tag": node.tag}))
 
     return _model(BuildSystem.ANT, elements, links)
 
@@ -514,26 +438,23 @@ def parse_properties(content: str) -> BuildModel:
     """key=value lines of a .properties file as property elements."""
     elements = []
     for lineno, raw in enumerate(content.split("\n"), start=1):
-        made = _FRAGMENTS.get(("properties", raw))
-        if made is None:
-            made = _FRAGMENTS["properties", raw] = _property_line(raw)
-        if made:
-            key, value, attributes = made
-            elements.append(BuildElement(ElementKind.PROPERTY, key, value, attributes, (lineno, lineno)))
+        line = raw.strip()
+        if not line or line.startswith("#") or line.startswith("!"):
+            continue
+        m = _RE_PROPERTY_LINE.match(line)
+        if not m:
+            continue
+        key, value = m.group(1), m.group(2).strip()
+        elements.append(
+            BuildElement(
+                kind=ElementKind.PROPERTY,
+                name=key,
+                body_tokens=tokenize(value),
+                attributes={"value": value, "literal": _literal_flag(value)},
+                span=(lineno, lineno),
+            )
+        )
     return _model(BuildSystem.GRADLE, elements)
-
-
-def _property_line(raw: str) -> tuple:
-    """(key, value tokens, attributes) of a properties line; () for a blank,
-    a comment or a line without a key."""
-    line = raw.strip()
-    if not line or line.startswith("#") or line.startswith("!"):
-        return ()
-    m = _RE_PROPERTY_LINE.match(line)
-    if not m:
-        return ()
-    key, value = m.group(1), m.group(2).strip()
-    return key, tokenize(value), {"value": value, "literal": _literal_flag(value)}
 
 
 # --- Gradle ------------------------------------------------------------------
@@ -555,10 +476,7 @@ _RE_INCLUDE = re.compile(r"^include\b")
 _RE_ORDER_RAW = re.compile(
     r"^([\w.]+)\.(dependsOn|mustRunAfter|finalizedBy)\s*\(?\s*([^(){}]*?)\)?\s*$"
 )
-_ORDER_STMT_WORDS = ("dependsOn", "mustRunAfter", "finalizedBy")
 _RE_ORDER_STMT = re.compile(r"^(dependsOn|mustRunAfter|finalizedBy)\b[\s(:]*([^(){}]*?)\)?\s*$")
-_RE_TASK_TYPE = re.compile(r"type\s*:\s*([\w.]+)")
-_RE_TASK_DEPENDS = re.compile(r"dependsOn\s*:\s*([^,){]+)")
 _RE_NAMED_BLOCK = re.compile(r"^([A-Za-z_][\w.]*)\s*\{")
 _RE_LEADING_IDENT = re.compile(r"^([A-Za-z_][\w.]*)")
 _RE_ID_ENTRY = re.compile(
@@ -575,17 +493,13 @@ _RE_GRADLE_LITERAL = re.compile(r"^(?:(['\"])[^'\"]*\1|\d[\w.+-]*|true|false)$")
 _RE_BRACE = re.compile(r"[{}]")
 
 
-_RE_NOT_BRACKET = re.compile(r"[^(){}\[\]\n]+")
+def _bracket_net(masked_line: str) -> tuple[int, int]:
+    count = masked_line.count
+    return count("(") + count("{") + count("["), count(")") + count("}") + count("]")
 
 
-def _statements(lines: list[str], masked: str) -> Iterator[tuple[int, int, bool]]:
-    """Yield (first_idx, last_idx, balanced) statement extents, 0-based into
-    `lines`; ``masked`` is their text with string literals blanked."""
-    # each line's opening brackets minus its closing ones
-    nets = [
-        len(b) - 2 * (b.count(")") + b.count("}") + b.count("]")) if b else 0
-        for b in _RE_NOT_BRACKET.sub("", masked).split("\n")
-    ]
+def _statements(lines: list[str], masked: list[str]) -> Iterator[tuple[int, int, bool]]:
+    """Yield (first_idx, last_idx, balanced) statement extents, 0-based into `lines`."""
     i = 0
     n = len(lines)
     while i < n:
@@ -596,7 +510,8 @@ def _statements(lines: list[str], masked: str) -> Iterator[tuple[int, int, bool]
         j = i
         balanced = True
         while j < n:
-            depth += nets[j]
+            opens, closes = _bracket_net(masked[j])
+            depth += opens - closes
             if depth <= 0:
                 break
             j += 1
@@ -660,32 +575,22 @@ def _value_element(kind: ElementKind, m: re.Match, span: tuple[int, int]) -> Bui
 
 class _GradleParser:
     def __init__(self, content: str):
-        stripped, self.masked_text = _scan_groovy(content)
+        stripped, masked = _scan_groovy(content)
         self.lines = stripped.split("\n")
-        self.masked = self.masked_text.split("\n")
+        self.masked = masked.split("\n")
         self.elements: list[BuildElement] = []
         self.links: list[ModuleLink] = []
         self.warnings: list[str] = []
 
     def parse(self) -> BuildModel:
-        for start, end, balanced in _statements(self.lines, self.masked_text):
+        for start, end, balanced in _statements(self.lines, self.masked):
             text = "\n".join(self.lines[start : end + 1])
             span = (start + 1, end + 1)
             if not balanced:
                 self.warnings.append(f"UnbalancedBraces(line {start + 1})")
                 self._add_raw(text.strip(), span)
                 break
-            masked = "\n".join(self.masked[start : end + 1])
-            # a statement's elements and links depend on its text alone; spans shift with it
-            made = _FRAGMENTS.get(("gradle", text, masked))
-            if made is None:
-                elements, links = len(self.elements), len(self.links)
-                self._dispatch(text, masked, span)
-                _FRAGMENTS["gradle", text, masked] = (start, self.elements[elements:], self.links[links:])
-            else:
-                first, elements, links = made
-                self.elements += [_shifted(el, start - first) for el in elements]
-                self.links += links
+            self._dispatch(text, "\n".join(self.masked[start : end + 1]), span)
         return _model(BuildSystem.GRADLE, self.elements, self.links, self.warnings)
 
     # -- statement dispatch --
@@ -794,27 +699,24 @@ class _GradleParser:
 
     def _add_task(self, name: str, rest: str, block: Optional[_Block], span: tuple[int, int]) -> None:
         attrs: dict[str, str] = {}
-        type_m = _RE_TASK_TYPE.search(rest)
+        type_m = re.search(r"type\s*:\s*([\w.]+)", rest)
         if type_m:
             attrs["type"] = type_m.group(1)
-        decl_m = _RE_TASK_DEPENDS.search(rest)
+        decl_m = re.search(r"dependsOn\s*:\s*([^,){]+)", rest)
         if decl_m:
             attrs["dependsOn"] = decl_m.group(1).strip()
 
-        kept = block.body if block is not None else rest
-        if any(word in kept for word in _ORDER_STMT_WORDS):  # else no line is an ordering statement
-            kept_lines = []
-            for line in kept.split("\n"):
-                om = _RE_ORDER_STMT.match(line.strip())
-                if om and "{" not in line:
-                    key = om.group(1)
-                    value = " ".join(tokenize(om.group(2)))
-                    attrs[key] = f"{attrs[key]},{value}" if key in attrs else value
-                    continue
-                kept_lines.append(line)
-            kept = "\n".join(kept_lines)
+        kept_lines = []
+        for line in (block.body if block is not None else rest).split("\n"):
+            om = _RE_ORDER_STMT.match(line.strip())
+            if om and "{" not in line:
+                key = om.group(1)
+                value = " ".join(tokenize(om.group(2)))
+                attrs[key] = f"{attrs[key]},{value}" if key in attrs else value
+                continue
+            kept_lines.append(line)
         decl_args = block.head.split("task", 1)[-1] if block is not None else ""
-        tokens = tokenize(decl_args + "\n" + kept)
+        tokens = tokenize(decl_args + "\n" + "\n".join(kept_lines))
         self.elements.append(
             BuildElement(
                 kind=ElementKind.TASK,
@@ -851,7 +753,7 @@ class _GradleParser:
         if block is None:
             return
         body_lines = block.body.split("\n")
-        for s, e, _ in _statements(body_lines, block.masked_body):
+        for s, e, _ in _statements(body_lines, block.masked_body.split("\n")):
             stmt = "\n".join(body_lines[s : e + 1]).strip()
             dep = self._dependency_from(stmt, (block.first_line + s, block.first_line + e))
             if dep is not None:

@@ -31,7 +31,7 @@ from .build_parsers import (
     ElementKind,
     HierarchyGraph,
     XmlMalformedError,
-    forget_texts,
+    forget_tokens,
     infer_hierarchy,
     parse_build_file,
     tokenize,
@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 SUBROUTINE_KINDS = (ElementKind.TASK, ElementKind.TARGET, ElementKind.METHOD)
 VALUE_KINDS = (ElementKind.VARIABLE, ElementKind.PROPERTY)
 MIN_FRAGMENT_TOKENS = 5  # smallest new unit or unnamed block that counts as extracted
-_KIND_VALUES = {kind: kind.value for kind in ElementKind}  # Enum.value is a Python-level descriptor
+_KIND_VALUES = {kind: kind.value for kind in ElementKind}  # a lookup here is quicker than Enum.value
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class CommitContext:
     def from_commit(cls, commit: CommitRecord) -> "CommitContext":
         """Parse every touched build-file version into models. Equal texts of
         the commit are tokenized once; those of earlier commits are forgotten."""
-        forget_texts()
+        forget_tokens()
         before: dict[str, BuildModel] = {}
         after: dict[str, BuildModel] = {}
         for fd in commit.file_diffs:
@@ -317,14 +317,11 @@ def _element_changes(before: _ModelIndex, after: _ModelIndex) -> _FileChanges:
     changes = _FileChanges()
     b_index = before.named
     a_index = after.named
-    keys = b_index.keys() | a_index.keys()
-    for *_, key in sorted((_KIND_VALUES[kind], name, (kind, name)) for kind, name in keys):  # by kind value, name
+    for key in sorted(set(b_index) | set(a_index), key=lambda k: (_KIND_VALUES[k[0]], k[1])):
         b_els = b_index.get(key, [])
         a_els = a_index.get(key, [])
         for b_el, a_el in zip(b_els, a_els):
-            # an element parsed from an unchanged fragment shares its before-twin's attributes
-            same_attributes = b_el.attributes is a_el.attributes or dict(b_el.attributes) == dict(a_el.attributes)
-            if b_el.body_tokens != a_el.body_tokens or not same_attributes:
+            if b_el.body_tokens != a_el.body_tokens or dict(b_el.attributes) != dict(a_el.attributes):
                 changes.modified.append((b_el, a_el))
         changes.removed.extend(b_els[len(a_els):])
         changes.added.extend(a_els[len(b_els):])
@@ -458,9 +455,9 @@ def _canonical_signature(el: BuildElement):
             el.attributes.get("configuration", ""),
         )
     if el.kind in VALUE_KINDS:
-        return (el.kind, el.name, el.attributes.get("value", " ".join(el.body_tokens)))
+        return (el.kind.value, el.name, el.attributes.get("value", " ".join(el.body_tokens)))
     ordering = tuple(sorted(_ordering_attrs(el).items()))
-    return (el.kind, el.name, el.body_tokens, ordering)
+    return (el.kind.value, el.name, el.body_tokens, ordering)
 
 
 def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG) -> set[DetectedRefactoring]:

@@ -1,50 +1,24 @@
-"""The line diff behind `mining.extract_diff`: the matching blocks of
-``difflib.SequenceMatcher(None, a, b, autojunk=False)``, found without
+"""The line diff behind `mining.extract_diff`: ``difflib.SequenceMatcher(None,
+a, b, autojunk=False)`` with the same blocks and opcodes, found without
 difflib's quadratic search on repeated lines.
 
 difflib finds the longest block common to the two sequences, then recurses on
 the ranges before and after it. Its longest-match search pairs every line of
 one range with every equal line of the other, so a build file with a thousand
-``}`` lines costs a million steps per query. `_LongestMatch` answers the same
-queries, with the same tie rule, in time near-linear in the ranges; small
-ranges still go to difflib.
+``}`` lines costs a million steps per query. `LineMatcher` keeps difflib's
+recursion and answers each longest-match query on large ranges, with the
+same tie rule, in time near-linear in the ranges.
 """
 
 from __future__ import annotations
 
 import difflib
 import itertools
-from functools import cached_property
 from typing import Optional, Sequence
 
-_SMALL_QUERY = 4096  # a query over at most this many (line, line) pairs goes to difflib
+_SMALL_QUERY = 4096  # a query over at most this many (line, line) pairs is difflib's own
 _HASH_MOD = (1 << 61) - 1  # a prime; windows of lines are hashed as polynomials modulo it
 _HASH_BASE = 0x5DEECE66D
-
-
-def matching_blocks(a: Sequence[str], b: Sequence[str]) -> list[tuple[int, int, int]]:
-    """The (i, j, size) blocks of ``difflib.SequenceMatcher(None, a, b,
-    autojunk=False).get_matching_blocks()``, without its closing empty block:
-    difflib's recursion, each longest-match query answered by `_LongestMatch`."""
-    if len(a) * len(b) <= _SMALL_QUERY:
-        return [tuple(m) for m in difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()[:-1]]
-    ids: dict[str, int] = {}
-    longest = _LongestMatch(
-        [ids.setdefault(line, len(ids)) for line in a], [ids.setdefault(line, len(ids)) for line in b]
-    )
-    blocks = []
-    queue = [(0, len(a), 0, len(b))]
-    while queue:
-        alo, ahi, blo, bhi = queue.pop()
-        i, j, size = block = longest(alo, ahi, blo, bhi)
-        if size:
-            blocks.append(block)
-            if alo < i and blo < j:
-                queue.append((alo, i, blo, j))
-            if i + size < ahi and j + size < bhi:
-                queue.append((i + size, ahi, j + size, bhi))
-    blocks.sort()
-    return blocks
 
 
 def _common_prefix(xs: Sequence[int], ys: Sequence[int]) -> int:
@@ -56,32 +30,49 @@ def _prefix_hashes(ids: Sequence[int]) -> list[int]:
     return list(itertools.accumulate(ids, lambda h, x: (h * _HASH_BASE + x) % _HASH_MOD, initial=0))
 
 
-class _LongestMatch:
-    """``find_longest_match(alo, ahi, blo, bhi)`` of a junk-free difflib
-    matcher on ``a`` and ``b``: the longest block ``a[i:i + k] == b[j:j + k]``
-    inside the ranges, the smallest ``i`` among the longest, then the smallest
-    ``j``; ``(alo, blo, 0)`` when none.
+class LineMatcher(difflib.SequenceMatcher):
+    """``difflib.SequenceMatcher(None, a, b, autojunk=False)`` whose
+    `find_longest_match` answers by length: the longest block
+    ``a[i:i + k] == b[j:j + k]`` inside the ranges, the smallest ``i`` among
+    the longest, then the smallest ``j``, as difflib's does without junk.
 
-    A query over more than `_SMALL_QUERY` pairs is answered by length. The
-    common prefix and suffix of the ranges are blocks, so the longest is at
-    least as long. Whether a block of ``k`` lines exists is decided by hashing
-    every window of ``k`` lines of both ranges, each hash hit compared line
-    by line; the first window found is extended as far as it matches. The
-    length gallops up from the anchors, then is bisected."""
+    A query over at most `_SMALL_QUERY` line pairs goes to difflib's search,
+    which is quicker on them; a larger one is answered by length. The common
+    prefix and suffix of the ranges are blocks, so the longest is at least as
+    long. Whether a block of ``k`` lines exists is decided by hashing every
+    window of ``k`` lines of both ranges, each hash hit compared line by line;
+    the first window found is extended as far as it matches. The length
+    gallops up from the anchors, then is bisected."""
 
-    def __init__(self, a: list[int], b: list[int]):
-        self.a = a
-        self.b = b
+    def __init__(self, a: Sequence[str], b: Sequence[str]):
+        super().__init__(None, a, b, autojunk=False)
 
-    @cached_property
-    def _hashes(self) -> tuple[list[int], list[int]]:
-        return _prefix_hashes(self.a), _prefix_hashes(self.b)
+    def set_seq1(self, a: Sequence[str]) -> None:
+        super().set_seq1(a)
+        self._tables = None
 
-    def __call__(self, alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int, int]:
-        a, b = self.a[alo:ahi], self.b[blo:bhi]
-        if len(a) * len(b) <= _SMALL_QUERY:
-            i, j, size = difflib.SequenceMatcher(None, a, b, autojunk=False).find_longest_match(0, len(a), 0, len(b))
-            return alo + i, blo + j, size
+    def set_seq2(self, b: Sequence[str]) -> None:
+        super().set_seq2(b)
+        self._tables = None
+
+    def _lines_and_hashes(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Both sequences with each line as a small int, and their prefix hashes."""
+        if self._tables is None:
+            ids: dict[str, int] = {}
+            a = [ids.setdefault(line, len(ids)) for line in self.a]
+            b = [ids.setdefault(line, len(ids)) for line in self.b]
+            self._tables = a, b, _prefix_hashes(a), _prefix_hashes(b)
+        return self._tables
+
+    def find_longest_match(self, alo: int = 0, ahi: Optional[int] = None, blo: int = 0, bhi: Optional[int] = None):
+        if ahi is None:
+            ahi = len(self.a)
+        if bhi is None:
+            bhi = len(self.b)
+        if (ahi - alo) * (bhi - blo) <= _SMALL_QUERY:
+            return super().find_longest_match(alo, ahi, blo, bhi)
+        ids_a, ids_b, _, _ = self._lines_and_hashes()
+        a, b = ids_a[alo:ahi], ids_b[blo:bhi]
         prefix = _common_prefix(a, b)
         size = max(prefix, _common_prefix(a[::-1], b[::-1]))
         found = (alo, blo) if size == prefix else None  # the prefix wins every tie
@@ -93,17 +84,16 @@ class _LongestMatch:
                 longest = k - 1
             else:  # no block of k or more lines starts before it, so it wins at its full length
                 i, j = found = window
-                size = k + _common_prefix(self.a[i + k : ahi], self.b[j + k : bhi])
+                size = k + _common_prefix(ids_a[i + k : ahi], ids_b[j + k : bhi])
                 step *= 2
             k = min(size + step, (size + longest + 1) // 2)
         if found is None:  # the suffix is longest, but a block as long may start before it
             found = self._first_window(alo, ahi, blo, bhi, size)
-        return (*found, size) if size else (alo, blo, 0)
+        return difflib.Match(*found, size) if size else difflib.Match(alo, blo, 0)
 
     def _first_window(self, alo: int, ahi: int, blo: int, bhi: int, k: int) -> Optional[tuple[int, int]]:
         """The smallest ``i``, then ``j``, with ``a[i:i + k] == b[j:j + k]`` inside the ranges, or None."""
-        a, b = self.a, self.b
-        ha, hb = self._hashes
+        a, b, ha, hb = self._lines_and_hashes()
         shift = pow(_HASH_BASE, k, _HASH_MOD)
         b_windows = [(y - x * shift) % _HASH_MOD for x, y in zip(hb[blo : bhi - k + 1], hb[blo + k : bhi + 1])]
         first = dict(zip(reversed(b_windows), range(bhi - k, blo - 1, -1)))  # each hash's smallest j

@@ -104,34 +104,46 @@ def _lines(text: Optional[str]) -> list[str]:
 
 
 def extract_diff(before_content: Optional[str], after_content: Optional[str]) -> list[Hunk]:
-    """Line diff between two file versions: the hunks of
-    ``difflib.SequenceMatcher(None, a, b, autojunk=False)``, one per run of
-    opcodes between two ``equal`` ones, from `linediff.matching_blocks`.
+    """Longest-common-subsequence line diff between two file versions: the
+    opcodes of ``difflib.SequenceMatcher(None, a, b, autojunk=False)``, from
+    `linediff.LineMatcher`, one hunk per run between two ``equal`` ones.
 
     Returns the changed regions only; :func:`apply_hunks` replays them onto
     ``before_content`` to reproduce ``after_content`` exactly.
     """
     if before_content is None and after_content is None:
         raise ValueError("at least one side of the diff must be present")
-    from .linediff import matching_blocks  # imported here: `mine` and `evaluate` never diff
+    from .linediff import LineMatcher  # imported here: `mine` and `evaluate` never diff
 
     a = _lines(before_content)
     b = _lines(after_content)
+    matcher = LineMatcher(a, b)
     hunks: list[Hunk] = []
-    i1 = j1 = 0  # where the last equal block ended
-    for i2, j2, size in [*matching_blocks(a, b), (len(a), len(b), 0)]:
-        if i1 < i2 or j1 < j2:
-            hunks.append(
-                Hunk(
-                    old_start=i1 + 1 if i2 > i1 else i1,
-                    old_len=i2 - i1,
-                    new_start=j1 + 1 if j2 > j1 else j1,
-                    new_len=j2 - j1,
-                    removed=tuple(a[i1:i2]),
-                    added=tuple(b[j1:j2]),
-                )
+    run: list[tuple[str, int, int, int, int]] = []
+
+    def flush() -> None:
+        if not run:
+            return
+        i1, j1 = run[0][1], run[0][3]
+        i2, j2 = run[-1][2], run[-1][4]
+        hunks.append(
+            Hunk(
+                old_start=i1 + 1 if i2 > i1 else i1,
+                old_len=i2 - i1,
+                new_start=j1 + 1 if j2 > j1 else j1,
+                new_len=j2 - j1,
+                removed=tuple(a[i1:i2]),
+                added=tuple(b[j1:j2]),
             )
-        i1, j1 = i2 + size, j2 + size
+        )
+        run.clear()
+
+    for op in matcher.get_opcodes():
+        if op[0] == "equal":
+            flush()
+        else:
+            run.append(op)
+    flush()
     return hunks
 
 

@@ -333,28 +333,23 @@ def test_equal_tokens_share_one_string():
     assert first[1] == second[1] and first[1] is second[1]
 
 
-def _fragment_texts():
-    return [part for key in build_parsers._FRAGMENTS for part in key if isinstance(part, str)]
-
-
 def test_tokenize_memo_holds_one_commits_texts():
+    from buildref import build_parsers
+
     kept = "<dependency><groupId>org.kept</groupId><artifactId>kept-lib</artifactId></dependency>"
     added = "<dependency><groupId>org.new</groupId><artifactId>new-lib</artifactId></dependency>"
     pom = "<project>\n<dependencies>\n%s\n</dependencies>\n</project>\n"
     ctx = make_context({"pom.xml": pom % kept}, {"pom.xml": pom % (kept + "\n" + added)})
     (before,) = [el for el in ctx.before_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
     (after,) = [el for el in ctx.after_models["pom.xml"].elements if el.name and "kept-lib" in el.name]
-    # the element present unchanged on both sides is tokenized and built once,
-    # but each model has an element of its own
-    assert before.body_tokens is after.body_tokens and before.attributes is after.attributes
-    assert before is not after
+    # the element present unchanged on both sides is tokenized once
+    assert before.body_tokens is after.body_tokens
     assert any("kept-lib" in text for text in build_parsers._TOKENS)
-    assert any("kept-lib" in text for text in _fragment_texts())
     other = "<dependency><groupId>org.other</groupId><artifactId>other-lib</artifactId></dependency>"
     make_context({"pom.xml": pom % other}, {"pom.xml": pom % ""})
-    for texts in (list(build_parsers._TOKENS), _fragment_texts()):
-        assert any("other-lib" in text for text in texts)
-        assert not any("kept-lib" in text or "new-lib" in text for text in texts)
+    texts = list(build_parsers._TOKENS)
+    assert any("other-lib" in text for text in texts)
+    assert not any("kept-lib" in text or "new-lib" in text for text in texts)
 
 
 # the tokenizer before string bodies became regex groups: quotes stripped per token
@@ -699,7 +694,7 @@ def test_model_to_json_shape():
     assert all({"kind", "name", "attributes", "span"} <= set(e) for e in payload["elements"])
 
 
-# --- one-pass XML body tokens and reused fragments --------------------------------
+# --- one-pass XML body tokens and the per-commit token memo --------------------
 
 def _serialized_inner_tokens(node):
     """The body tokens as the parsers built them before they tokenized piece
@@ -721,7 +716,7 @@ def _serialized_inner_tokens(node):
 
 def _assert_one_pass_tokens_match(text):
     try:
-        root, _ = _parse_xml(text)
+        root = _parse_xml(text)
     except XmlMalformedError:
         return
     nodes = [root]
@@ -775,7 +770,7 @@ def _assert_parsed_as_if_alone(ctx: CommitContext):
         for models, path, text in ((ctx.before_models, fd.old_path or fd.path, fd.before_content),
                                    (ctx.after_models, fd.path, fd.after_content)):
             if text is not None:
-                build_parsers.forget_texts()
+                build_parsers.forget_tokens()
                 assert models[path] == _safe_parse(path, text), (path, text)
     ids = [id(el) for models in (ctx.before_models, ctx.after_models) for m in models.values() for el in m.elements]
     assert len(ids) == len(set(ids))
@@ -813,38 +808,6 @@ def test_each_version_parses_as_if_alone_on_fixtures_and_corpora():
 @given(file_set(), file_set())
 def test_each_version_parses_as_if_alone_on_drawn_file_sets(before, after):
     _assert_parsed_as_if_alone(make_context(before, after))
-
-
-def test_each_version_parses_as_if_alone_with_carriage_return_line_ends():
-    # expat counts a lone \r as a line end, so fragments are keyed by its lines
-    dependency = "<dependency><groupId>g</groupId><artifactId>%s</artifactId></dependency>"
-    pom = "<project>\r<dependencies>\r%s\r%s\r</dependencies>\r</project>"
-    ctx = make_context({"pom.xml": pom % (dependency % "a", dependency % "b")},
-                       {"pom.xml": pom % (dependency % "b", dependency % "a")})
-    assert [el.name for el in ctx.after_models["pom.xml"].elements] == ["g:b", "g:a"]
-    _assert_parsed_as_if_alone(ctx)
-
-
-def test_a_changed_doctype_entity_is_seen_in_unchanged_lines():
-    pom = (
-        '<!DOCTYPE project [<!ENTITY v "%s">]>\n<project>\n<dependencies>\n'
-        "<dependency><groupId>g</groupId><artifactId>a</artifactId><version>&v;</version></dependency>\n"
-        "</dependencies>\n</project>\n"
-    )
-    ctx = make_context({"pom.xml": pom % "1.0"}, {"pom.xml": pom % "2.0"})
-    (after,) = ctx.after_models["pom.xml"].elements
-    assert after.attributes["version"] == "2.0"
-    _assert_parsed_as_if_alone(ctx)
-
-
-_PROPERTY_LINES = st.sampled_from(["a=1", "b = x", "# note", "", "  c: ${a}", "a=1", "!x", "d"])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_PROPERTY_LINES, max_size=8), st.randoms(use_true_random=False))
-def test_each_version_parses_as_if_alone_when_properties_lines_move(lines, rng):
-    text = "\n".join(lines)
-    _assert_parsed_as_if_alone(make_context({"gradle.properties": text}, {"gradle.properties": _edited(rng, text)}))
 
 
 # --- hierarchy -----------------------------------------------------------------

@@ -143,11 +143,11 @@ _NOT_MINIMAL = (["b", "a", "a", "a", "a", "a"], ["b", "a", "a", "b", "a", "a", "
 
 
 def _check_against_difflib(pairs, hunks_every=1):
-    """Equal matching blocks, hence equal opcodes, for every pair; equal hunks
-    from `extract_diff` for every ``hunks_every``-th."""
+    """Equal opcodes for every pair; equal hunks from `extract_diff` for every
+    ``hunks_every``-th."""
     for n, (a, b) in enumerate(pairs):
-        expected = [tuple(m) for m in difflib.SequenceMatcher(None, a, b, autojunk=False).get_matching_blocks()[:-1]]
-        assert linediff.matching_blocks(a, b) == expected, (a, b)
+        expected = difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes()
+        assert linediff.LineMatcher(a, b).get_opcodes() == expected, (a, b)
         if n % hunks_every == 0:
             before, after = "\n".join(a), "\n".join(b)
             assert _as_tuples(extract_diff(before, after)) == _difflib_hunks(before, after), (a, b)
@@ -202,7 +202,7 @@ def _traced_steps(call, budget):
 def test_line_diff_steps_grow_near_linearly_on_repeated_lines():
     """5,000 lines of which 1,000 are ``}``: difflib's search pairs every ``}``
     with every other in each longest-match query, and the whole diff traces
-    about 44 million steps; the matcher traces about 333,000. Steps are
+    about 44 million steps; the matcher traces about 350,000. Steps are
     counted, not seconds, so the guard does not depend on the host; nor are
     line comparisons counted, as difflib's quadratic work is bookkeeping on
     the positions of equal lines, which compares no lines."""
