@@ -230,6 +230,9 @@ def _parse_xml(content: str) -> _XmlNode:
         parser.Parse(content, True)
     except xml.parsers.expat.ExpatError as exc:
         raise XmlMalformedError(exc.lineno, str(exc)) from exc
+    except UnicodeEncodeError as exc:  # expat reads UTF-8, which has no lone surrogate
+        line = content.count("\n", 0, exc.start) + 1
+        raise XmlMalformedError(line, f"character {content[exc.start]!r} cannot be encoded: {exc.reason}") from exc
     finally:
         # the handlers close over the parser; unhooking them breaks that cycle
         # so the tree is freed with its model, not at the next cyclic collection

@@ -15,12 +15,11 @@ import contextlib
 import json
 import logging
 import os
-import struct
 import sys
 import threading
 from dataclasses import replace
 from functools import partial
-from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .mining import (
     BackendError,
@@ -81,7 +80,7 @@ def _build_parser() -> tuple[_Parser, list[_Parser]]:
     p_detect.add_argument("--rate", type=float, default=None, help="max requests per second")
     p_detect.add_argument(
         "--parallelism", type=int, default=None,
-        help="static: worker processes (default: the usable CPUs); llm: threads (default: 1)",
+        help="static: processes, this one included (default: the usable CPUs); llm: threads (default: 1)",
     )
     p_detect.add_argument("--cache-dir", default=None)
     p_detect.add_argument("--no-cache", action="store_true")
@@ -191,23 +190,25 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _detect_static(record: CommitRecord, config, dump: bool) -> tuple[str, str]:
-    """The detection lines of one commit and, when ``dump``, the lines of its
-    parsed build models (else ""). The commit's context is freed on return."""
+def _detect_share(lines: Iterable[bytes], config, out: TextIO, dump: Optional[TextIO]) -> None:
+    """Decode, detect and free one commit of ``lines`` after another, writing
+    its detection lines to ``out`` and, when ``dump`` is given, the lines of
+    its parsed build models to ``dump``."""
     from .build_parsers import model_to_json
     from .detectors import CommitContext, detect_all
     from .taxonomy import detection_to_json, sort_key
 
-    ctx = CommitContext.from_commit(record)
-    models = ""
-    if dump:
-        models = "".join(
-            json.dumps({"commit_hash": record.commit_hash, "version": side, **model_to_json(side_models[path])}) + "\n"
-            for side, side_models in (("before", ctx.before_models), ("after", ctx.after_models))
-            for path in sorted(side_models)
-        )
-    found = sorted(detect_all(ctx, config), key=sort_key)
-    return "".join(detection_to_json(record.commit_hash, det) + "\n" for det in found), models
+    for _, record in json_lines(lines, "commits", commit_from_json):
+        ctx = CommitContext.from_commit(record)
+        if dump is not None:
+            dump.writelines(
+                json.dumps({"commit_hash": record.commit_hash, "version": side, **model_to_json(side_models[path])}) + "\n"
+                for side, side_models in (("before", ctx.before_models), ("after", ctx.after_models))
+                for path in sorted(side_models)
+            )
+        found = sorted(detect_all(ctx, config), key=sort_key)
+        out.writelines(detection_to_json(record.commit_hash, det) + "\n" for det in found)
+        del ctx, found  # the models go before the next commit is decoded
 
 
 def _usable_cpus() -> int:
@@ -217,22 +218,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _own_lines(lines: Iterable[bytes], worker: int, workers: int) -> Iterator[bytes]:
-    """``lines`` with each non-blank line but every ``workers``-th from the
-    ``worker``-th (counting from 0) emptied, so that ``json_lines`` decodes only
-    those and still numbers them as in the whole file."""
+def _share(lines: Iterable[bytes], start: int, stop: int) -> Iterator[bytes]:
+    """``lines`` up to the ``stop``-th non-blank one, with those before the
+    ``start``-th (both counting from 0) emptied, so that ``json_lines`` decodes
+    only commits ``start`` to ``stop - 1`` and still numbers them as in the
+    whole file."""
     commit = 0
     for line in lines:
         if line.decode("utf-8").strip():  # the blank test of json_lines
+            if commit == stop:
+                return
             commit += 1
-            if (commit - 1) % workers != worker:
+            if commit <= start:
                 line = b""
         yield line
-
-
-# A worker's frame: the byte lengths of one commit's detection and model lines,
-# then those lines; or -1 and the length of a pickled (exception, traceback text).
-_FRAME = struct.Struct("<qq")
 
 
 class _WorkerTraceback(Exception):
@@ -243,23 +242,24 @@ class _WorkerTraceback(Exception):
         return "\n" + self.args[0]
 
 
-def _frame(found: str, models: str) -> bytes:
-    found_bytes, model_bytes = found.encode("utf-8"), models.encode("utf-8")
-    return _FRAME.pack(len(found_bytes), len(model_bytes)) + found_bytes + model_bytes
-
-
 def _detect_worker(
-    path: str, lines: Optional[list[bytes]], worker: int, workers: int, config, dump: bool, pipe: BinaryIO
+    path: str, lines: Iterable[bytes], start: int, stop: int, config, out: TextIO, dump: Optional[TextIO], failure
 ) -> None:
-    """Write one frame per commit of this worker's share to ``pipe``; when a
-    commit raises, write a failure frame and raise again. A regular file is
-    opened again, as a forked child shares the offset of the parent's file."""
+    """In a forked child: detect commits ``start`` to ``stop - 1`` into the
+    spool files ``out`` and ``dump`` and exit; when a commit raises, write the
+    pickled exception and its traceback text to ``failure`` first. A regular
+    file is opened again, as a forked child shares the offset of the parent's
+    file."""
+    code = 1
     try:
-        with open(path, "rb") if lines is None else contextlib.nullcontext(lines) as all_lines:
-            for _, record in json_lines(_own_lines(all_lines, worker, workers), "commits", commit_from_json):
-                pipe.write(_frame(*_detect_static(record, config, dump)))
-                pipe.flush()
-                del record  # one commit at a time, as in the parent
+        try:
+            with contextlib.nullcontext(lines) if isinstance(lines, list) else open(path, "rb") as all_lines:
+                _detect_share(_share(all_lines, start, stop), config, out, dump)
+        finally:
+            for spool in (out, dump):
+                if spool is not None:
+                    spool.flush()  # the lines of the commits before a failure too
+        code = 0
     except BaseException as exc:
         import pickle
         import traceback
@@ -270,80 +270,70 @@ def _detect_worker(
             pickle.loads(payload)  # fails for an exception whose __init__ does not take its args
         except Exception:
             payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
-        pipe.write(_FRAME.pack(-1, len(payload)) + payload)
-        pipe.flush()
-        raise
-
-
-def _receive(pipe: BinaryIO, worker: int, commit: int) -> tuple[str, str]:
-    """The detection and model lines of the next frame on ``pipe``, from
-    ``worker``; a failure frame's exception is raised here again."""
-
-    def read(size: int) -> bytes:
-        data = pipe.read(size)
-        if len(data) < size:
-            raise RuntimeError(f"detect worker {worker} ended before it sent commit {commit}")
-        return data
-
-    found, models = _FRAME.unpack(read(_FRAME.size))
-    if found < 0:
-        import pickle
-
-        exc, text = pickle.loads(read(models))
-        raise exc from _WorkerTraceback(text)
-    return read(found).decode("utf-8"), read(models).decode("utf-8")
+        failure.write(payload)
+        failure.flush()
+    finally:
+        os._exit(code)
 
 
 def _detect_forked(
-    path: str, lines: Optional[list[bytes]], commits: int, workers: int, config, out: TextIO, dump: Optional[TextIO]
+    path: str, lines: Iterable[bytes], commits: int, processes: int, config, out: TextIO, dump: Optional[TextIO]
 ) -> None:
-    """Detect ``commits`` commits in ``workers`` forked processes, worker ``w``
-    taking commits ``w``, ``w + workers``, ... (from 0), and write their lines
-    in input order. A worker's exception is raised here again once the commits
-    before it are written; every worker is reaped however this ends."""
+    """Detect ``commits`` commits in ``processes`` processes, process ``w``
+    taking commits ``commits * w // processes`` up to ``commits * (w + 1) //
+    processes`` (from 0). This process takes the first share and writes it
+    straight out; each forked worker spools its lines to anonymous files made
+    here, which are appended in share order. A worker's exception is raised
+    here again once the commits before it are written; every worker is reaped
+    however this ends."""
+    import shutil
+    import tempfile
+
+    bounds = [commits * w // processes for w in range(processes + 1)]
+    logger.info("detect: commits %s", ", ".join(
+        f"{bounds[w] + 1}-{bounds[w + 1]} " + (f"in worker {w}" if w else "here") for w in range(processes)
+    ))
     for stream in (out, dump, sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()  # or a child could write out what the parent buffered
-    pids: list[int] = []
-    pipes: list[BinaryIO] = []
-    done = False
-    try:
-        for worker in range(workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_fd)
-                    for pipe in pipes:
-                        pipe.close()
-                    with open(write_fd, "wb") as pipe:
-                        _detect_worker(path, lines, worker, workers, config, dump is not None, pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            os.close(write_fd)
-            pipes.append(open(read_fd, "rb"))
-        # commit j comes from pipe j % workers; every earlier frame of its worker
-        # is read already, so no worker waits on a pipe this loop does not read
-        for j in range(commits):
-            found, models = _receive(pipes[j % workers], j % workers, j + 1)
-            if dump is not None:
-                dump.write(models)
-            out.write(found)
-        done = True
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        if not done:
-            import signal
+    pids: dict[int, int] = {}  # worker -> process id, until reaped
+    with contextlib.ExitStack() as stack:
+        def spool(**mode):
+            return stack.enter_context(tempfile.TemporaryFile(**mode))
 
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(codes):
-        raise RuntimeError(f"detect workers ended with exit codes {codes}")
+        lines_spool = partial(spool, mode="w+", encoding="utf-8", newline="\n")
+        files = {w: (lines_spool(), lines_spool() if dump is not None else None, spool()) for w in range(1, processes)}
+        try:
+            for w, (out_spool, dump_spool, failure) in files.items():
+                pid = os.fork()
+                if pid == 0:
+                    _detect_worker(path, lines, bounds[w], bounds[w + 1], config, out_spool, dump_spool, failure)
+                pids[w] = pid
+            _detect_share(_share(lines, 0, bounds[1]), config, out, dump)
+            for w, (out_spool, dump_spool, failure) in files.items():
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
+                failure.seek(0)
+                payload = failure.read()
+                if code and not payload:
+                    raise RuntimeError(
+                        f"detect worker {w} (commits {bounds[w] + 1}-{bounds[w + 1]}) ended with exit code {code}"
+                    )
+                for spooled, stream in ((out_spool, out), (dump_spool, dump)):
+                    if spooled is not None:
+                        spooled.seek(0)
+                        shutil.copyfileobj(spooled, stream)  # in chunks, however long the share
+                if payload:
+                    import pickle
+
+                    exc, trace = pickle.loads(payload)
+                    raise exc from _WorkerTraceback(trace)
+        finally:
+            if pids:
+                import signal
+
+                for pid in pids.values():
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def _detect_llm(record: CommitRecord, args, config, rate_limiter) -> tuple[list[str], object]:
@@ -394,18 +384,13 @@ def _cmd_detect(args) -> int:
         if lines is fh:
             fh.seek(0)
         cpus = _usable_cpus()
-        workers = min(args.parallelism or cpus, cpus, commits)
+        processes = min(args.parallelism or cpus, cpus, commits)
         dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
         with dump_models as dump, _open_out(args.out) as out:
-            if workers > 1 and hasattr(os, "fork"):
-                _detect_forked(args.commits, None if lines is fh else lines, commits, workers, config, out, dump)
-                return EXIT_OK
-            # one commit at a time: a record is decoded, detected and freed before the next
-            for _, record in json_lines(lines, "commits", commit_from_json):
-                found, models = _detect_static(record, config, dump is not None)
-                if dump is not None:
-                    dump.write(models)
-                out.write(found)
+            if processes > 1 and hasattr(os, "fork"):
+                _detect_forked(args.commits, lines, commits, processes, config, out, dump)
+            else:
+                _detect_share(lines, config, out, dump)
     return EXIT_OK
 
 

@@ -102,6 +102,14 @@ def test_malformed_xml_reports_line():
     assert err.value.line >= 2
 
 
+@pytest.mark.parametrize("parse", [parse_maven, parse_ant])
+def test_a_lone_surrogate_is_malformed_xml_at_its_line(parse):
+    with pytest.raises(XmlMalformedError) as err:  # expat cannot encode it to UTF-8
+        parse("<project>\n<artifactId>a\ud800</artifactId>\n</project>\n")
+    assert err.value.line == 2
+    assert "'\\ud800' cannot be encoded" in err.value.reason
+
+
 # --- Ant -----------------------------------------------------------------------
 
 def test_target_depends_parsed_as_ordered_list():

@@ -277,13 +277,26 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
         return record
 
     monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
+    from buildref.detectors import CommitContext
+
+    contexts: list = []  # a weak reference to every commit's context, in order
+    build = CommitContext.from_commit.__func__
+
+    def recording_from_commit(cls, record):
+        alive.extend((len(decoded), n) for n, ref in enumerate(contexts) if ref() is not None)
+        ctx = build(cls, record)
+        contexts.append(weakref.ref(ctx))
+        return ctx
+
+    # and the models of a commit go before the next commit's are built
+    monkeypatch.setattr(CommitContext, "from_commit", classmethod(recording_from_commit))
     gc.disable()  # the records must go when their last reference does, not at a collection
     try:
         # in this process: the recorder would not see the records of forked workers
         assert run(["detect", "--commits", str(commits), "--parallelism", "1", "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
     finally:
         gc.enable()
-    assert len(decoded) >= 5 and alive == []
+    assert len(decoded) >= 5 and len(contexts) == 5 and alive == []
     assert len((tmp_path / "det.jsonl").read_text().splitlines()) == 5
 
 
@@ -298,8 +311,13 @@ def _unused_property_commit_lines(count):
     return lines
 
 
-@pytest.mark.parametrize("parallelism", ["1", "2"])
-def test_a_commit_that_raises_ends_the_run_after_the_commits_before_it(tmp_path, monkeypatch, parallelism):
+@pytest.mark.parametrize("parallelism, failing", [
+    pytest.param("1", 3, id="1"),
+    pytest.param("2", 3, id="2"),  # in the worker's share, commits 3 and 4
+    pytest.param("2", 4, id="2-after-a-worker-commit"),  # the worker's lines of commit 3 are written
+    pytest.param("2", 2, id="2-in-this-process"),  # in this process's share, commits 1 and 2
+])
+def test_a_commit_that_raises_ends_the_run_after_the_commits_before_it(tmp_path, monkeypatch, parallelism, failing):
     from buildref import build_parsers
 
     commits, out = tmp_path / "commits.jsonl", tmp_path / "det.jsonl"
@@ -307,17 +325,19 @@ def test_a_commit_that_raises_ends_the_run_after_the_commits_before_it(tmp_path,
     parse = build_parsers.parse_maven
 
     def parse_maven(content):
-        if "<artifactId>a3</artifactId>" in content:
-            raise RuntimeError("parser bug on a3")
+        if f"<artifactId>a{failing}</artifactId>" in content:
+            raise RuntimeError(f"parser bug on a{failing}")
         return parse(content)
 
     monkeypatch.setattr(build_parsers, "parse_maven", parse_maven)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two workers on any machine
-    with pytest.raises(RuntimeError, match="parser bug on a3") as raised:
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # two processes on any machine
+    with pytest.raises(RuntimeError, match=f"parser bug on a{failing}") as raised:
         run(["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(out)])
-    if parallelism == "2":  # the worker's traceback is the cause
+    if parallelism == "2" and failing > 2:  # raised in the worker, whose traceback is the cause
         assert "in parse_maven" in str(raised.value.__cause__)
-    assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [f"{n:040x}" for n in (1, 2)]
+    assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [
+        f"{n:040x}" for n in range(1, failing)
+    ]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -333,14 +353,15 @@ def test_a_worker_that_dies_ends_the_run_after_the_commits_before_it(tmp_path, m
         build_parsers, "parse_maven", lambda content: os._exit(3) if "<artifactId>a3</artifactId>" in content else parse(content)
     )
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    with pytest.raises(RuntimeError, match="detect worker 0 ended before it sent commit 3"):
+    with pytest.raises(RuntimeError, match=r"detect worker 1 \(commits 3-4\) ended with exit code 3"):
         run(["detect", "--commits", str(commits), "--parallelism", "2", "--out", str(out)])
     assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [f"{n:040x}" for n in (1, 2)]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("parallelism, commits, workers", [(None, 3, 2), ("64", 3, 2), ("64", 1, 0), ("1", 3, 0)])
+# k processes, this one included, fork k - 1 workers
+@pytest.mark.parametrize("parallelism, commits, workers", [(None, 3, 1), ("64", 3, 1), ("64", 1, 0), ("1", 3, 0)])
 def test_static_detect_forks_at_most_one_worker_per_usable_cpu_and_commit(tmp_path, monkeypatch, parallelism, commits, workers):
     path = tmp_path / "commits.jsonl"
     path.write_text("".join(_commit_lines(commits)))
@@ -354,10 +375,40 @@ def test_static_detect_forks_at_most_one_worker_per_usable_cpu_and_commit(tmp_pa
     assert len((tmp_path / "det.jsonl").read_text().splitlines()) == commits
 
 
+def test_static_detect_logs_how_it_split_the_commits(tmp_path, monkeypatch, caplog):
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(7)))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    caplog.set_level(logging.INFO, logger="buildref.cli")
+    assert run(["-v", "detect", "--commits", str(commits), "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if r.name == "buildref.cli"] == [
+        "detect: commits 1-2 here, 3-4 in worker 1, 5-7 in worker 2"
+    ]
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_a_lone_surrogate_in_a_pom_is_one_raw_block(tmp_path, monkeypatch, parallelism):
+    """Expat cannot encode a lone surrogate, so the POM falls back to one raw
+    block, as malformed XML does, and the run goes on."""
+    pom = "<project>\n<artifactId>a</artifactId>\n</project>\n"
+    record = make_commit({"pom.xml": pom}, {"pom.xml": pom.replace("a<", "a\ud800<")})
+    line = commit_to_json(replace(record, commit_hash=f"{2:040x}")).replace("\ud800", "\\ud800")  # as a JSON escape
+    commits = tmp_path / "commits.jsonl"  # the second commit is the worker's share at --parallelism 2
+    commits.write_text(_commit_lines(1)[0] + line + "\n")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out, dump = tmp_path / "det.jsonl", tmp_path / "models.jsonl"
+    argv = ["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(out), "--dump-models", str(dump)]
+    assert run(argv) == EXIT_OK
+    after = [json.loads(line) for line in dump.read_text().splitlines()][-1]
+    assert after["commit_hash"] == f"{2:040x}" and after["version"] == "after"
+    assert [element["kind"] for element in after["elements"]] == ["raw_block"]
+
+
 def test_worker_pool_output_is_byte_identical_on_the_detection_corpus(tmp_path, monkeypatch):
     """The 300 drawn commits of the detection golden corpus, detected in this
-    process, by two workers, by the default pool, by seven workers (more than
-    this machine may have cores, each taking an unequal share) and from a pipe."""
+    process, by two processes, by the default pool, by seven processes (more
+    than this machine may have cores, taking shares of 42 and 43) and from a
+    pipe."""
     from test_detectors import GOLDEN_COMMITS, detection_corpus
 
     commits = tmp_path / "commits.jsonl"
