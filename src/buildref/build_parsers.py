@@ -64,11 +64,6 @@ class BuildElement:
     def is_ordering_only(self) -> bool:
         return self.attributes.get("ordering") == "true"
 
-    @property
-    def depends_names(self) -> tuple[str, ...]:
-        joined = ",".join(self.attributes.get(k, "") for k in ORDERING_KEYWORDS)
-        return tuple(n.strip() for n in joined.split(",") if n.strip())
-
 
 @dataclass(frozen=True)
 class ModuleLink:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import os
@@ -190,15 +191,29 @@ def _cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def _detect_share(lines: Iterable[bytes], config, out: TextIO, dump: Optional[TextIO]) -> None:
-    """Decode, detect and free one commit of ``lines`` after another, writing
-    its detection lines to ``out`` and, when ``dump`` is given, the lines of
-    its parsed build models to ``dump``."""
+@contextlib.contextmanager
+def _commit_lines(path: str) -> Iterator[tuple[Iterable[bytes], list[int]]]:
+    """The lines of the commits file at ``path`` and the number (from 1) of
+    each commit's line. Every line is decoded first, so a bad one fails before
+    any output exists or request is sent; no record is kept. A file is then
+    read again from its start; a pipe can be read once, so its lines are held."""
+    with open(path, "rb") as fh:  # json_lines decodes each line, so an error names it
+        lines = fh if fh.seekable() else fh.readlines()
+        numbers = [number for number, _ in json_lines(lines, "commits", commit_from_json)]
+        if lines is fh:
+            fh.seek(0)
+        yield lines, numbers
+
+
+def _detect_share(lines: Iterable[bytes], first: int, config, out: TextIO, dump: Optional[TextIO]) -> None:
+    """Decode, detect and free one commit of ``lines``, numbered from
+    ``first``, after another, writing its detection lines to ``out`` and, when
+    ``dump`` is given, the lines of its parsed build models to ``dump``."""
     from .build_parsers import model_to_json
     from .detectors import CommitContext, detect_all
     from .taxonomy import detection_to_json, sort_key
 
-    for _, record in json_lines(lines, "commits", commit_from_json):
+    for _, record in json_lines(lines, "commits", commit_from_json, first):
         ctx = CommitContext.from_commit(record)
         if dump is not None:
             dump.writelines(
@@ -218,22 +233,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _share(lines: Iterable[bytes], start: int, stop: int) -> Iterator[bytes]:
-    """``lines`` up to the ``stop``-th non-blank one, with those before the
-    ``start``-th (both counting from 0) emptied, so that ``json_lines`` decodes
-    only commits ``start`` to ``stop - 1`` and still numbers them as in the
-    whole file."""
-    commit = 0
-    for line in lines:
-        if line.decode("utf-8").strip():  # the blank test of json_lines
-            if commit == stop:
-                return
-            commit += 1
-            if commit <= start:
-                line = b""
-        yield line
-
-
 class _WorkerTraceback(Exception):
     """The traceback of an exception a detect worker raised, shown as the
     cause of the same exception raised again in the parent."""
@@ -243,18 +242,19 @@ class _WorkerTraceback(Exception):
 
 
 def _detect_worker(
-    path: str, lines: Iterable[bytes], start: int, stop: int, config, out: TextIO, dump: Optional[TextIO], failure
+    path: str, lines: Iterable[bytes], start: int, stop: Optional[int], config, out: TextIO, dump: Optional[TextIO],
+    failure,
 ) -> None:
-    """In a forked child: detect commits ``start`` to ``stop - 1`` into the
-    spool files ``out`` and ``dump`` and exit; when a commit raises, write the
-    pickled exception and its traceback text to ``failure`` first. A regular
-    file is opened again, as a forked child shares the offset of the parent's
-    file."""
+    """In a forked child: detect the commits of lines ``start`` up to ``stop``
+    (from 0; to the end when None) into the spool files ``out`` and ``dump``
+    and exit; when a commit raises, write the pickled exception and its
+    traceback text to ``failure`` first. A regular file is opened again, as a
+    forked child shares the offset of the parent's file."""
     code = 1
     try:
         try:
             with contextlib.nullcontext(lines) if isinstance(lines, list) else open(path, "rb") as all_lines:
-                _detect_share(_share(all_lines, start, stop), config, out, dump)
+                _detect_share(itertools.islice(all_lines, start, stop), start + 1, config, out, dump)
         finally:
             for spool in (out, dump):
                 if spool is not None:
@@ -277,19 +277,22 @@ def _detect_worker(
 
 
 def _detect_forked(
-    path: str, lines: Iterable[bytes], commits: int, processes: int, config, out: TextIO, dump: Optional[TextIO]
+    path: str, lines: Iterable[bytes], numbers: list[int], processes: int, config, out: TextIO, dump: Optional[TextIO]
 ) -> None:
-    """Detect ``commits`` commits in ``processes`` processes, process ``w``
-    taking commits ``commits * w // processes`` up to ``commits * (w + 1) //
-    processes`` (from 0). This process takes the first share and writes it
-    straight out; each forked worker spools its lines to anonymous files made
-    here, which are appended in share order. A worker's exception is raised
-    here again once the commits before it are written; every worker is reaped
-    however this ends."""
+    """Detect the ``n`` commits of ``lines``, whose lines have the ``numbers``,
+    in ``processes`` processes. Process ``w`` takes commits ``n * w //
+    processes`` up to ``n * (w + 1) // processes`` (from 0): the lines from its
+    first commit's line up to the next share's. This process takes the first
+    share and writes it straight out; each forked worker spools its lines to
+    anonymous files made here, which are appended in share order. A worker's
+    exception is raised here again once the commits before it are written;
+    every worker is reaped however this ends."""
     import shutil
     import tempfile
 
+    commits = len(numbers)
     bounds = [commits * w // processes for w in range(processes + 1)]
+    starts = [numbers[bounds[w]] - 1 for w in range(processes)] + [None]  # each share's first line, from 0
     logger.info("detect: commits %s", ", ".join(
         f"{bounds[w] + 1}-{bounds[w + 1]} " + (f"in worker {w}" if w else "here") for w in range(processes)
     ))
@@ -307,9 +310,9 @@ def _detect_forked(
             for w, (out_spool, dump_spool, failure) in files.items():
                 pid = os.fork()
                 if pid == 0:
-                    _detect_worker(path, lines, bounds[w], bounds[w + 1], config, out_spool, dump_spool, failure)
+                    _detect_worker(path, lines, starts[w], starts[w + 1], config, out_spool, dump_spool, failure)
                 pids[w] = pid
-            _detect_share(_share(lines, 0, bounds[1]), config, out, dump)
+            _detect_share(itertools.islice(lines, starts[1]), 1, config, out, dump)
             for w, (out_spool, dump_spool, failure) in files.items():
                 code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(w), 0)[1])
                 failure.seek(0)
@@ -376,21 +379,15 @@ def _cmd_detect(args) -> int:
     from .detectors import DetectorConfig
 
     config = DetectorConfig(move_similarity=args.move_similarity, rename_similarity=args.rename_similarity)
-    with open(args.commits, "rb") as fh:  # json_lines decodes each line, so an error names it
-        # a file is read twice; a pipe can be read once, so its lines are held
-        lines = fh if fh.seekable() else fh.readlines()
-        # a bad line fails here, before any output file exists; no record is kept
-        commits = sum(1 for _ in json_lines(lines, "commits", commit_from_json))
-        if lines is fh:
-            fh.seek(0)
+    with _commit_lines(args.commits) as (lines, numbers):
         cpus = _usable_cpus()
-        processes = min(args.parallelism or cpus, cpus, commits)
+        processes = min(args.parallelism or cpus, cpus, len(numbers))
         dump_models = open(args.dump_models, "w", encoding="utf-8") if args.dump_models else contextlib.nullcontext()
         with dump_models as dump, _open_out(args.out) as out:
             if processes > 1 and hasattr(os, "fork"):
-                _detect_forked(args.commits, lines, commits, processes, config, out, dump)
+                _detect_forked(args.commits, lines, numbers, processes, config, out, dump)
             else:
-                _detect_share(lines, config, out, dump)
+                _detect_share(lines, 1, config, out, dump)
     return EXIT_OK
 
 
@@ -410,8 +407,6 @@ def _cmd_detect_llm(args) -> int:
     )
     parallelism = args.parallelism or 1  # a real endpoint sees no concurrency unless asked
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=parallelism) if args.rate else None
-    with open(args.commits, "rb") as fh:
-        records = [record for _, record in json_lines(fh, "commits", commit_from_json)]
     pool = None
     if parallelism > 1:  # the threads overlap their waits on the endpoint
         from concurrent.futures import ThreadPoolExecutor
@@ -419,7 +414,9 @@ def _cmd_detect_llm(args) -> int:
         pool = ThreadPoolExecutor(max_workers=parallelism)
     total = llm_backend.LlmStats()
     classify = partial(_detect_llm, args=args, config=config, rate_limiter=rate_limiter)
-    with pool or contextlib.nullcontext(), _open_out(args.out) as out:
+    with _commit_lines(args.commits) as (commit_lines, _), pool or contextlib.nullcontext(), _open_out(args.out) as out:
+        # decoded again as they are asked for: map holds one record at a time, pool.map submits them all
+        records = (record for _, record in json_lines(commit_lines, "commits", commit_from_json))
         # map preserves input order; each call counts its own requests and only this thread adds them up
         for lines, stats in (pool.map if pool else map)(classify, records):
             out.writelines(line + "\n" for line in lines)

@@ -112,18 +112,14 @@ class _ModelIndex:
             plain[tok[1:]] += n
         return plain, embedding
 
-    @cached_property
-    def _element_ids(self) -> set[int]:
-        return {id(el) for el in self.model.elements}
-
     def reference_count(self, name: str, exclude: Optional[BuildElement] = None) -> int:
         """Tokens of the model that refer to `name`, leaving out those of
-        `exclude` when it is an element of this model."""
+        `exclude`, an element of this model."""
         plain, embedding = self._references
         count = plain[name] + sum(
             n for tok, n in embedding.items() if _token_matches_name(tok, name)
         )
-        if exclude is not None and id(exclude) in self._element_ids:
+        if exclude is not None:
             own = itertools.chain(exclude.body_tokens, *map(tokenize, exclude.attributes.values()))
             count -= sum(1 for t in own if _token_matches_name(t, name))
         return count
@@ -522,7 +518,7 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
     for path, el in ctx.vanished:
         if id(el) in renamed_sources or id(el) in ctx.moved_sources:
             continue
-        if any(m.references(el.name, exclude=el) for m in ctx.before_index.values()):
+        if any(m.references(el.name, exclude=el if p == path else None) for p, m in ctx.before_index.items()):
             continue
         if any(m.references(el.name) for m in ctx.after_index.values()):
             continue

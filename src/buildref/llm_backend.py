@@ -23,15 +23,16 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from . import taxonomy
 from .taxonomy import DetectedRefactoring
-from .mining import BackendError, BuildSystem, CommitRecord, DataError, loads
+from .mining import BackendError, BuildSystem, CommitRecord, DataError, dumps, loads
 
 logger = logging.getLogger(__name__)
 
 SENTINEL = "No refactorings found."
+DELIMITER = "```"  # around each file's hunks in a prompt
 
 INSTRUCTION_TEMPLATE = (
     "Task: Given the commit changes below that are applied on {build_system} build scripts "
-    "which will be delimited with {delimiter} characters, "
+    f"which will be delimited with {DELIMITER} characters, "
     "identify any occurrences of the listed refactoring types.\n"
     "\n"
     "Provide the results strictly in JSON format with the following keys: "
@@ -87,7 +88,6 @@ class RateLimitedError(TransportError):
 class PromptSpec:
     mode: PromptMode
     build_system: BuildSystem
-    delimiter: str = "```"
 
 
 @dataclass(frozen=True)
@@ -130,16 +130,16 @@ def _definitions_section(spec: PromptSpec) -> str:
     return "\n".join(lines)
 
 
-def _commit_section(commit: CommitRecord, spec: PromptSpec) -> str:
+def _commit_section(commit: CommitRecord) -> str:
     parts = []
     for fd in commit.file_diffs:
         parts.append(f"File: {fd.path} ({fd.change_kind.value})")
-        parts.append(spec.delimiter)
+        parts.append(DELIMITER)
         for h in fd.hunks:
             parts.append(f"@@ -{h.old_start},{h.old_len} +{h.new_start},{h.new_len} @@")
             parts.extend(f"-{line}" for line in h.removed)
             parts.extend(f"+{line}" for line in h.added)
-        parts.append(spec.delimiter)
+        parts.append(DELIMITER)
     return "\n".join(parts)
 
 
@@ -157,11 +157,9 @@ def build_prompt(commit: CommitRecord, spec: PromptSpec) -> str:
             f"{commit.commit_hash}: diffs cover {sorted(s.value for s in systems)}, "
             f"prompt is for {spec.build_system.value}"
         )
-    instruction = INSTRUCTION_TEMPLATE.format(
-        build_system=spec.build_system.value, delimiter=spec.delimiter
-    )
+    instruction = INSTRUCTION_TEMPLATE.format(build_system=spec.build_system.value)
     return "\n".join(
-        [instruction, _definitions_section(spec), "", _commit_section(commit, spec)]
+        [instruction, _definitions_section(spec), "", _commit_section(commit)]
     )
 
 
@@ -231,7 +229,7 @@ def serialize_detections(detections: Iterable[DetectedRefactoring]) -> str:
         {"RefactoringType": d.type, "Details": d.details}
         for d in sorted(detections, key=lambda d: (d.type, d.details))
     ]
-    return json.dumps(items, ensure_ascii=False)
+    return dumps(items)
 
 
 def deserialize_detections(text: str) -> set[DetectedRefactoring]:
@@ -324,7 +322,8 @@ def classify_commit(
     if cache_dir:
         # JSON escapes NUL, so the separator cannot occur in the settings part
         settings = json.dumps([config.endpoint, config.model, config.temperature, config.max_output_tokens])
-        digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode()).hexdigest()
+        # a lone surrogate, which a commits line may hold as a JSON escape, is hashed too
+        digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode("utf-8", "surrogatepass")).hexdigest()
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"{digest}.json")
         cached = _read_cache(cache_path)

@@ -589,16 +589,27 @@ def loads(text: str, start: Optional[int] = None):
         raise ValueError("nested too deeply to decode") from exc
 
 
+def dumps(value) -> str:
+    """``value`` as JSON with its text raw, or escaped to ASCII when it holds
+    a lone surrogate, which UTF-8 cannot encode."""
+    text = json.dumps(value, ensure_ascii=False)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return json.dumps(value)
+    return text
+
+
 def json_lines(
-    lines: Iterable[Union[str, bytes]], what: str, read: Callable[[str], T] = loads
-) -> Iterator[tuple[str, T]]:
-    """(place, ``read(line)``) of each non-blank line without its newline, placed
-    as ``"<what> line <n>"`` with blank lines counted (a raw U+2028 ends none).
-    A line of bytes is decoded as UTF-8 first. A DataError, ValueError (a byte
-    that is not UTF-8 among them) or KeyError from the decoding or ``read`` is
-    a DataError naming the place, a missing key as ``missing <key>``."""
-    for number, line in enumerate(lines, 1):
-        place = f"{what} line {number}"
+    lines: Iterable[Union[str, bytes]], what: str, read: Callable[[str], T] = loads, first: int = 1
+) -> Iterator[tuple[int, T]]:
+    """(number, ``read(line)``) of each non-blank line without its newline, the
+    lines numbered from ``first`` with blank lines counted (a raw U+2028 ends
+    none). A line of bytes is decoded as UTF-8 first. A DataError, ValueError
+    (a byte that is not UTF-8 among them) or KeyError from the decoding or
+    ``read`` is a DataError naming ``"<what> line <n>"``, a missing key as
+    ``missing <key>``."""
+    for number, line in enumerate(lines, first):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
@@ -606,10 +617,10 @@ def json_lines(
                 continue
             value = read(line.rstrip("\n"))
         except KeyError as exc:
-            raise DataError(f"{place}: missing {exc.args[0]}") from exc
+            raise DataError(f"{what} line {number}: missing {exc.args[0]}") from exc
         except (DataError, ValueError) as exc:
-            raise DataError(f"{place}: {exc}") from exc
-        yield place, value
+            raise DataError(f"{what} line {number}: {exc}") from exc
+        yield number, value
 
 
 def _text(obj: dict, key: str, optional: bool = False) -> Optional[str]:

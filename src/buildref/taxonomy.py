@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .mining import BuildSystem, DataError
+from .mining import BuildSystem, DataError, dumps
 
 
 class MainCategory(Enum):
@@ -347,7 +347,7 @@ def sort_key(det: DetectedRefactoring) -> tuple:
 
 
 def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
-    return json.dumps(
+    return dumps(
         {
             "commit_hash": commit_hash,
             "RefactoringType": det.type,
@@ -358,8 +358,7 @@ def detection_to_json(commit_hash: str, det: DetectedRefactoring) -> str:
             ],
             "backend": det.backend,
             "confidence": det.confidence,
-        },
-        ensure_ascii=False,
+        }
     )
 
 

@@ -113,16 +113,15 @@ def test_a_lone_surrogate_is_malformed_xml_at_its_line(parse):
 # --- Ant -----------------------------------------------------------------------
 
 def test_target_depends_parsed_as_ordered_list():
-    model = parse_ant('<project><target name="init" depends="clean"><mkdir dir="x"/></target></project>')
+    model = parse_ant('<project><target name="init" depends=" clean, ,fetch "><mkdir dir="x"/></target></project>')
     target = kinds(model, ElementKind.TARGET)[0]
     assert target.name == "init"
-    assert target.attributes["depends"] == "clean"
-    assert target.depends_names == ("clean",)
+    assert target.attributes["depends"] == "clean,fetch"
 
 
 def test_target_without_depends():
     model = parse_ant('<project><target name="a"/></project>')
-    assert kinds(model, ElementKind.TARGET)[0].depends_names == ()
+    assert "depends" not in kinds(model, ElementKind.TARGET)[0].attributes
 
 
 def test_eleven_targets_share_equal_body_tokens():

@@ -263,6 +263,31 @@ def test_static_detect_reads_a_pipe_once(tmp_path, bad_last_line):
     assert dump.read_text() == file_dump.read_text() != ""
 
 
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_a_share_after_blank_lines_numbers_its_lines_as_in_the_whole_file(tmp_path, monkeypatch, capsys, parallelism):
+    """Commits 3 and 4 are the worker's share at --parallelism 2; it starts
+    after two blank lines, and the fourth commit is on line 8."""
+    c1, c2, c3, c4 = _commit_lines(4)
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(c1 + "\n" + c2 + "\n \n" + c3 + "\n" + c4)
+    decode, decoded = cli.commit_from_json, []
+
+    def commit_from_json(line):  # fails on the fourth commit once the checking pass is over
+        decoded.append(line)
+        if len(decoded) > 4 and line == c4.rstrip("\n"):
+            raise cli.DataError("unreadable")
+        return decode(line)
+
+    monkeypatch.setattr(cli, "commit_from_json", commit_from_json)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(tmp_path / "det.jsonl")]
+    assert run(argv) == EXIT_DATA
+    assert capsys.readouterr().err == "data error: commits line 8: unreadable\n"
+    assert [json.loads(line)["commit_hash"] for line in (tmp_path / "det.jsonl").read_text().splitlines()] == [
+        f"{n:040x}" for n in (1, 2, 3)
+    ]
+
+
 def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_path, monkeypatch):
     commits = tmp_path / "commits.jsonl"
     commits.write_text("".join(_commit_lines(5)))
@@ -402,6 +427,27 @@ def test_a_lone_surrogate_in_a_pom_is_one_raw_block(tmp_path, monkeypatch, paral
     after = [json.loads(line) for line in dump.read_text().splitlines()][-1]
     assert after["commit_hash"] == f"{2:040x}" and after["version"] == "after"
     assert [element["kind"] for element in after["elements"]] == ["raw_block"]
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_a_lone_surrogate_in_a_detection_is_written_as_a_json_escape(tmp_path, monkeypatch, parallelism):
+    """UTF-8 cannot encode a lone surrogate, so a detection line holding one
+    is escaped to ASCII; the lines of other detections stay raw."""
+    dependency = "dependencies {\n    implementation 'a\ud800:b:1'\n}\n"
+    record = make_commit(
+        {"build.gradle": dependency, "sub/build.gradle": "dependencies {\n}\n"},
+        {"build.gradle": "dependencies {\n}\n", "sub/build.gradle": dependency},
+    )
+    line = commit_to_json(replace(record, commit_hash=f"{2:040x}")).replace("\ud800", "\\ud800")  # as a JSON escape
+    commits = tmp_path / "commits.jsonl"  # the second commit is the worker's share at --parallelism 2
+    commits.write_text(_commit_lines(1)[0] + line + "\n")
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "det.jsonl"
+    assert run(["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(out)]) == EXIT_OK
+    first, moved = out.read_text(encoding="utf-8").splitlines()
+    assert first.isascii() and json.loads(first)["commit_hash"] == f"{1:040x}"
+    assert "a\\ud800:b" in moved and moved.isascii()
+    assert json.loads(moved)["Details"] == "dependency a\ud800:b moved from build.gradle to sub/build.gradle"
 
 
 def test_worker_pool_output_is_byte_identical_on_the_detection_corpus(tmp_path, monkeypatch):
@@ -574,6 +620,92 @@ def test_llm_detect_with_mocked_transport_and_cache(pipeline, tmp_path, monkeypa
     assert run(args + ["--out", str(out2)]) == EXIT_OK
     assert calls["n"] == first_calls  # all served from cache
     assert out2.read_text() == out1.read_text()
+
+
+def _llm_argv(commits, out, *extra):
+    return ["detect", "--commits", str(commits), "--backend", "llm", "--endpoint", "http://mock/v1", "--model", "m",
+            "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+def test_llm_detect_of_a_bad_last_line_sends_nothing_and_creates_no_output_file(tmp_path, monkeypatch, capsys, source):
+    from buildref import llm_backend
+
+    requests = []
+    monkeypatch.setattr(llm_backend, "_http_transport", lambda *request: requests.append(request))
+    text = "".join(_commit_lines(3)) + '{"commit_hash": 5}\n'
+    commits = tmp_path / "commits.jsonl"
+    if source == "fifo":
+        os.mkfifo(commits)
+        writer = threading.Thread(target=commits.write_text, args=(text,), daemon=True)  # blocks until detect opens it
+        writer.start()
+    else:
+        commits.write_text(text)
+    out = tmp_path / "det.jsonl"
+    assert run(_llm_argv(commits, out)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: commits line 4: ")
+    assert requests == [] and not out.exists()
+
+
+def test_llm_detect_holds_one_record_at_a_time(tmp_path, monkeypatch):
+    """At --parallelism 1, commit ``i`` (from 1) of ``n`` is asked for after
+    at most ``n + i`` decodes, ``n`` of the checking pass, and no record
+    decoded before it is left."""
+    from buildref import llm_backend
+
+    n = 4
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(n)))
+    decode = cli.commit_from_json
+    decoded: list = []  # a weak reference to every record decoded, in order
+
+    def recording_commit_from_json(line):
+        record = decode(line)
+        decoded.append(weakref.ref(record))
+        return record
+
+    asked: list = []  # (decodes so far, records decoded so far that are still alive) at each request
+
+    def transport(url, headers, body, timeout):
+        asked.append((len(decoded), sum(ref() is not None for ref in decoded)))
+        return 200, json.dumps({"choices": [{"message": {"content": llm_backend.SENTINEL}}]})
+
+    monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
+    monkeypatch.setattr(llm_backend, "_http_transport", transport)
+    gc.disable()  # the records must go when their last reference does, not at a collection
+    try:
+        assert run(_llm_argv(commits, tmp_path / "det.jsonl", "--parallelism", "1")) == EXIT_OK
+    finally:
+        gc.enable()
+    assert len(asked) == n
+    assert all(decodes <= n + i and alive == 1 for i, (decodes, alive) in enumerate(asked, 1))
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_a_lone_surrogate_in_an_llm_reply_is_cached_and_written_as_a_json_escape(tmp_path, monkeypatch, cache):
+    from buildref import llm_backend
+
+    content = '[{"RefactoringType": "DRY", "Details": "a\\ud800 twice"}]'  # the JSON escape of a lone surrogate
+    requests = []
+
+    def transport(url, headers, body, timeout):
+        requests.append(body)
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(llm_backend, "_http_transport", transport)
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(2)))
+    flags = ["--cache-dir", str(tmp_path / "cache")] if cache else ["--no-cache"]
+    outputs = []
+    for out in (tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"):
+        assert run(_llm_argv(commits, out, *flags)) == EXIT_OK
+        outputs.append(out.read_text(encoding="utf-8"))
+    assert len(requests) == (1 if cache else 4)  # the two commits give one prompt
+    assert outputs[0] == outputs[1] and outputs[0].isascii()
+    assert [json.loads(line)["Details"] for line in outputs[0].splitlines()] == ["a\ud800 twice"] * 2
+    if cache:
+        [cache_file] = (tmp_path / "cache").iterdir()
+        assert cache_file.read_text(encoding="utf-8") == '[{"RefactoringType": "DRY", "Details": "a\\ud800 twice"}]'
 
 
 def test_config_file_defaults_with_flag_override(tmp_path, capsys):

@@ -301,6 +301,21 @@ def test_cache_hit_is_counted_and_sends_nothing(gradle_commit, tmp_path):
     assert stats == LlmStats(requests=0, retries=0, reprompts=0, cache_hits=1)
 
 
+def test_a_lone_surrogate_in_a_prompt_is_hashed_into_its_cache_file_name(tmp_path):
+    """A commits line may give a lone surrogate as a JSON escape; the prompt
+    holding it names its cache file, and a second call reads that file."""
+    commit = make_commit({"build.gradle": "version = '1'\n"}, {"build.gradle": "version = '1\ud800'\n"})
+    reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
+    classify_commit(commit, GRADLE_SPEC, CFG, transport=lambda *a: _ok_response(reply), cache_dir=str(tmp_path))
+    prompt = build_prompt(commit, GRADLE_SPEC)
+    settings = json.dumps([CFG.endpoint, CFG.model, CFG.temperature, CFG.max_output_tokens]).encode()
+    key = hashlib.sha256(settings + b"\x00" + prompt.encode("utf-8", "surrogatepass")).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    stats = LlmStats()
+    classify_commit(commit, GRADLE_SPEC, CFG, transport=None, stats=stats, cache_dir=str(tmp_path))
+    assert stats.cache_hits == 1 and stats.requests == 0
+
+
 @pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff"], ids=["deep", "not utf-8"])
 def test_cache_file_nested_too_deeply_is_a_miss(gradle_commit, tmp_path, content):
     reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
