@@ -432,22 +432,24 @@ def test_a_lone_surrogate_in_a_pom_is_one_raw_block(tmp_path, monkeypatch, paral
 @pytest.mark.parametrize("parallelism", ["1", "2"])
 def test_a_lone_surrogate_in_a_detection_is_written_as_a_json_escape(tmp_path, monkeypatch, parallelism):
     """UTF-8 cannot encode a lone surrogate, so a detection line holding one
-    is escaped to ASCII; the lines of other detections stay raw."""
-    dependency = "dependencies {\n    implementation 'a\ud800:b:1'\n}\n"
-    record = make_commit(
-        {"build.gradle": dependency, "sub/build.gradle": "dependencies {\n}\n"},
-        {"build.gradle": "dependencies {\n}\n", "sub/build.gradle": dependency},
-    )
-    line = commit_to_json(replace(record, commit_hash=f"{2:040x}")).replace("\ud800", "\\ud800")  # as a JSON escape
-    commits = tmp_path / "commits.jsonl"  # the second commit is the worker's share at --parallelism 2
-    commits.write_text(_commit_lines(1)[0] + line + "\n")
+    is escaped to ASCII; the line of another detection keeps its text raw."""
+    lines = []
+    for n, group in ((1, "\u00e4"), (2, "a\ud800")):  # the second commit is the worker's share at --parallelism 2
+        dependency = f"dependencies {{\n    implementation '{group}:b:1'\n}}\n"
+        record = make_commit(
+            {"build.gradle": dependency, "sub/build.gradle": "dependencies {\n}\n"},
+            {"build.gradle": "dependencies {\n}\n", "sub/build.gradle": dependency},
+        )
+        lines.append(commit_to_json(replace(record, commit_hash=f"{n:040x}")).replace("\ud800", "\\ud800") + "\n")
+    commits = tmp_path / "commits.jsonl"  # the surrogate as a JSON escape
+    commits.write_text("".join(lines), encoding="utf-8")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "det.jsonl"
     assert run(["detect", "--commits", str(commits), "--parallelism", parallelism, "--out", str(out)]) == EXIT_OK
-    first, moved = out.read_text(encoding="utf-8").splitlines()
-    assert first.isascii() and json.loads(first)["commit_hash"] == f"{1:040x}"
-    assert "a\\ud800:b" in moved and moved.isascii()
-    assert json.loads(moved)["Details"] == "dependency a\ud800:b moved from build.gradle to sub/build.gradle"
+    raw, escaped = out.read_text(encoding="utf-8").splitlines()
+    assert "dependency \u00e4:b moved" in raw
+    assert "dependency a\\ud800:b moved" in escaped and escaped.isascii()
+    assert json.loads(escaped)["Details"] == "dependency a\ud800:b moved from build.gradle to sub/build.gradle"
 
 
 def test_worker_pool_output_is_byte_identical_on_the_detection_corpus(tmp_path, monkeypatch):
