@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -116,3 +117,47 @@ def test_registry_json_export():
     assert entry["category"] == "Synchronizing Shared Build Properties"
     assert entry["build_specific"] is True
     assert entry["technical_debts"] == ["Extensibility & Maintainability", "Security"]
+
+
+def _registry_outputs(capsys):
+    """The registry as each consumer shows it: the JSON export, the
+    `buildref taxonomy` listing, and the prompt of one fixed commit per build
+    system in each prompt mode (its bytes also name the LLM cache files)."""
+    import fixtures
+    from buildref.cli import run
+    from buildref.llm_backend import PromptMode, PromptSpec, build_prompt
+    from conftest import make_commit
+
+    assert run(["taxonomy"]) == 0
+    listing = capsys.readouterr().out
+    commits = {
+        BuildSystem.GRADLE: make_commit(*fixtures.EXEMPLAR_CASES["extract_task"][1:3]),
+        BuildSystem.ANT: make_commit(*fixtures.EXEMPLAR_CASES["scheduling"][1:3]),
+        BuildSystem.MAVEN: make_commit(
+            {"a/pom.xml": fixtures.MOVE_DEP_A_BEFORE, "b/pom.xml": fixtures.MOVE_DEP_B_BEFORE},
+            {"a/pom.xml": fixtures.MOVE_DEP_A_AFTER, "b/pom.xml": fixtures.MOVE_DEP_B_AFTER},
+        ),
+    }
+    prompts = "\0".join(
+        build_prompt(commit, PromptSpec(mode, system))
+        for system, commit in commits.items()
+        for mode in PromptMode
+    )
+    return {"json": taxonomy.registry_to_json(), "listing": listing, "prompts": prompts}
+
+
+# sha256 of each output; a change here changes what users see and every
+# LLM cache file name, so it is a deliberate edit, never a refresh
+REGISTRY_OUTPUT_DIGESTS = {
+    "json": "3f5fefd2283532da0e441d32e4f6ee931d84de655e43cef6828a7ab267fe1226",
+    "listing": "d80b561c083712bcbe3f021c84df7da767e005274af184b463db0e1c755d7666",
+    "prompts": "286f47b60da4c6e817a9f8978e5e15b303fa239d9cf0780409f86673e55ba27f",
+}
+
+
+def test_registry_outputs_are_byte_identical_to_the_pinned_digests(capsys):
+    digests = {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in _registry_outputs(capsys).items()
+    }
+    assert digests == REGISTRY_OUTPUT_DIGESTS
