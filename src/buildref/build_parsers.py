@@ -11,6 +11,7 @@ sequences so detectors can compare element identity across versions.
 from __future__ import annotations
 
 import itertools
+import logging
 import posixpath
 import re
 import sys
@@ -21,6 +22,8 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .mining import BuildSystem, DataError, classify_build_file
+
+logger = logging.getLogger(__name__)
 
 
 class ElementKind(Enum):
@@ -799,17 +802,30 @@ def parse_gradle(content: str) -> BuildModel:
 
 
 def parse_build_file(path: str, content: str) -> BuildModel:
-    """Dispatch on the file name and attach the source path to the model."""
+    """Dispatch on the file name and attach the source path to the model. A
+    POM or Ant file that is not well-formed XML becomes one raw block over the
+    whole file, with the parse error as the model's warning."""
     system = classify_build_file(path)
     base = path.rsplit("/", 1)[-1]
-    if system is BuildSystem.MAVEN:
-        model = parse_maven(content)
-    elif system is BuildSystem.ANT:
-        model = parse_ant(content)
-    elif base.endswith(".properties"):
-        model = parse_properties(content)
-    else:
-        model = parse_gradle(content)
+    try:
+        if system is BuildSystem.MAVEN:
+            model = parse_maven(content)
+        elif system is BuildSystem.ANT:
+            model = parse_ant(content)
+        elif base.endswith(".properties"):
+            model = parse_properties(content)
+        else:
+            model = parse_gradle(content)
+    except XmlMalformedError as exc:
+        logger.warning("%s: %s; treating file as one opaque block", path, exc)
+        whole = BuildElement(
+            kind=ElementKind.RAW_BLOCK,
+            name=None,
+            body_tokens=tokenize(content),
+            attributes={},
+            span=(1, content.count("\n") + 1),
+        )
+        model = _model(system, [whole], warnings=[str(exc)])
     return replace(model, source_path=path)
 
 

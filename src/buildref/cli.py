@@ -462,7 +462,7 @@ def _cmd_taxonomy(args) -> int:
         if t.category is not current:
             current = t.category
             print(f"# {current.value}")
-        debts = sorted(d.value for d in taxonomy.td_categories_for(t))
+        debts = sorted(d.value for d in t.debts)
         suffix = " [build-specific]" if t.build_specific else ""
         td_part = f" (TD: {', '.join(debts)})" if debts else ""
         print(f"- {t.id}{suffix}{td_part}")

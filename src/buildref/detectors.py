@@ -30,13 +30,12 @@ from .build_parsers import (
     BuildModel,
     ElementKind,
     HierarchyGraph,
-    XmlMalformedError,
     forget_tokens,
     infer_hierarchy,
     parse_build_file,
     tokenize,
 )
-from .mining import BuildSystem, ChangeKind, CommitRecord, FileDiff, classify_build_file
+from .mining import ChangeKind, CommitRecord, FileDiff
 from .taxonomy import DetectedRefactoring, Evidence, detection_to_json, sort_key  # noqa: F401 (re-exported)
 
 logger = logging.getLogger(__name__)
@@ -125,9 +124,11 @@ class _ModelIndex:
         return count
 
     def references(self, name: str, exclude: Optional[BuildElement] = None) -> bool:
+        """A token refers to `name`, or a module link has it as a whole path
+        component (the module ``app``, not its letter ``p``)."""
         if self.reference_count(name, exclude):
             return True
-        return any(name in link.target for link in self.model.module_links)
+        return any(name in link.target.split("/") for link in self.model.module_links)
 
 
 @dataclass
@@ -173,9 +174,9 @@ class CommitContext:
         after: dict[str, BuildModel] = {}
         for fd in commit.file_diffs:
             if fd.before_content is not None:
-                before[fd.old_path or fd.path] = _safe_parse(fd.old_path or fd.path, fd.before_content)
+                before[fd.old_path or fd.path] = parse_build_file(fd.old_path or fd.path, fd.before_content)
             if fd.after_content is not None:
-                after[fd.path] = _safe_parse(fd.path, fd.after_content)
+                after[fd.path] = parse_build_file(fd.path, fd.after_content)
         return cls(
             commit=commit,
             before_models=before,
@@ -270,28 +271,6 @@ class CommitContext:
 
     def moves_of(self, kinds: Sequence[ElementKind]) -> list[_Move]:
         return [m for m in self.moves if m.kind in kinds]
-
-
-def _safe_parse(path: str, content: str) -> BuildModel:
-    try:
-        return parse_build_file(path, content)
-    except XmlMalformedError as exc:
-        logger.warning("%s: %s; treating file as one opaque block", path, exc)
-        return BuildModel(
-            build_system=classify_build_file(path) or BuildSystem.GRADLE,
-            elements=(
-                BuildElement(
-                    kind=ElementKind.RAW_BLOCK,
-                    name=None,
-                    body_tokens=tokenize(content),
-                    attributes={},
-                    span=(1, max(1, content.count("\n") + 1)),
-                ),
-            ),
-            module_links=(),
-            source_path=path,
-            warnings=(str(exc),),
-        )
 
 
 # --- shared machinery --------------------------------------------------------

@@ -125,7 +125,7 @@ def _definitions_section(spec: PromptSpec) -> str:
         lines.append(f"{n}. {t.id} ({t.category.value}): {t.definition}")
         if spec.mode is PromptMode.ONE_SHOT:
             lines.append(f"   Example ({spec.build_system.value}):")
-            for snippet_line in taxonomy.example_snippet(t.id, spec.build_system).split("\n"):
+            for snippet_line in t.examples[spec.build_system].split("\n"):
                 lines.append(f"   {snippet_line}")
     return "\n".join(lines)
 

@@ -12,6 +12,7 @@ mutated and records are immutable once constructed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -117,33 +118,22 @@ def extract_diff(before_content: Optional[str], after_content: Optional[str]) ->
 
     a = _lines(before_content)
     b = _lines(after_content)
-    matcher = LineMatcher(a, b)
     hunks: list[Hunk] = []
-    run: list[tuple[str, int, int, int, int]] = []
-
-    def flush() -> None:
-        if not run:
-            return
-        i1, j1 = run[0][1], run[0][3]
-        i2, j2 = run[-1][2], run[-1][4]
-        hunks.append(
-            Hunk(
-                old_start=i1 + 1 if i2 > i1 else i1,
-                old_len=i2 - i1,
-                new_start=j1 + 1 if j2 > j1 else j1,
-                new_len=j2 - j1,
-                removed=tuple(a[i1:i2]),
-                added=tuple(b[j1:j2]),
+    opcodes = LineMatcher(a, b).get_opcodes()
+    for changed, ops in itertools.groupby(opcodes, key=lambda op: op[0] != "equal"):
+        if changed:
+            run = list(ops)
+            (_, i1, _, j1, _), (_, _, i2, _, j2) = run[0], run[-1]
+            hunks.append(
+                Hunk(
+                    old_start=i1 + 1 if i2 > i1 else i1,
+                    old_len=i2 - i1,
+                    new_start=j1 + 1 if j2 > j1 else j1,
+                    new_len=j2 - j1,
+                    removed=tuple(a[i1:i2]),
+                    added=tuple(b[j1:j2]),
+                )
             )
-        )
-        run.clear()
-
-    for op in matcher.get_opcodes():
-        if op[0] == "equal":
-            flush()
-        else:
-            run.append(op)
-    flush()
     return hunks
 
 

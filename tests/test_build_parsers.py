@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import random
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buildref.build_parsers import (
+    BuildElement,
     BuildModel,
     ElementKind,
     LinkRelation,
@@ -27,7 +29,7 @@ from buildref.build_parsers import (
     _xml_body_tokens,
 )
 from buildref import build_parsers
-from buildref.detectors import CommitContext, _safe_parse, detect_all
+from buildref.detectors import CommitContext, detect_all
 from buildref.mining import BuildSystem
 from conftest import make_context
 import fixtures
@@ -108,6 +110,23 @@ def test_a_lone_surrogate_is_malformed_xml_at_its_line(parse):
         parse("<project>\n<artifactId>a\ud800</artifactId>\n</project>\n")
     assert err.value.line == 2
     assert "'\\ud800' cannot be encoded" in err.value.reason
+
+
+@pytest.mark.parametrize("path,system", [("app/pom.xml", BuildSystem.MAVEN), ("build.xml", BuildSystem.ANT)])
+def test_parse_build_file_degrades_malformed_xml_to_one_raw_block(path, system, caplog):
+    text = "<project>\n<dependencies>\n</project>\n"
+    with pytest.raises(XmlMalformedError) as err:
+        _parse_xml(text)
+    with caplog.at_level(logging.WARNING, logger="buildref.build_parsers"):
+        model = parse_build_file(path, text)
+    assert model == BuildModel(
+        build_system=system,
+        elements=(BuildElement(ElementKind.RAW_BLOCK, None, tokenize(text), {}, (1, 4)),),
+        module_links=(),
+        source_path=path,
+        warnings=(str(err.value),),
+    )
+    assert [r.getMessage() for r in caplog.records] == [f"{path}: {err.value}; treating file as one opaque block"]
 
 
 # --- Ant -----------------------------------------------------------------------
@@ -778,7 +797,7 @@ def _assert_parsed_as_if_alone(ctx: CommitContext):
                                    (ctx.after_models, fd.path, fd.after_content)):
             if text is not None:
                 build_parsers.forget_tokens()
-                assert models[path] == _safe_parse(path, text), (path, text)
+                assert models[path] == parse_build_file(path, text), (path, text)
     ids = [id(el) for models in (ctx.before_models, ctx.after_models) for m in models.values() for el in m.elements]
     assert len(ids) == len(set(ids))
 

@@ -128,6 +128,18 @@ def test_deletion_with_a_similar_unnamed_arrival_is_not_unused():
     assert "Remove Unused Code" not in detected_types(before, after)
 
 
+
+@pytest.mark.parametrize("name,expected", [("p", {"Remove Unused Code"}), ("zz", {"Remove Unused Code"}), ("app", set())])
+def test_a_module_link_references_a_name_only_as_a_whole_path_component(name, expected):
+    # "p" is a letter of "app" but not the module "app"; a property named "app" is referenced
+    def pom(properties):
+        return f"<project>\n<modules><module>app</module></modules>\n<properties>{properties}</properties>\n</project>\n"
+
+    before = {"pom.xml": pom(f"<{name}>1</{name}><keep>2</keep>")}
+    after = {"pom.xml": pom("<keep>2</keep>")}
+    assert detected_types(before, after) == expected
+
+
 # --- module hierarchy ------------------------------------------------------------
 
 PULL_UP_MODULE_BEFORE = {

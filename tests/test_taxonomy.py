@@ -161,3 +161,11 @@ def test_registry_outputs_are_byte_identical_to_the_pinned_digests(capsys):
         for name, text in _registry_outputs(capsys).items()
     }
     assert digests == REGISTRY_OUTPUT_DIGESTS
+
+
+def test_a_type_is_one_hashable_record():
+    types = taxonomy.registry()
+    assert len(set(types)) == 24
+    extract = taxonomy.get_type("Extract Variable")
+    assert extract.debts == {TechnicalDebt.EXTENSIBILITY_MAINTAINABILITY}
+    assert set(extract.examples) == set(BuildSystem)
