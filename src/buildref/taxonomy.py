@@ -418,7 +418,7 @@ def example_snippet(type_id: str, system: BuildSystem) -> str:
 
 
 def registry_to_json() -> str:
-    """Registry as a JSON document for the prompt builder and docs."""
+    """Registry as a JSON document, as `buildref taxonomy --json` prints it."""
     payload = [
         {
             "id": t.id,

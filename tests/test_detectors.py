@@ -128,7 +128,6 @@ def test_deletion_with_a_similar_unnamed_arrival_is_not_unused():
     assert "Remove Unused Code" not in detected_types(before, after)
 
 
-
 @pytest.mark.parametrize("name,expected", [("p", {"Remove Unused Code"}), ("zz", {"Remove Unused Code"}), ("app", set())])
 def test_a_module_link_references_a_name_only_as_a_whole_path_component(name, expected):
     # "p" is a letter of "app" but not the module "app"; a property named "app" is referenced

@@ -4,9 +4,13 @@ from collections import Counter
 
 import pytest
 
+import fixtures
+from buildref.cli import run
+from buildref.llm_backend import PromptMode, PromptSpec, build_prompt
 from buildref.mining import BuildSystem
 from buildref import taxonomy
 from buildref.taxonomy import MainCategory, TechnicalDebt, UnknownTypeError
+from conftest import make_commit
 
 
 def test_registry_has_24_types():
@@ -123,11 +127,6 @@ def _registry_outputs(capsys):
     """The registry as each consumer shows it: the JSON export, the
     `buildref taxonomy` listing, and the prompt of one fixed commit per build
     system in each prompt mode (its bytes also name the LLM cache files)."""
-    import fixtures
-    from buildref.cli import run
-    from buildref.llm_backend import PromptMode, PromptSpec, build_prompt
-    from conftest import make_commit
-
     assert run(["taxonomy"]) == 0
     listing = capsys.readouterr().out
     commits = {
