@@ -185,8 +185,9 @@ def _cmd_mine(args) -> int:
         for record in mine_commits(args.repo, mining_filter, stats):
             out.write(commit_to_json(record) + "\n")
     logger.info(
-        "scanned %d commits, yielded %d, warnings %d",
-        stats.commits_scanned, stats.commits_yielded, stats.warnings,
+        "scanned %d commits, yielded %d, corrupt %d, files skipped %d, warnings %d",
+        stats.commits_scanned, stats.commits_yielded, stats.commits_skipped_corrupt, stats.files_skipped,
+        stats.warnings,
     )
     return EXIT_OK
 
@@ -369,7 +370,9 @@ def _cmd_detect(args) -> int:
         ("max_output_tokens", args.max_output_tokens >= 1, "1 or more"),
         ("timeout", 0 < args.timeout <= threading.TIMEOUT_MAX, f"seconds above 0, at most {threading.TIMEOUT_MAX:.0f}"),
         ("max_retries", args.max_retries >= 0, "0 or more"),
-        ("rate", args.rate is None or args.rate >= 0, "0 or more requests per second (0: no limit)"),
+        # a slower rate sleeps beyond what time.sleep accepts
+        ("rate", args.rate is None or args.rate == 0 or args.rate >= 1 / threading.TIMEOUT_MAX,
+         f"0 (no limit) or at least one request per {threading.TIMEOUT_MAX:.0f} seconds"),
     ):
         if not in_range:
             raise UsageError(f"--{flag.replace('_', '-')} takes {takes}, not {getattr(args, flag)}")

@@ -12,6 +12,7 @@ mutated and records are immutable once constructed.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import logging
@@ -29,7 +30,7 @@ MAX_BUILD_FILE_BYTES = 5 * 1024 * 1024  # larger build files are skipped: parser
 
 _HASH_RE = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")  # SHA-1 or SHA-256 object names, matched whole
 
-_READ_CHUNK = 64 * 1024  # bytes asked of a git child's stdout per read: a pipe's capacity
+_READ_CHUNK = 64 * 1024  # the buffer of a git child's stdout reader, one read of it: a pipe's capacity
 
 
 class BuildSystem(Enum):
@@ -220,11 +221,11 @@ class MiningStats:
 
 
 class _GitPipe:
-    """One long-lived git child whose output is read through a buffer.
+    """One long-lived git child whose output is read through one buffered reader.
 
-    Requests go to its stdin. Where a reply is expected, running out of output
-    means the child died: it is closed and GitObjectCorruptError carries the
-    tail of its stderr.
+    Requests go to its stdin, unbuffered. Where a reply is expected, running
+    out of output means the child died: it is closed and GitObjectCorruptError
+    carries the tail of its stderr.
     """
 
     def __init__(self, repo_path: str, *args: str, stdin: bool = True) -> None:
@@ -239,7 +240,7 @@ class _GitPipe:
             stderr=self._stderr,
             bufsize=0,
         )
-        self._buf = bytearray()
+        self._out = io.BufferedReader(self._proc.stdout, _READ_CHUNK)
         self.closed = False
         self.error = ""
 
@@ -249,15 +250,6 @@ class _GitPipe:
         except BrokenPipeError:
             self._died()
 
-    def _fill(self) -> bool:
-        data = self._proc.stdout.read(_READ_CHUNK)
-        self._buf += data
-        return bool(data)
-
-    def _need(self) -> None:
-        if not self._fill():
-            self._died()
-
     def _died(self) -> NoReturn:
         self.close()
         raise GitObjectCorruptError(self.error)
@@ -265,57 +257,42 @@ class _GitPipe:
     def wait(self) -> int:
         return self._proc.wait()
 
-    def startswith(self, prefix: bytes) -> bool:
-        while len(self._buf) < len(prefix) and prefix.startswith(self._buf):
-            self._need()
-        return self._buf.startswith(prefix)
+    def peek(self) -> bytes:
+        """The next byte of output, not consumed; b"" at its end."""
+        return self._out.peek()[:1]
 
-    def read_until(self, delim: bytes) -> bytes:
-        """The output up to ``delim``; ``delim`` itself is consumed."""
-        start = 0
-        while (end := self._buf.find(delim, start)) < 0:
-            start = len(self._buf)
-            self._need()
-        out = bytes(self._buf[:end])
-        del self._buf[: end + len(delim)]
-        return out
+    def read_until(self, delim: bytes, last: bool = False) -> bytes:
+        """The output up to the next ``delim``, a single byte, which is consumed.
+        Output that ends first means the child died, unless ``last`` is set:
+        then it is what is left (b"" once all of it is read)."""
+        parts = []
+        while chunk := self._out.peek():
+            end = chunk.find(delim)
+            if end >= 0:
+                parts.append(self._out.read(end + 1)[:-1])
+                return b"".join(parts)
+            parts.append(self._out.read(len(chunk)))
+        if not last:
+            self._died()
+        return b"".join(parts)
 
     def read_exact(self, size: int) -> bytes:
-        while len(self._buf) < size:
-            self._need()
-        out = bytes(self._buf[:size])
-        del self._buf[:size]
-        return out
+        data = self._out.read(size)
+        if len(data) < size:
+            self._died()
+        return data
 
     def skip(self, size: int) -> None:
         """Discard ``size`` bytes of output, holding at most one read of them."""
-        while size > len(self._buf):
-            size -= len(self._buf)
-            self._buf.clear()
-            self._need()
-        del self._buf[:size]
-
-    def split(self, delim: bytes) -> Iterator[bytes]:
-        """Yield the whole output cut at each ``delim``, the part after the last one included."""
-        start = 0
-        while True:
-            end = self._buf.find(delim, start)
-            if end >= 0:
-                yield bytes(self._buf[:end])
-                del self._buf[: end + len(delim)]
-                start = 0
-            else:
-                start = len(self._buf)
-                if not self._fill():
-                    yield bytes(self._buf)
-                    return
+        while size:
+            size -= len(self.read_exact(min(size, _READ_CHUNK)))
 
     def close(self) -> None:
         """End the child and keep the tail of its stderr in ``error``."""
         if self.closed:
             return
         self.closed = True
-        for stream in (self._proc.stdin, self._proc.stdout):
+        for stream in (self._proc.stdin, self._out):
             if stream is not None:
                 stream.close()
         if self._proc.poll() is None:
@@ -346,6 +323,7 @@ _STATUS_KINDS = {
 
 # Not an object name, so ``diff-tree --stdin`` echoes it (and flushes) after
 # the output of the commit line before it: it marks where that output ends.
+# With ``--no-commit-id`` every entry of that output starts with ":".
 _SENTINEL = b"#\n"
 
 
@@ -373,15 +351,12 @@ class _Objects:
         A merge is diffed against its first parent explicitly; given alone,
         diff-tree would print nothing for it.
         """
-        pipe = self._pipe("diff-tree", "--stdin", "-r", "-M", "--root", "-z")
+        pipe = self._pipe("diff-tree", "--stdin", "--no-commit-id", "-r", "-M", "--root", "-z")
         line = f"{commit_hash} {first_parent}" if first_parent else commit_hash
         pipe.write(line.encode() + b"\n" + _SENTINEL)
         changes = []
-        while not pipe.startswith(_SENTINEL):
-            meta = pipe.read_until(b"\0")
-            if not meta.startswith(b":"):
-                continue  # the commit id heading a non-empty diff
-            _, _, old_blob, new_blob, status = meta.decode().split(" ")
+        while pipe.peek() != _SENTINEL[:1]:  # output that ends instead fails the read
+            _, _, old_blob, new_blob, status = pipe.read_until(b"\0").decode().split(" ")
             paths = [
                 pipe.read_until(b"\0").decode("utf-8", errors="replace")
                 for _ in range(2 if status[0] in "RC" else 1)
@@ -484,7 +459,7 @@ def mine_commits(
     objects = _Objects(repo_path)
     try:
         yielded = 0
-        for raw in walk.split(b"\x1e"):
+        while raw := walk.read_until(b"\x1e", last=True):
             if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
                 return
             chunk = raw.decode("utf-8", errors="replace").lstrip("\n")

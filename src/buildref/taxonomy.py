@@ -412,11 +412,6 @@ def td_categories_for(type_or_id: RefactoringType | str) -> frozenset[TechnicalD
     return (type_or_id if isinstance(type_or_id, RefactoringType) else get_type(type_or_id)).debts
 
 
-def example_snippet(type_id: str, system: BuildSystem) -> str:
-    """Short diff-style illustration of one type in one build system."""
-    return get_type(type_id).examples[system]
-
-
 def registry_to_json() -> str:
     """Registry as a JSON document, as `buildref taxonomy --json` prints it."""
     payload = [

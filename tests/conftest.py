@@ -96,6 +96,22 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
+class FakeClock:
+    """Stands in for the ``time`` module where only ``monotonic`` and
+    ``sleep`` are used: the clock moves only by what is slept, at once."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.sleeps: list[float] = []
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
 @pytest.fixture
 def tmp_repo(tmp_path):
     return tmp_path / "repo"

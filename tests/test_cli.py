@@ -17,7 +17,7 @@ from buildref import cli
 from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _parse_args, run
 from buildref.evaluation import report_from_json
 from buildref.mining import commit_to_json
-from conftest import build_git_repo, closed_port, make_commit
+from conftest import FakeClock, build_git_repo, closed_port, make_commit
 
 
 def build_pipeline_repo(root):
@@ -853,7 +853,8 @@ def test_mine_and_detect_a_sha256_repository(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value, takes", [
-    ("--rate", "-1", "0 or more requests per second (0: no limit), not -1.0"),
+    ("--rate", "-1", f"0 (no limit) or at least one request per {threading.TIMEOUT_MAX:.0f} seconds, not -1.0"),
+    ("--rate", "1e-10", f"0 (no limit) or at least one request per {threading.TIMEOUT_MAX:.0f} seconds, not 1e-10"),
     ("--max-retries", "-1", "0 or more, not -1"),
     ("--temperature", "3", "0 to 2, not 3.0"),
     ("--temperature", "nan", "0 to 2, not nan"),
@@ -863,7 +864,7 @@ def test_mine_and_detect_a_sha256_repository(tmp_path):
     ("--parallelism", "0", "1 or more, not 0"),
     ("--parallelism", "-2", "1 or more, not -2"),
     ("--max-output-tokens", "0", "1 or more, not 0"),
-], ids=["rate", "max-retries", "temperature", "temperature nan", "timeout", "timeout 0", "timeout 1e10",
+], ids=["rate", "rate 1e-10", "max-retries", "temperature", "temperature nan", "timeout", "timeout 0", "timeout 1e10",
         "parallelism 0", "parallelism -2", "max-output-tokens 0"])
 def test_out_of_range_llm_flag_is_a_usage_error_before_any_request(tmp_path, monkeypatch, capsys, flag, value, takes):
     commits = tmp_path / "commits.jsonl"
@@ -939,6 +940,43 @@ def test_llm_counters_are_logged_once_per_pass(pipeline, tmp_path, monkeypatch, 
     assert [r.getMessage() for r in caplog.records if r.name == "buildref.cli"] == [
         "requests 12, retries 0, reprompts 0, cache hits 0",
         "requests 0, retries 0, reprompts 0, cache hits 12",
+    ]
+
+
+def test_a_rate_limit_changes_no_line_and_no_counter(pipeline, tmp_path, monkeypatch, caplog):
+    from buildref import llm_backend
+
+    detect, _ = _llm_detect(monkeypatch, tmp_path, pipeline, '[{"RefactoringType": "DRY", "Details": "x"}]')
+    clock = FakeClock()
+    monkeypatch.setattr(llm_backend, "time", clock)  # the limiter waits on this clock, so no test time passes
+    caplog.set_level(logging.INFO, logger="buildref.cli")
+    free = detect("free.jsonl", "--no-cache", "--parallelism", "2")
+    assert clock.sleeps == []
+    limited = detect("limited.jsonl", "--no-cache", "--parallelism", "2", "--rate", "4")
+    assert limited == free
+    assert clock.sleeps and all(0 < seconds <= 0.25 for seconds in clock.sleeps)  # the 3rd of 12 requests waits
+    assert [r.getMessage() for r in caplog.records if r.name == "buildref.cli"] == [
+        "requests 12, retries 0, reprompts 0, cache hits 0",
+    ] * 2
+
+
+def test_mine_verbose_reports_every_counter(tmp_path, caplog):
+    repo = tmp_path / "repo"
+    hashes = build_git_repo(repo, [
+        ("refactor: base", {"pom.xml": "<project><version>1</version></project>\n"}),
+        ("refactor: nul", {"pom.xml": "<project><version>2</version></project>\n", "build.gradle": "a\x00b\n"}),
+        ("refactor: gone", {"build.xml": "<project name='gone'/>\n"}),
+    ])
+    blob = subprocess.run(
+        ["git", "-C", str(repo), "rev-parse", f"{hashes[2]}:build.xml"], check=True, capture_output=True, text=True
+    ).stdout.strip()
+    (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    caplog.set_level(logging.INFO, logger="buildref.cli")
+    out = tmp_path / "commits.jsonl"
+    assert run(["-v", "mine", "--repo", str(repo), "--out", str(out)]) == EXIT_OK
+    assert [json.loads(line)["commit_hash"] for line in out.read_text().splitlines()] == [hashes[1], hashes[0]]
+    assert [r.getMessage() for r in caplog.records if r.name == "buildref.cli"] == [
+        "scanned 3 commits, yielded 2, corrupt 1, files skipped 1, warnings 2",
     ]
 
 

@@ -25,7 +25,7 @@ from buildref.llm_backend import (
     serialize_detections,
 )
 from buildref.mining import BuildSystem
-from conftest import closed_port, make_commit
+from conftest import FakeClock, closed_port, make_commit
 
 GRADLE_SPEC = PromptSpec(PromptMode.ZERO_SHOT, BuildSystem.GRADLE)
 GRADLE_ONE_SHOT = PromptSpec(PromptMode.ONE_SHOT, BuildSystem.GRADLE)
@@ -270,6 +270,24 @@ def test_config_validation():
         LlmConfig(endpoint="http://x", model="m", temperature=3.0)
     with pytest.raises(ValueError):
         LlmConfig(endpoint="http://x", model="m", max_retries=-1)
+
+
+# --- rate limit ---------------------------------------------------------------------
+
+def test_rate_limiter_lets_a_burst_pass_and_spaces_the_rest(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(llm_backend, "time", clock)
+    limiter = llm_backend.RateLimiter(4.0, burst=3)
+    for _ in range(3):
+        limiter.acquire()
+    assert clock.sleeps == []
+    for _ in range(2):
+        limiter.acquire()
+    assert clock.sleeps == [0.25, 0.25]  # 1/rate each
+    clock.now += 10  # idle: the bucket fills up to the burst, no further
+    for _ in range(4):
+        limiter.acquire()
+    assert clock.sleeps == [0.25] * 3
 
 
 # --- reply cache ------------------------------------------------------------------

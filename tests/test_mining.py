@@ -1,4 +1,5 @@
 import difflib
+import os
 import random
 import subprocess
 import sys
@@ -464,6 +465,48 @@ def test_oversized_blob_is_drained_and_reading_goes_on(tmp_repo):
     ]
     assert mined[1].file_diffs[0].after_content == "<project/>\n"
     assert stats.files_skipped == 1
+
+
+def test_replies_longer_than_one_read_mine_back_byte_exact(tmp_repo):
+    # each git child's output is read 64 KiB at a time: the message, the big
+    # file and the walk's record each span several reads
+    big = "".join(f"ext.v{i} = 'ünïcode {i}'\n" for i in range(8_000))
+    message = "refactor: big\n\n" + "\n".join(f"line {i}: ß → ∞" for i in range(5_000))
+    assert 190 * 1024 < len(big.encode()) < 5 * 1024 * 1024 and len(message.encode()) > 64 * 1024
+    hashes = build_git_repo(
+        tmp_repo,
+        [("refactor: base", {"pom.xml": "<project/>\n"}),
+         (message, {"pom.xml": "<project><version>2</version></project>\n", "módulo/ñ.gradle": big})],
+    )
+    (record, _) = mine_commits(tmp_repo, MiningFilter())
+    assert (record.commit_hash, record.message) == (hashes[1], message)
+    assert record.file_diffs == (
+        FileDiff(path="módulo/ñ.gradle", build_system=BuildSystem.GRADLE, change_kind=ChangeKind.ADDED,
+                 after_content=big),
+        FileDiff(path="pom.xml", build_system=BuildSystem.MAVEN, change_kind=ChangeKind.MODIFIED,
+                 before_content="<project/>\n", after_content="<project><version>2</version></project>\n"),
+    )
+
+
+def test_a_blob_cut_short_in_its_reply_costs_only_its_commit(tmp_repo):
+    # cat-file sends the header and part of the contents, then dies
+    rng = random.Random(1)
+    noise = "".join(f"ext.v{i} = '{rng.getrandbits(64):x}'\n" for i in range(8_000))  # zlib cannot shrink it much
+    hashes = build_git_repo(
+        tmp_repo,
+        [("refactor: pom", {"pom.xml": "<project/>\n"}),
+         ("refactor: cut", {"build.gradle": noise}),
+         ("refactor: pom 3", {"pom.xml": "<project><version>3</version></project>\n"})],
+    )
+    oid = _git_out(tmp_repo, "rev-parse", f"{hashes[1]}:build.gradle")
+    loose = tmp_repo / ".git" / "objects" / oid[:2] / oid[2:]
+    loose.chmod(0o644)
+    os.truncate(loose, 20_000)
+    stats = MiningStats()
+    mined = list(mine_commits(tmp_repo, MiningFilter(), stats))
+    assert [r.commit_hash for r in mined] == [hashes[2], hashes[0]]
+    assert mined[1].file_diffs[0].after_content == "<project/>\n"
+    assert stats.commits_skipped_corrupt == 1
 
 
 def test_missing_blob_skips_exactly_the_commits_that_need_it(tmp_repo):

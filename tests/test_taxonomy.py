@@ -111,7 +111,7 @@ def test_resolve_type_is_case_insensitive():
 def test_every_type_has_an_example_per_build_system():
     for t in taxonomy.registry():
         for system in BuildSystem:
-            assert taxonomy.example_snippet(t.id, system).strip()
+            assert t.examples[system].strip()
 
 
 def test_registry_json_export():
