@@ -16,12 +16,11 @@ import posixpath
 import re
 import sys
 import xml.parsers.expat
-from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .mining import BuildSystem, DataError, classify_build_file
+from .mining import BuildSystem, DataError, checked, classify_build_file
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +54,7 @@ class XmlMalformedError(DataError):
 ORDERING_KEYWORDS = ("dependsOn", "mustRunAfter", "finalizedBy", "depends")
 
 
-@dataclass(frozen=True, slots=True)
-class BuildElement:
+class BuildElement(NamedTuple):
     kind: ElementKind
     name: Optional[str]
     body_tokens: tuple[str, ...]
@@ -68,18 +66,17 @@ class BuildElement:
         return self.attributes.get("ordering") == "true"
 
 
-@dataclass(frozen=True)
-class ModuleLink:
+@checked
+class ModuleLink(NamedTuple):
     relation: LinkRelation
     target: str
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.target:
             raise ValueError("module link target must be non-empty")
 
 
-@dataclass(frozen=True)
-class BuildModel:
+class BuildModel(NamedTuple):
     build_system: BuildSystem
     elements: tuple[BuildElement, ...]
     module_links: tuple[ModuleLink, ...]
@@ -308,13 +305,7 @@ def _model(
     """The model of one file, its elements in span order; ``parse_build_file``
     sets its source path."""
     elements.sort(key=lambda e: e.span)
-    return BuildModel(
-        build_system=system,
-        elements=tuple(elements),
-        module_links=tuple(links),
-        source_path="",
-        warnings=tuple(warnings),
-    )
+    return BuildModel(system, tuple(elements), tuple(links), "", tuple(warnings))
 
 
 # --- Maven -----------------------------------------------------------------
@@ -523,8 +514,7 @@ def _statements(lines: list[str], masked: list[str]) -> Iterator[tuple[int, int,
         i = j + 1
 
 
-@dataclass(frozen=True, slots=True)
-class _Block:
+class _Block(NamedTuple):
     """A statement's outermost braces: the text before the ``{``, the text
     between the braces and its masked form, and the body's 1-based first line."""
 
@@ -826,7 +816,7 @@ def parse_build_file(path: str, content: str) -> BuildModel:
             span=(1, content.count("\n") + 1),
         )
         model = _model(system, [whole], warnings=[str(exc)])
-    return replace(model, source_path=path)
+    return model._replace(source_path=path)
 
 
 def model_to_json(model: BuildModel) -> dict:
@@ -852,8 +842,7 @@ def model_to_json(model: BuildModel) -> dict:
 
 # --- hierarchy ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HierarchyGraph:
+class HierarchyGraph(NamedTuple):
     nodes: frozenset[str]
     children: Mapping[str, tuple[str, ...]]
     warnings: tuple[str, ...] = ()

@@ -11,6 +11,7 @@ loads the parsers, the detectors or the LLM client.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -18,7 +19,6 @@ import logging
 import os
 import sys
 import threading
-from dataclasses import replace
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -350,7 +350,7 @@ def _detect_llm(record: CommitRecord, args, config, rate_limiter) -> tuple[list[
     lines: list[str] = []
     # one prompt per build system present in the commit, as prompts are system-tailored
     for system in sorted({fd.build_system for fd in record.file_diffs}, key=lambda s: s.value):
-        sub_record = replace(record, file_diffs=tuple(fd for fd in record.file_diffs if fd.build_system is system))
+        sub_record = record._replace(file_diffs=tuple(fd for fd in record.file_diffs if fd.build_system is system))
         detections = llm_backend.classify_commit(
             sub_record, llm_backend.PromptSpec(mode=mode, build_system=system), config, stats=stats,
             rate_limiter=rate_limiter, cache_dir=None if args.no_cache else args.cache_dir,
@@ -410,18 +410,13 @@ def _cmd_detect_llm(args) -> int:
     )
     parallelism = args.parallelism or 1  # a real endpoint sees no concurrency unless asked
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=parallelism) if args.rate else None
-    pool = None
-    if parallelism > 1:  # the threads overlap their waits on the endpoint
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=parallelism)
     total = llm_backend.LlmStats()
     classify = partial(_detect_llm, args=args, config=config, rate_limiter=rate_limiter)
-    with _commit_lines(args.commits) as (commit_lines, _), pool or contextlib.nullcontext(), _open_out(args.out) as out:
-        # decoded again as they are asked for: map holds one record at a time, pool.map submits them all
+    with _commit_lines(args.commits) as (commit_lines, _), _open_out(args.out) as out:
+        # decoded again as they are asked for, so few records are held at a time
         records = (record for _, record in json_lines(commit_lines, "commits", commit_from_json))
-        # map preserves input order; each call counts its own requests and only this thread adds them up
-        for lines, stats in (pool.map if pool else map)(classify, records):
+        # each call counts its own requests and only this thread adds them up
+        for lines, stats in _threaded_map(classify, records, parallelism):
             out.writelines(line + "\n" for line in lines)
             total.add(stats)
     logger.info(
@@ -429,6 +424,29 @@ def _cmd_detect_llm(args) -> int:
         total.requests, total.retries, total.reprompts, total.cache_hits,
     )
     return EXIT_OK
+
+
+def _threaded_map(fn, items: Iterable, threads: int) -> Iterator:
+    """``map(fn, items)``, on ``threads`` threads when more than one, which
+    overlap their waits on the endpoint. Results keep input order. At most two
+    calls per thread are submitted and not yet yielded, so ``items`` is read no
+    further ahead; the calls left when it stops early are cancelled."""
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pending: collections.deque = collections.deque()
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for item in items:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)  # and wait for the calls already running
 
 
 def _cmd_evaluate(args) -> int:

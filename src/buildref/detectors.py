@@ -20,9 +20,8 @@ import logging
 import posixpath
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .build_parsers import (
     ORDERING_KEYWORDS,
@@ -46,8 +45,7 @@ MIN_FRAGMENT_TOKENS = 5  # smallest new unit or unnamed block that counts as ext
 _KIND_VALUES = {kind: kind.value for kind in ElementKind}  # a lookup here is quicker than Enum.value
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(NamedTuple):
     """Similarity thresholds; the defaults are deliberately conservative."""
 
     move_similarity: float = 0.7
@@ -131,15 +129,14 @@ class _ModelIndex:
         return any(name in link.target.split("/") for link in self.model.module_links)
 
 
-@dataclass
 class _FileChanges:
-    added: list[BuildElement] = field(default_factory=list)
-    removed: list[BuildElement] = field(default_factory=list)
-    modified: list[tuple[BuildElement, BuildElement]] = field(default_factory=list)
+    def __init__(self, removed: Sequence[BuildElement] = ()) -> None:
+        self.added: list[BuildElement] = []
+        self.removed = list(removed)
+        self.modified: list[tuple[BuildElement, BuildElement]] = []
 
 
-@dataclass(frozen=True)
-class _Move:
+class _Move(NamedTuple):
     kind: ElementKind
     name: str
     src_path: str
@@ -157,13 +154,13 @@ class _Move:
         return "subroutine" if self.kind in SUBROUTINE_KINDS else self.kind.value
 
 
-@dataclass(frozen=True)
 class CommitContext:
-    commit: CommitRecord
-    before_models: Mapping[str, BuildModel]
-    after_models: Mapping[str, BuildModel]
-    before_hierarchy: HierarchyGraph
-    after_hierarchy: HierarchyGraph
+    def __init__(self, commit: CommitRecord, before_models: Mapping[str, BuildModel], after_models: Mapping[str, BuildModel]):
+        self.commit = commit
+        self.before_models = before_models
+        self.after_models = after_models
+        self.before_hierarchy: HierarchyGraph = infer_hierarchy(before_models)
+        self.after_hierarchy: HierarchyGraph = infer_hierarchy(after_models)
 
     @classmethod
     def from_commit(cls, commit: CommitRecord) -> "CommitContext":
@@ -177,13 +174,7 @@ class CommitContext:
                 before[fd.old_path or fd.path] = parse_build_file(fd.old_path or fd.path, fd.before_content)
             if fd.after_content is not None:
                 after[fd.path] = parse_build_file(fd.path, fd.after_content)
-        return cls(
-            commit=commit,
-            before_models=before,
-            after_models=after,
-            before_hierarchy=infer_hierarchy(before),
-            after_hierarchy=infer_hierarchy(after),
-        )
+        return cls(commit, before, after)
 
     def diff_for(self, path: str) -> Optional[FileDiff]:
         return next((d for d in self.commit.file_diffs if d.path == path), None)
@@ -214,7 +205,7 @@ class CommitContext:
             out[path] = (
                 _element_changes(b_index, a_index)
                 if a_index is not None
-                else _FileChanges(removed=list(b_index.model.elements))
+                else _FileChanges(removed=b_index.model.elements)
             )
         return out
 

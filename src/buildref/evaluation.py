@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import taxonomy
-from .mining import DataError, json_lines, loads
+from .mining import DataError, checked, json_lines, loads
 
 UNKNOWN_ROW = "unknown"
 
@@ -24,25 +23,23 @@ class UnknownCommitError(DataError):
     """A predicted commit hash that does not exist in the gold set."""
 
 
-@dataclass(frozen=True)
-class GoldLabel:
+@checked
+class GoldLabel(NamedTuple):
     commit_hash: str
     types: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for t in self.types:
             taxonomy.get_type(t)  # raises UnknownTypeError on bad labels
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(NamedTuple):
     precision: float
     recall: float
     f1: float
 
 
-@dataclass(frozen=True)
-class TypeMetrics:
+class TypeMetrics(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -55,8 +52,7 @@ class TypeMetrics:
         return self.tp + self.fn
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     per_type: Mapping[str, TypeMetrics]
     overall_macro: Rates
     overall_micro: Rates
@@ -146,15 +142,9 @@ def report_to_json(report: EvaluationReport) -> str:
     payload = {
         "backend": report.backend,
         "n_commits": report.n_commits,
-        "per_type": {
-            t: {
-                "tp": m.tp, "fp": m.fp, "fn": m.fn,
-                "precision": m.precision, "recall": m.recall, "f1": m.f1,
-            }
-            for t, m in report.per_type.items()
-        },
-        "overall_macro": vars(report.overall_macro),
-        "overall_micro": vars(report.overall_micro),
+        "per_type": {t: m._asdict() for t, m in report.per_type.items()},
+        "overall_macro": report.overall_macro._asdict(),
+        "overall_micro": report.overall_micro._asdict(),
     }
     return json.dumps(payload, indent=2, ensure_ascii=False)
 
@@ -185,7 +175,7 @@ def report_from_json(text: str) -> EvaluationReport:
 
 def _metrics(cls, value, place: str):
     """A ``cls`` read from ``value``, an object with a number for each field of ``cls``."""
-    names = [f.name for f in fields(cls)]
+    names = cls._fields
     if not isinstance(value, dict) or not all(isinstance(value.get(n), (int, float)) for n in names):
         raise DataError(f"report: {place} must be an object with the numbers {', '.join(names)}")
     return cls(**{n: value[n] for n in names})

@@ -17,13 +17,13 @@ import re
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import taxonomy
 from .taxonomy import DetectedRefactoring
-from .mining import BackendError, BuildSystem, CommitRecord, DataError, dumps, loads
+from .mining import BackendError, BuildSystem, CommitRecord, DataError, checked, dumps, loads
 
 logger = logging.getLogger(__name__)
 
@@ -84,14 +84,13 @@ class RateLimitedError(TransportError):
     """The endpoint kept replying 429 past the retry budget."""
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+class PromptSpec(NamedTuple):
     mode: PromptMode
     build_system: BuildSystem
 
 
-@dataclass(frozen=True)
-class LlmConfig:
+@checked
+class LlmConfig(NamedTuple):
     endpoint: str
     model: str
     api_key_env: str = "BUILDREF_API_KEY"
@@ -100,23 +99,20 @@ class LlmConfig:
     timeout_seconds: float = 60.0
     max_retries: int = 3
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
 
 
-@dataclass
-class LlmStats:
-    requests: int = 0
-    retries: int = 0
-    reprompts: int = 0
-    cache_hits: int = 0
+class LlmStats(SimpleNamespace):
+    def __init__(self, requests: int = 0, retries: int = 0, reprompts: int = 0, cache_hits: int = 0) -> None:
+        super().__init__(requests=requests, retries=retries, reprompts=reprompts, cache_hits=cache_hits)
 
     def add(self, other: LlmStats) -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
 
 def _definitions_section(spec: PromptSpec) -> str:
@@ -199,7 +195,6 @@ def _detections_from_payload(payload) -> Optional[list[DetectedRefactoring]]:
                 details=str(item.get("Details", "")),
                 evidence=(),
                 backend="llm",
-                confidence=1.0,
                 unknown_type=resolved is None,
             )
         )

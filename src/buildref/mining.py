@@ -19,9 +19,9 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, TypeVar, Union
 
 logger = logging.getLogger(__name__)
@@ -82,8 +82,7 @@ def classify_build_file(path: str) -> Optional[BuildSystem]:
     return None
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(NamedTuple):
     """One contiguous run of changed lines in a line diff.
 
     ``old_start``/``new_start`` are 1-based; a pure insertion has
@@ -152,10 +151,24 @@ def apply_hunks(before_content: Optional[str], hunks: Sequence[Hunk]) -> str:
     return "\n".join(out)
 
 
-@dataclass(frozen=True)
-class FileDiff:
-    """One build file's change within a commit."""
+def checked(fields: type) -> type:
+    """Class decorator: the `typing.NamedTuple` class ``fields`` as a subclass
+    that calls its ``_check`` method, which raises on bad fields, whenever a
+    record is built: by `_replace` too, which would skip ``__new__``."""
 
+    def __new__(cls, *args, **kwargs):
+        self = fields.__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    return type(fields.__name__, (fields,), {
+        "__slots__": (), "__doc__": fields.__doc__, "__module__": fields.__module__, "__new__": __new__,
+        "_make": classmethod(lambda cls, values: cls(*values)),
+    })
+
+
+@checked
+class _FileDiff(NamedTuple):
     path: str
     build_system: BuildSystem
     change_kind: ChangeKind
@@ -163,11 +176,15 @@ class FileDiff:
     before_content: Optional[str] = None
     after_content: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.change_kind is ChangeKind.ADDED and self.before_content is not None:
             raise ValueError(f"{self.path}: added file must not carry before_content")
         if self.change_kind is ChangeKind.DELETED and self.after_content is not None:
             raise ValueError(f"{self.path}: deleted file must not carry after_content")
+
+
+class FileDiff(_FileDiff):
+    """One build file's change within a commit; its instance dict holds its `hunks`."""
 
     @cached_property
     def hunks(self) -> tuple[Hunk, ...]:
@@ -176,8 +193,8 @@ class FileDiff:
         return tuple(extract_diff(self.before_content, self.after_content))
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+@checked
+class CommitRecord(NamedTuple):
     """One mined commit restricted to its build-file diffs."""
 
     repo_id: str
@@ -187,13 +204,13 @@ class CommitRecord:
     timestamp: int
     file_diffs: tuple[FileDiff, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not _HASH_RE.fullmatch(self.commit_hash):
             raise ValueError(f"commit_hash must be 40 or 64 lowercase hex chars: {self.commit_hash!r}")
 
 
-@dataclass(frozen=True)
-class MiningFilter:
+@checked
+class MiningFilter(NamedTuple):
     """Selection criteria for :func:`mine_commits`."""
 
     message_keyword: str = "refactor"
@@ -201,7 +218,7 @@ class MiningFilter:
     max_commits: Optional[int] = None
     exclude_merges: bool = True
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.build_systems:
             raise ValueError("build_systems must be non-empty")
 
@@ -209,15 +226,11 @@ class MiningFilter:
         return self.message_keyword.lower() in message.lower()
 
 
-@dataclass
-class MiningStats:
+class MiningStats(SimpleNamespace):
     """Counters filled in by mine_commits for diagnostics."""
 
-    commits_scanned: int = 0
-    commits_yielded: int = 0
-    commits_skipped_corrupt: int = 0
-    files_skipped: int = 0
-    warnings: int = 0
+    def __init__(self) -> None:
+        super().__init__(commits_scanned=0, commits_yielded=0, commits_skipped_corrupt=0, files_skipped=0, warnings=0)
 
 
 class _GitPipe:
@@ -396,14 +409,7 @@ class _Objects:
             before = self.read_text(change.old_blob)
             if before is None:
                 return None
-        return FileDiff(
-            path=change.path,
-            build_system=system,
-            change_kind=change.kind,
-            old_path=change.old_path,
-            before_content=before,
-            after_content=after,
-        )
+        return FileDiff(change.path, system, change.kind, change.old_path, before, after)
 
     def close(self) -> None:
         for pipe in self._pipes.values():

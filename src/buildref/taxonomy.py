@@ -14,11 +14,10 @@ sort order, and the detection line it is written as.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .mining import BuildSystem, DataError, dumps
+from .mining import BuildSystem, DataError, checked, dumps
 
 
 class MainCategory(Enum):
@@ -42,19 +41,28 @@ class UnknownTypeError(DataError):
     """A refactoring type name that is not one of the 24 registry ids."""
 
 
-@dataclass(frozen=True)
-class RefactoringType:
+class RefactoringType(NamedTuple):
     """One refactoring type: its category, whether it is specific to build
     code, the technical debts it repays (none for five types), its
     definition, and a short diff-style example per build system for the
-    one-shot prompt (illustrations, not test fixtures)."""
+    one-shot prompt (illustrations, not test fixtures), which take no part in
+    equality or hashing."""
 
     id: str
     category: MainCategory
     build_specific: bool
     debts: frozenset[TechnicalDebt]
     definition: str
-    examples: Mapping[BuildSystem, str] = field(compare=False)
+    examples: Mapping[BuildSystem, str]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RefactoringType) and self[:-1] == other[:-1]
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
 
 _M, _A, _G = BuildSystem.MAVEN, BuildSystem.ANT, BuildSystem.GRADLE
@@ -429,15 +437,14 @@ def registry_to_json() -> str:
 
 # --- the detection record -----------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Evidence:
+class Evidence(NamedTuple):
     path: str
     span: tuple[int, int]
     role: str  # "source" or "destination"
 
 
-@dataclass(frozen=True)
-class DetectedRefactoring:
+@checked
+class DetectedRefactoring(NamedTuple):
     type: str
     details: str
     evidence: tuple[Evidence, ...]
@@ -445,7 +452,7 @@ class DetectedRefactoring:
     confidence: float = 1.0
     unknown_type: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.unknown_type:
             get_type(self.type)
         if self.backend == "static" and self.confidence != 1.0:

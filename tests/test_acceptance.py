@@ -124,13 +124,11 @@ def test_criterion_4_detector_properties():
         assert detect_all(CommitContext.from_commit(commit)) == set()
 
     # file-order permutation invariance
-    import dataclasses
-
     for _ in range(100):
         before = _random_gradle_files(rng)
         after = _random_gradle_files(rng)
         commit = make_commit(before, after)
-        flipped = dataclasses.replace(commit, file_diffs=tuple(reversed(commit.file_diffs)))
+        flipped = commit._replace(file_diffs=tuple(reversed(commit.file_diffs)))
         assert detect_all(CommitContext.from_commit(commit)) == detect_all(
             CommitContext.from_commit(flipped)
         )

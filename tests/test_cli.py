@@ -8,7 +8,6 @@ import re
 import subprocess
 import threading
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -16,7 +15,7 @@ import fixtures
 from buildref import cli
 from buildref.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, _parse_args, run
 from buildref.evaluation import report_from_json
-from buildref.mining import commit_to_json
+from buildref.mining import CommitRecord, commit_to_json
 from conftest import FakeClock, build_git_repo, closed_port, make_commit
 
 
@@ -199,7 +198,7 @@ def test_bad_commits_file_creates_no_output_file(tmp_path, capsys):
 def _commit_lines(count):
     """``count`` commit lines, each with its own hash, that migrate a Gradle plugin."""
     record = make_commit({"build.gradle": "apply plugin: 'java'\n"}, {"build.gradle": "plugins {\n    id 'java'\n}\n"})
-    return [commit_to_json(replace(record, commit_hash=f"{n:040x}")) + "\n" for n in range(1, count + 1)]
+    return [commit_to_json(record._replace(commit_hash=f"{n:040x}")) + "\n" for n in range(1, count + 1)]
 
 
 def test_bad_last_commit_line_creates_no_output_file(tmp_path, capsys):
@@ -288,18 +287,39 @@ def test_a_share_after_blank_lines_numbers_its_lines_as_in_the_whole_file(tmp_pa
     ]
 
 
+class _NotedRecords:
+    """``decode`` whose records note in ``live`` that they are not yet freed;
+    a record is a tuple, which takes no weak reference."""
+
+    def __init__(self, decode):
+        self.decode = decode
+        self.count = 0  # records decoded so far
+        self.live: set[int] = set()  # the numbers (from 0) of those not yet freed
+        live = self.live
+
+        class Noted(CommitRecord):
+            def __del__(self):
+                live.discard(self.__dict__.get("number"))  # a record `_replace` made has none
+
+        self.noted = Noted
+
+    def __call__(self, line):
+        record = self.noted(*self.decode(line))
+        record.number = self.count
+        self.live.add(self.count)
+        self.count += 1
+        return record
+
+
 def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_path, monkeypatch):
     commits = tmp_path / "commits.jsonl"
     commits.write_text("".join(_commit_lines(5)))
-    decoded: list = []  # a weak reference to every record decoded, in order
+    decoded = _NotedRecords(cli.commit_from_json)
     alive: list = []  # (number of the record being decoded, number of a live record two or more before it)
-    decode = cli.commit_from_json
 
     def recording_commit_from_json(line):
-        alive.extend((len(decoded), n) for n, ref in enumerate(decoded[:-1]) if ref() is not None)
-        record = decode(line)
-        decoded.append(weakref.ref(record))
-        return record
+        alive.extend((decoded.count, n) for n in sorted(decoded.live) if n < decoded.count - 1)
+        return decoded(line)
 
     monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
     from buildref.detectors import CommitContext
@@ -308,7 +328,7 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
     build = CommitContext.from_commit.__func__
 
     def recording_from_commit(cls, record):
-        alive.extend((len(decoded), n) for n, ref in enumerate(contexts) if ref() is not None)
+        alive.extend((decoded.count, n) for n, ref in enumerate(contexts) if ref() is not None)
         ctx = build(cls, record)
         contexts.append(weakref.ref(ctx))
         return ctx
@@ -321,7 +341,7 @@ def test_static_detect_frees_each_commit_before_the_next_but_one_is_decoded(tmp_
         assert run(["detect", "--commits", str(commits), "--parallelism", "1", "--out", str(tmp_path / "det.jsonl")]) == EXIT_OK
     finally:
         gc.enable()
-    assert len(decoded) >= 5 and len(contexts) == 5 and alive == []
+    assert decoded.count >= 5 and len(contexts) == 5 and alive == []
     assert len((tmp_path / "det.jsonl").read_text().splitlines()) == 5
 
 
@@ -332,7 +352,7 @@ def _unused_property_commit_lines(count):
     for n in range(1, count + 1):
         pom = f"<project>\n<artifactId>a{n}</artifactId>\n<properties>%s</properties>\n</project>\n"
         record = make_commit({"pom.xml": pom % "<unused.flag>on</unused.flag>"}, {"pom.xml": pom % ""})
-        lines.append(commit_to_json(replace(record, commit_hash=f"{n:040x}")) + "\n")
+        lines.append(commit_to_json(record._replace(commit_hash=f"{n:040x}")) + "\n")
     return lines
 
 
@@ -417,7 +437,7 @@ def test_a_lone_surrogate_in_a_pom_is_one_raw_block(tmp_path, monkeypatch, paral
     block, as malformed XML does, and the run goes on."""
     pom = "<project>\n<artifactId>a</artifactId>\n</project>\n"
     record = make_commit({"pom.xml": pom}, {"pom.xml": pom.replace("a<", "a\ud800<")})
-    line = commit_to_json(replace(record, commit_hash=f"{2:040x}")).replace("\ud800", "\\ud800")  # as a JSON escape
+    line = commit_to_json(record._replace(commit_hash=f"{2:040x}")).replace("\ud800", "\\ud800")  # as a JSON escape
     commits = tmp_path / "commits.jsonl"  # the second commit is the worker's share at --parallelism 2
     commits.write_text(_commit_lines(1)[0] + line + "\n")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -440,7 +460,7 @@ def test_a_lone_surrogate_in_a_detection_is_written_as_a_json_escape(tmp_path, m
             {"build.gradle": dependency, "sub/build.gradle": "dependencies {\n}\n"},
             {"build.gradle": "dependencies {\n}\n", "sub/build.gradle": dependency},
         )
-        lines.append(commit_to_json(replace(record, commit_hash=f"{n:040x}")).replace("\ud800", "\\ud800") + "\n")
+        lines.append(commit_to_json(record._replace(commit_hash=f"{n:040x}")).replace("\ud800", "\\ud800") + "\n")
     commits = tmp_path / "commits.jsonl"  # the surrogate as a JSON escape
     commits.write_text("".join(lines), encoding="utf-8")
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -536,7 +556,7 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys):
 
 
 def test_crlf_commits_file_detects_the_same_as_lf(tmp_path):
-    lines = [commit_to_json(replace(make_commit(before, after), commit_hash=f"{n:040x}"))
+    lines = [commit_to_json(make_commit(before, after)._replace(commit_hash=f"{n:040x}"))
              for n, (_, before, after, _) in enumerate(fixtures.PIPELINE_CASES, 1)]
     outputs = []
     for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
@@ -658,21 +678,14 @@ def test_llm_detect_holds_one_record_at_a_time(tmp_path, monkeypatch):
     n = 4
     commits = tmp_path / "commits.jsonl"
     commits.write_text("".join(_commit_lines(n)))
-    decode = cli.commit_from_json
-    decoded: list = []  # a weak reference to every record decoded, in order
-
-    def recording_commit_from_json(line):
-        record = decode(line)
-        decoded.append(weakref.ref(record))
-        return record
-
+    decoded = _NotedRecords(cli.commit_from_json)
     asked: list = []  # (decodes so far, records decoded so far that are still alive) at each request
 
     def transport(url, headers, body, timeout):
-        asked.append((len(decoded), sum(ref() is not None for ref in decoded)))
+        asked.append((decoded.count, len(decoded.live)))
         return 200, json.dumps({"choices": [{"message": {"content": llm_backend.SENTINEL}}]})
 
-    monkeypatch.setattr(cli, "commit_from_json", recording_commit_from_json)
+    monkeypatch.setattr(cli, "commit_from_json", decoded)
     monkeypatch.setattr(llm_backend, "_http_transport", transport)
     gc.disable()  # the records must go when their last reference does, not at a collection
     try:
@@ -681,6 +694,43 @@ def test_llm_detect_holds_one_record_at_a_time(tmp_path, monkeypatch):
         gc.enable()
     assert len(asked) == n
     assert all(decodes <= n + i and alive == 1 for i, (decodes, alive) in enumerate(asked, 1))
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_llm_detect_on_threads_reads_at_most_two_commits_per_thread_ahead(tmp_path, monkeypatch, threads):
+    """Commit ``k`` (from 1) is asked for once at most ``k + 2 * threads``
+    records of the detection pass are decoded, and the lines keep input order."""
+    from buildref import llm_backend
+
+    n = 24
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(
+        commit_to_json(make_commit({"build.gradle": f"version = '{k}'\n"}, {"build.gradle": f"version = '{k}.0'\n"})
+                       ._replace(commit_hash=f"{k:040x}")) + "\n"
+        for k in range(1, n + 1)
+    ))
+    decode = cli.commit_from_json
+    decoded = 0  # the checking pass decodes all n records first
+
+    def counting_commit_from_json(line):
+        nonlocal decoded
+        decoded += 1
+        return decode(line)
+
+    read_ahead = []  # (commit asked for, records of the detection pass decoded by then)
+
+    def transport(url, headers, body, timeout):
+        k = int(re.search(r"\+version = '(\d+)\.0'", body["messages"][0]["content"]).group(1))
+        read_ahead.append((k, decoded - n))
+        return 200, json.dumps({"choices": [{"message": {"content": f'[{{"RefactoringType": "DRY", "Details": "{k}"}}]'}}]})
+
+    monkeypatch.setattr(cli, "commit_from_json", counting_commit_from_json)
+    monkeypatch.setattr(llm_backend, "_http_transport", transport)
+    out = tmp_path / "det.jsonl"
+    assert run(_llm_argv(commits, out, "--no-cache", "--parallelism", str(threads))) == EXIT_OK
+    assert sorted(k for k, _ in read_ahead) == list(range(1, n + 1))
+    assert all(read <= k + 2 * threads for k, read in read_ahead), read_ahead
+    assert [json.loads(line)["Details"] for line in out.read_text().splitlines()] == [str(k) for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("cache", [True, False])

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -542,7 +541,7 @@ def test_no_change_nullity_property(files):
 @given(file_set(), file_set())
 def test_file_order_permutation_invariance(before, after):
     commit = make_commit(before, after)
-    reversed_commit = dataclasses.replace(commit, file_diffs=tuple(reversed(commit.file_diffs)))
+    reversed_commit = commit._replace(file_diffs=tuple(reversed(commit.file_diffs)))
     result_a = detect_all(CommitContext.from_commit(commit))
     result_b = detect_all(CommitContext.from_commit(reversed_commit))
     assert result_a == result_b
@@ -1079,7 +1078,7 @@ def detection_corpus(count=300, seed=40):
         if rng.random() < 0.1:
             c.after[rng.choice(sorted(c.before))] = None  # a file deleted with whatever it held
         commit = make_commit(c.render(c.before, 0), c.render(c.after, 1))
-        commits.append(dataclasses.replace(commit, commit_hash=f"{number:040x}"))
+        commits.append(commit._replace(commit_hash=f"{number:040x}"))
     return commits
 
 

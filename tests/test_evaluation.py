@@ -138,6 +138,26 @@ def test_zero_denominator_convention():
     assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
 
 
+def test_recall_counts_every_miss_when_misses_outnumber_hits():
+    gold = [GoldLabel(H1, ("DRY",) * 3), GoldLabel(H2, ("DRY", "DRY"))]
+    m = score(gold, [(H1, ["DRY"]), (H2, ["DRY"])]).per_type["DRY"]
+    assert (m.tp, m.fn) == (2, 3)
+    assert m.recall == pytest.approx(2 / 5)
+    m = score([GoldLabel(H1, ("DRY", "DRY"))], [(H1, ["DRY"])]).per_type["DRY"]
+    assert (m.tp, m.fn, m.recall) == (1, 1, 0.5)
+
+
+def test_support_is_the_gold_count_and_decides_the_macro_average():
+    # DRY found once of three; Extract Module missed outright; the unknown row is all false positive
+    gold = [GoldLabel(H1, ("DRY", "DRY", "DRY", "Extract Module"))]
+    report = score(gold, [(H1, ["DRY", "Quantum Cleanup"])])
+    assert {t: m.support for t, m in report.per_type.items()} == {"DRY": 3, "Extract Module": 1, "unknown": 0}
+    assert all(m.support == m.tp + m.fn for m in report.per_type.values())
+    # the macro average runs over DRY and Extract Module, the types with gold support
+    assert report.overall_macro.recall == pytest.approx((1 / 3 + 0) / 2)
+    assert report.overall_macro.precision == pytest.approx((1 + 0) / 2)
+
+
 def test_set_mode_collapses_counts():
     gold = [GoldLabel(H1, ("DRY", "DRY"))]
     pred = [(H1, ["DRY", "DRY", "DRY"])]

@@ -3,6 +3,12 @@
 Every check runs in a fresh interpreter and looks at the modules a command
 added to ``sys.modules``, so what the test process has already imported does
 not count.
+
+Run as a script, ``python tests/test_imports.py [repeats]`` prints the median
+time each command takes to import its modules (`COMMAND_MODULES`), in children
+forked from a process that has imported only what ``bench/stages.py`` imports,
+as the benchmark's stage children are; the environment is passed on, so
+``PYTHONDONTWRITEBYTECODE`` decides whether ``src/`` is compiled each time.
 """
 
 import importlib
@@ -35,6 +41,25 @@ OLD_EXPORTS = {
     "llm_backend": ["LlmConfig", "PromptMode", "PromptSpec", "build_prompt", "classify_commit", "parse_response"],
     "evaluation": ["EvaluationReport", "GoldLabel", "render_report", "score"],
 }
+
+# the buildref modules, besides the package, that each command loads
+COMMAND_MODULES = {
+    "mine": ("cli", "mining"),
+    "detect": ("cli", "mining", "build_parsers", "detectors", "linediff", "taxonomy"),  # Reformat Code cites lines
+    "detect --backend llm": ("cli", "mining", "linediff", "llm_backend", "taxonomy"),
+    "evaluate": ("cli", "mining", "evaluation", "taxonomy"),
+    "report": ("cli", "mining", "evaluation", "taxonomy"),
+    "taxonomy": ("cli", "mining", "taxonomy"),
+}
+
+# the records are NamedTuples and plain classes: `dataclasses` (which imports
+# `inspect`) and its generated methods cost a command 17 to 32 ms
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+
+
+def _loaded_by(command: str) -> set[str]:
+    return {"buildref", *(f"buildref.{name}" for name in COMMAND_MODULES[command])}
+
 
 _PROBE = """
 import json, sys
@@ -95,17 +120,14 @@ def test_import_buildref_loads_no_submodule():
 
 def test_mine_loads_only_mining(inputs, tmp_path):
     modules = _run("mine", "--repo", str(inputs / "repo"), "--out", str(tmp_path / "commits.jsonl"))
-    assert _buildref(modules) == {"buildref", "buildref.cli", "buildref.mining"}
-    assert "hashlib" not in modules
+    assert _buildref(modules) == _loaded_by("mine")
+    assert not {"hashlib", *RECORD_MACHINERY} & modules
 
 
 def test_static_detect_loads_no_llm_client_or_scoring(inputs, tmp_path):
     modules = _run("detect", "--commits", str(inputs / "commits.jsonl"), "--out", str(tmp_path / "pred.jsonl"))
-    assert _buildref(modules) == {  # the line diff too: Reformat Code cites the changed lines
-        "buildref", "buildref.cli", "buildref.mining", "buildref.build_parsers", "buildref.detectors",
-        "buildref.linediff", "buildref.taxonomy",
-    }
-    assert not {"hashlib", "concurrent.futures", "multiprocessing"} & modules
+    assert _buildref(modules) == _loaded_by("detect")
+    assert not {"hashlib", "concurrent.futures", "multiprocessing", *RECORD_MACHINERY} & modules
 
 
 def test_static_detect_starts_no_thread_at_any_parallelism(inputs, tmp_path):
@@ -132,9 +154,8 @@ def test_llm_detect_loads_no_parsers_or_detectors(inputs, tmp_path, monkeypatch)
     # every prompt is now a cache hit, so the run below sends no request
     modules = _run(*argv, "--out", str(tmp_path / "warm.jsonl"))
     assert (tmp_path / "warm.jsonl").read_text() == (tmp_path / "cold.jsonl").read_text()
-    assert _buildref(modules) == {
-        "buildref", "buildref.cli", "buildref.mining", "buildref.linediff", "buildref.llm_backend", "buildref.taxonomy",
-    }
+    assert _buildref(modules) == _loaded_by("detect --backend llm")
+    assert not RECORD_MACHINERY & modules
     _, modules = _loads("import buildref.llm_backend\ncode = 0")
     assert _buildref(modules) == {"buildref", "buildref.mining", "buildref.llm_backend", "buildref.taxonomy"}
 
@@ -144,7 +165,17 @@ def test_evaluate_loads_no_parsers_detectors_or_llm_client(inputs, tmp_path):
         "evaluate", "--gold", str(inputs / "gold.jsonl"), "--pred", str(inputs / "pred.jsonl"),
         "--out", str(tmp_path / "report.json"),
     )
-    assert _buildref(modules) == {"buildref", "buildref.cli", "buildref.mining", "buildref.evaluation", "buildref.taxonomy"}
+    assert _buildref(modules) == _loaded_by("evaluate")
+    assert not RECORD_MACHINERY & modules
+
+
+def test_report_and_taxonomy_load_only_the_registry_and_scoring(inputs, tmp_path):
+    report = tmp_path / "report.json"
+    _run("evaluate", "--gold", str(inputs / "gold.jsonl"), "--pred", str(inputs / "pred.jsonl"), "--out", str(report))
+    for command, argv in (("report", ["report", "--in", str(report)]), ("taxonomy", ["taxonomy", "--json"])):
+        modules = _run(*argv)
+        assert _buildref(modules) == _loaded_by(command)
+        assert not RECORD_MACHINERY & modules, command
 
 
 def test_only_mine_loads_the_git_helpers(inputs, tmp_path):
@@ -190,3 +221,45 @@ def test_unknown_attribute_raises_attribute_error():
 def test_each_error_derives_from_the_base_its_exit_code_needs(path, base):
     module_name, name = path.split(".")
     assert issubclass(getattr(importlib.import_module(f"buildref.{module_name}"), name), base)
+
+
+_TIMER = """
+import json, os, signal, sys, time, traceback  # what bench/stages.py imports
+repeats, modules, srcs = int(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3:]
+seconds = {src: {command: [] for command in modules} for src in srcs}
+for _ in range(repeats):  # in rounds, so that a slow spell costs every command and source alike
+    for src in srcs:
+        for command, names in modules.items():
+            read_fd, write_fd = os.pipe()
+            if os.fork() == 0:
+                sys.path.insert(0, src)
+                started = time.perf_counter()
+                for name in names:
+                    __import__("buildref." + name)
+                os.write(write_fd, repr(time.perf_counter() - started).encode())
+                os._exit(0)
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as pipe:
+                seconds[src][command].append(float(pipe.read()))
+            os.wait()
+print(json.dumps(seconds))
+"""
+
+
+if __name__ == "__main__":
+    # the fixed cost of each command: PYTHONPATH=src python tests/test_imports.py [repeats [SRC ...]],
+    # the children of each round taking turns over the SRC directories (default: this checkout's)
+    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 21
+    srcs = [os.path.abspath(src) for src in sys.argv[2:]] or [SRC]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMER, str(repeats), json.dumps(COMMAND_MODULES), *srcs],
+        capture_output=True, text=True, check=True,
+    )
+    print(f"import time in ms of {repeats} forked children: median (quartiles), "
+          f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}")
+    for src, by_command in json.loads(proc.stdout).items():
+        print(src)
+        for command, times in by_command.items():
+            times.sort()
+            q1, median, q3 = (times[len(times) * k // 4] * 1000 for k in (1, 2, 3))
+            print(f"  {command:<22} {median:6.1f} ({q1:.1f}-{q3:.1f})")

@@ -175,6 +175,19 @@ def test_line_diff_equals_difflib_on_large_edited_pairs():
     _check_against_difflib(pairs)
 
 
+def test_line_diff_equals_difflib_when_windows_share_hashes(monkeypatch):
+    # modulo 7 most windows collide, so equal hashes of unequal windows are searched past
+    monkeypatch.setattr(linediff, "_HASH_MOD", 7)
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(20):
+        a = [str(rng.randrange(12)) for _ in range(rng.randrange(70, 120))]
+        b = [line for line in a if rng.random() < 0.85] + [str(rng.randrange(12)) for _ in range(rng.randrange(10))]
+        pairs.append((a, b))
+    assert all(len(a) * len(b) > linediff._SMALL_QUERY for a, b in pairs)
+    _check_against_difflib(pairs)
+
+
 class _TooManySteps(Exception):
     pass
 
