@@ -4,11 +4,12 @@ Every check runs in a fresh interpreter and looks at the modules a command
 added to ``sys.modules``, so what the test process has already imported does
 not count.
 
-Run as a script, ``python tests/test_imports.py [repeats]`` prints the median
-time each command takes to import its modules (`COMMAND_MODULES`), in children
-forked from a process that has imported only what ``bench/stages.py`` imports,
-as the benchmark's stage children are; the environment is passed on, so
-``PYTHONDONTWRITEBYTECODE`` decides whether ``src/`` is compiled each time.
+Run as a script, ``python tests/test_imports.py [repeats [SRC ...]]`` prints
+the median and quartiles of the time each command takes to import its modules
+(`COMMAND_MODULES`) from each source tree (this checkout's by default), in
+children forked from a process that has imported only what ``bench/stages.py``
+imports, as the benchmark's stage children are. The environment is passed on,
+so ``PYTHONDONTWRITEBYTECODE`` decides whether the sources are compiled each time.
 """
 
 import importlib
@@ -52,8 +53,8 @@ COMMAND_MODULES = {
     "taxonomy": ("cli", "mining", "taxonomy"),
 }
 
-# the records are NamedTuples and plain classes: `dataclasses` (which imports
-# `inspect`) and its generated methods cost a command 17 to 32 ms
+# the records are NamedTuples and plain classes: importing `dataclasses` (and
+# the `inspect` it imports) and exec-ing its generated methods slowed every command
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 
 
@@ -247,8 +248,7 @@ print(json.dumps(seconds))
 
 
 if __name__ == "__main__":
-    # the fixed cost of each command: PYTHONPATH=src python tests/test_imports.py [repeats [SRC ...]],
-    # the children of each round taking turns over the SRC directories (default: this checkout's)
+    # the fixed cost of each command: PYTHONPATH=src python tests/test_imports.py [repeats [SRC ...]]
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 21
     srcs = [os.path.abspath(src) for src in sys.argv[2:]] or [SRC]
     proc = subprocess.run(
