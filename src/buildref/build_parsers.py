@@ -482,63 +482,69 @@ _RE_DEP_MAP = re.compile(
 _RE_DEP_PROJECT = re.compile(r"^(\w+)\s*\(?\s*project\s*\(\s*[\"']([^\"']+)[\"']\s*\)")
 _RE_QUOTED = re.compile(r"[\"']([^\"']+)[\"']")
 _RE_GRADLE_LITERAL = re.compile(r"^(?:(['\"])[^'\"]*\1|\d[\w.+-]*|true|false)$")
-_RE_BRACE = re.compile(r"[{}]")
-
-
-def _bracket_net(masked_line: str) -> tuple[int, int]:
-    count = masked_line.count
-    return count("(") + count("{") + count("["), count(")") + count("}") + count("]")
-
-
-def _statements(lines: list[str], masked: list[str]) -> Iterator[tuple[int, int, bool]]:
-    """Yield (first_idx, last_idx, balanced) statement extents, 0-based into `lines`."""
-    i = 0
-    n = len(lines)
-    while i < n:
-        if not lines[i].strip():
-            i += 1
-            continue
-        depth = 0
-        j = i
-        balanced = True
-        while j < n:
-            opens, closes = _bracket_net(masked[j])
-            depth += opens - closes
-            if depth <= 0:
-                break
-            j += 1
-        if j >= n:
-            j = n - 1
-            balanced = False
-        yield i, j, balanced
-        i = j + 1
+_RE_BLANK_LINES = re.compile(r"(?:[^\S\n]*\n)*(?:[^\S\n]*\Z)?")
+_RE_BRACKET = re.compile(r"[][(){}\n]")
 
 
 class _Block(NamedTuple):
     """A statement's outermost braces: the text before the ``{``, the text
-    between the braces and its masked form, and the body's 1-based first line."""
+    between them, its offsets into the script and its 1-based first line."""
 
     head: str
     body: str
-    masked_body: str
+    start: int
+    end: int
     first_line: int
 
 
-def _block(text: str, masked: str, first_line: int) -> Optional[_Block]:
-    """The block of a statement that starts at line ``first_line``, or None
-    when its masked text has no ``{``. An unclosed block runs to the end."""
-    start = masked.find("{")
-    if start == -1:
-        return None
-    depth = 0
-    end = len(masked)
-    for brace in _RE_BRACE.finditer(masked, start):
-        depth += 1 if brace.group() == "{" else -1
-        if depth == 0:
-            end = brace.start()
-            break
-    head = text[:start]
-    return _Block(head, text[start + 1 : end], masked[start + 1 : end], first_line + head.count("\n"))
+def _statements(
+    text: str, masked: str, pos: int, end: int, line: int
+) -> Iterator[tuple[str, tuple[int, int], Optional[_Block], bool]]:
+    """Yield (text, span, block or None, balanced) for each statement of
+    ``text[pos:end]``, whose first line is line ``line``. ``text`` and ``masked``
+    are what `_scan_groovy` returns: comments blanked, and strings too.
+
+    A line that is blank starts no statement. A statement ends at the first
+    line end where no bracket of any kind is left open; one still open at
+    ``end`` runs to it, unbalanced. Its block runs from its first ``{`` to the
+    ``}`` that closes it, counting braces only, or to the statement's end.
+    """
+    while True:
+        start = _RE_BLANK_LINES.match(text, pos, end).end()
+        line += text.count("\n", pos, start)
+        if start == end:
+            return
+        depth = braces = newlines = 0
+        opened = closed = None
+        stop = end
+        for m in _RE_BRACKET.finditer(masked, start, end):
+            bracket = m.group()
+            if bracket == "\n":
+                if depth <= 0:
+                    stop = m.start()
+                    break
+                newlines += 1
+            elif bracket in "([{":
+                depth += 1
+                if bracket == "{" and closed is None:
+                    opened = opened or m.end()
+                    braces += 1
+            else:
+                depth -= 1
+                if bracket == "}" and braces:
+                    braces -= 1
+                    if not braces:
+                        closed = m.start()
+        block = None
+        if opened is not None:
+            head = text[start : opened - 1]
+            closed = stop if closed is None else closed
+            block = _Block(head, text[opened:closed], opened, closed, line + head.count("\n"))
+        yield text[start:stop], (line, line + newlines), block, depth <= 0
+        if stop == end:
+            return
+        pos = stop + 1
+        line += newlines + 1
 
 
 def _body_lines(block: Optional[_Block]) -> Iterator[tuple[str, tuple[int, int]]]:
@@ -566,32 +572,24 @@ def _value_element(kind: ElementKind, m: re.Match, span: tuple[int, int]) -> Bui
 
 class _GradleParser:
     def __init__(self, content: str):
-        stripped, masked = _scan_groovy(content)
-        self.lines = stripped.split("\n")
-        self.masked = masked.split("\n")
+        self.text, self.masked = _scan_groovy(content)
         self.elements: list[BuildElement] = []
         self.links: list[ModuleLink] = []
         self.warnings: list[str] = []
 
     def parse(self) -> BuildModel:
-        for start, end, balanced in _statements(self.lines, self.masked):
-            text = "\n".join(self.lines[start : end + 1])
-            span = (start + 1, end + 1)
-            if not balanced:
-                self.warnings.append(f"UnbalancedBraces(line {start + 1})")
+        for text, span, block, balanced in _statements(self.text, self.masked, 0, len(self.text), 1):
+            if balanced:
+                self._dispatch(text.strip(), block, span)
+            else:  # the last statement: it runs to the end of the script
+                self.warnings.append(f"UnbalancedBraces(line {span[0]})")
                 self._add_raw(text.strip(), span)
-                break
-            self._dispatch(text, "\n".join(self.masked[start : end + 1]), span)
         return _model(BuildSystem.GRADLE, self.elements, self.links, self.warnings)
 
     # -- statement dispatch --
 
-    def _dispatch(self, text: str, masked: str, span: tuple[int, int]) -> None:
-        """Add what one balanced statement declares; ``masked`` is its text
-        with string literals blanked."""
-        stmt = text.strip()
-        block = _block(text, masked, span[0])
-
+    def _dispatch(self, stmt: str, block: Optional[_Block], span: tuple[int, int]) -> None:
+        """Add what one balanced statement, stripped, declares."""
         m = _RE_APPLY_PLUGIN.match(stmt)
         if m:
             self.elements.append(
@@ -743,10 +741,8 @@ class _GradleParser:
     def _parse_dependencies_block(self, block: Optional[_Block]) -> None:
         if block is None:
             return
-        body_lines = block.body.split("\n")
-        for s, e, _ in _statements(body_lines, block.masked_body.split("\n")):
-            stmt = "\n".join(body_lines[s : e + 1]).strip()
-            dep = self._dependency_from(stmt, (block.first_line + s, block.first_line + e))
+        for text, span, _, _ in _statements(self.text, self.masked, block.start, block.end, block.first_line):
+            dep = self._dependency_from(text.strip(), span)
             if dep is not None:
                 self.elements.append(dep)
 

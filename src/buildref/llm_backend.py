@@ -256,7 +256,11 @@ def _http_transport(url: str, headers: dict, body: dict, timeout: float) -> tupl
         except urllib.error.HTTPError as exc:  # a non-2xx reply, read like any other
             resp = exc
         with resp:
-            return resp.status, resp.read().decode(resp.headers.get_content_charset() or "utf-8", "replace")
+            data, charset = resp.read(), resp.headers.get_content_charset()
+        try:
+            return resp.status, data.decode(charset or "utf-8", "replace")
+        except LookupError:  # a charset Python does not know is read as none given
+            return resp.status, data.decode("utf-8", "replace")
     # URLError and timeouts are OSErrors; a URL without a scheme is a ValueError
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"{url}: {exc}") from exc
@@ -299,7 +303,6 @@ def classify_commit(
     transport: Optional[Transport] = None,
     stats: Optional[LlmStats] = None,
     rate_limiter: Optional[RateLimiter] = None,
-    sleeper: Callable[[float], None] = time.sleep,
     cache_dir: Optional[str] = None,
 ) -> set[DetectedRefactoring]:
     """build_prompt -> cache lookup -> one chat request -> parse_response.
@@ -327,11 +330,11 @@ def classify_commit(
             return cached
     messages = [{"role": "user", "content": prompt}]
     try:
-        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter, sleeper))
+        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter))
     except UnparseableResponseError:
         stats.reprompts += 1
         messages = messages + [{"role": "user", "content": _STRICT_REPROMPT}]
-        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter, sleeper))
+        detections = parse_response(_complete(messages, config, transport, stats, rate_limiter))
     if cache_path:
         _write_cache(cache_path, serialize_detections(detections))
     return detections
@@ -369,7 +372,6 @@ def _complete(
     transport: Transport,
     stats: LlmStats,
     rate_limiter: Optional[RateLimiter],
-    sleeper: Callable[[float], None],
 ) -> str:
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env, "")
@@ -390,7 +392,7 @@ def _complete(
     for attempt in range(config.max_retries + 1):
         if attempt > 0:
             stats.retries += 1
-            sleeper(min(2 ** (attempt - 1), 30))
+            time.sleep(min(2 ** (attempt - 1), 30))
         if rate_limiter is not None:
             rate_limiter.acquire()
         stats.requests += 1
@@ -418,7 +420,10 @@ def _complete(
 
 def _extract_content(body_text: str) -> str:
     try:
-        return loads(body_text)["choices"][0]["message"]["content"]
+        content = loads(body_text)["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError):
         # some serving stacks return the completion text directly
         return body_text
+    if not isinstance(content, str):  # null, or a list of content parts
+        raise UnparseableResponseError(body_text)
+    return content

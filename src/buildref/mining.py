@@ -20,7 +20,6 @@ import math
 import os
 import re
 from enum import Enum
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, TypeVar, Union
 
@@ -168,7 +167,9 @@ def checked(fields: type) -> type:
 
 
 @checked
-class _FileDiff(NamedTuple):
+class FileDiff(NamedTuple):
+    """One build file's change within a commit."""
+
     path: str
     build_system: BuildSystem
     change_kind: ChangeKind
@@ -182,11 +183,7 @@ class _FileDiff(NamedTuple):
         if self.change_kind is ChangeKind.DELETED and self.after_content is not None:
             raise ValueError(f"{self.path}: deleted file must not carry after_content")
 
-
-class FileDiff(_FileDiff):
-    """One build file's change within a commit; its instance dict holds its `hunks`."""
-
-    @cached_property
+    @property
     def hunks(self) -> tuple[Hunk, ...]:
         if self.before_content is None and self.after_content is None:
             return ()

@@ -113,5 +113,16 @@ class FakeClock:
 
 
 @pytest.fixture
+def clock(monkeypatch):
+    """A FakeClock in place of ``llm_backend.time``: retry backoff and the rate
+    limiter wait on it, so no test time passes, and each wait is noted."""
+    from buildref import llm_backend
+
+    fake = FakeClock()
+    monkeypatch.setattr(llm_backend, "time", fake)
+    return fake
+
+
+@pytest.fixture
 def tmp_repo(tmp_path):
     return tmp_path / "repo"

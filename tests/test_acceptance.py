@@ -191,7 +191,7 @@ def test_criterion_6_prompt_contract():
 
 
 @criterion(7, "response parsing: array, object, sentinel, fenced variants, double garbage")
-def test_criterion_7_response_parsing():
+def test_criterion_7_response_parsing(clock):
     array = parse_response('[{"RefactoringType":"Extract Module","Details":"moved"}]')
     assert {d.type for d in array} == {"Extract Module"}
     single = parse_response('{"RefactoringType":"DRY","Details":"loop"}')
@@ -214,7 +214,6 @@ def test_criterion_7_response_parsing():
             PromptSpec(PromptMode.ZERO_SHOT, BuildSystem.GRADLE),
             cfg,
             transport=garbage_transport,
-            sleeper=lambda s: None,
         )
         raise AssertionError("expected UnparseableResponseError")
     except llm_backend.UnparseableResponseError:

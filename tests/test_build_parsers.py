@@ -26,6 +26,7 @@ from buildref.build_parsers import (
     tokenize,
     _parse_xml,
     _scan_groovy,
+    _statements,
     _xml_body_tokens,
 )
 from buildref import build_parsers
@@ -466,6 +467,110 @@ def test_scan_groovy_matches_the_character_loop_oracle(body, ending):
 ])
 def test_scan_groovy_on_open_literals_and_a_final_backslash(text):
     assert _scan_groovy(text) == _oracle_scan_groovy(text)
+
+
+# the statement split before it became one walk over offsets into the scanned
+# script: brackets counted line by line over the masked lines, then braces
+# matched again over each statement's joined text
+def _oracle_bracket_net(masked_line):
+    count = masked_line.count
+    return count("(") + count("{") + count("["), count(")") + count("}") + count("]")
+
+
+def _oracle_extents(lines, masked):
+    i = 0
+    n = len(lines)
+    while i < n:
+        if not lines[i].strip():
+            i += 1
+            continue
+        depth = 0
+        j = i
+        balanced = True
+        while j < n:
+            opens, closes = _oracle_bracket_net(masked[j])
+            depth += opens - closes
+            if depth <= 0:
+                break
+            j += 1
+        if j >= n:
+            j = n - 1
+            balanced = False
+        yield i, j, balanced
+        i = j + 1
+
+
+def _oracle_block(text, masked, first_line):
+    start = masked.find("{")
+    if start == -1:
+        return None
+    depth = 0
+    end = len(masked)
+    for brace in re.compile(r"[{}]").finditer(masked, start):
+        depth += 1 if brace.group() == "{" else -1
+        if depth == 0:
+            end = brace.start()
+            break
+    head = text[:start]
+    return head, text[start + 1 : end], masked[start + 1 : end], first_line + head.count("\n")
+
+
+def _oracle_statements(text, masked, first_line):
+    """(text, span, block, balanced) of each statement, split as the line-list
+    walk split them; a block is (head, body, masked body, body's first line)."""
+    lines, masked_lines = text.split("\n"), masked.split("\n")
+    out = []
+    for start, end, balanced in _oracle_extents(lines, masked_lines):
+        stmt = "\n".join(lines[start : end + 1])
+        span = (first_line + start, first_line + end)
+        out.append((stmt, span, _oracle_block(stmt, "\n".join(masked_lines[start : end + 1]), span[0]), balanced))
+    return out
+
+
+def _walked(text, masked, pos, end, line):
+    """The walk's statements in the oracle's shape, less the masked body."""
+    out = []
+    for stmt, span, block, balanced in _statements(text, masked, pos, end, line):
+        if block is not None:
+            assert block.body == text[block.start : block.end]
+            block = (block.head, block.body, block.first_line)
+        out.append((stmt, span, block, balanced))
+    return out
+
+
+def _unmasked(statements):
+    return [(stmt, span, block and block[:2] + block[3:], balanced) for stmt, span, block, balanced in statements]
+
+
+_BRACKET_PIECES = st.sampled_from(
+    ["a", " ", "{", "}", "(", ")", "[", "]", "'", '"', "'''", '"""', "//", "/*", "*/", "\n", "\r\n"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_BRACKET_PIECES, max_size=30).map("".join))
+def test_statement_walk_matches_the_line_list_oracle(script):
+    text, masked = _scan_groovy(script)
+    assert _walked(text, masked, 0, len(text), 1) == _unmasked(_oracle_statements(text, masked, 1))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_BRACKET_PIECES, max_size=30).map("".join))
+def test_statement_walk_inside_a_dependencies_body_matches_the_oracle(body):
+    text, masked = _scan_groovy("x\ndependencies {" + body)
+    _, _, block, _ = list(_statements(text, masked, 0, len(text), 1))[1]
+    _, _, (_, oracle_body, oracle_masked, oracle_line), _ = _oracle_statements(text, masked, 1)[1]
+    expected = _unmasked(_oracle_statements(oracle_body, oracle_masked, oracle_line))
+    assert _walked(text, masked, block.start, block.end, block.first_line) == expected
+
+
+@pytest.mark.parametrize("script", [
+    "", "\n \n", "a\n\n  \nb", "'s'\n", "// c\n/* d */\n  x", "a (\n) b\n", "a {\n  b\n} c {\n}", "a } {\nb",
+    "a {", "x {\n  y {\n", "a (\n{ }\n", "a ]\nb [\n", "x = '''\n\n  ''' {\n}", "a\r\n{\r\n}\r\n", "a  \n",
+])
+def test_statement_walk_on_edge_scripts(script):
+    text, masked = _scan_groovy(script)
+    assert _walked(text, masked, 0, len(text), 1) == _unmasked(_oracle_statements(text, masked, 1))
 
 
 def test_xml_text_joins_character_data_around_children_and_entities():

