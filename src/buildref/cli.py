@@ -412,13 +412,16 @@ def _cmd_detect_llm(args) -> int:
     rate_limiter = llm_backend.RateLimiter(args.rate, burst=parallelism) if args.rate else None
     total = llm_backend.LlmStats()
     classify = partial(_detect_llm, args=args, config=config, rate_limiter=rate_limiter)
-    with _commit_lines(args.commits) as (commit_lines, _), _open_out(args.out) as out:
-        # decoded again as they are asked for, so few records are held at a time
-        records = (record for _, record in json_lines(commit_lines, "commits", commit_from_json))
-        # each call counts its own requests and only this thread adds them up
-        for lines, stats in _threaded_map(classify, records, parallelism):
-            out.writelines(line + "\n" for line in lines)
-            total.add(stats)
+    try:
+        with _commit_lines(args.commits) as (commit_lines, _), _open_out(args.out) as out:
+            # decoded again as they are asked for, so few records are held at a time
+            records = (record for _, record in json_lines(commit_lines, "commits", commit_from_json))
+            # each call counts its own requests and only this thread adds them up
+            for lines, stats in _threaded_map(classify, records, parallelism):
+                out.writelines(line + "\n" for line in lines)
+                total.add(stats)
+    finally:  # the worker threads have ended: close the connections they kept open
+        llm_backend.close_connections()
     logger.info(
         "requests %d, retries %d, reprompts %d, cache hits %d",
         total.requests, total.retries, total.reprompts, total.cache_hits,

@@ -240,30 +240,144 @@ def deserialize_detections(text: str) -> set[DetectedRefactoring]:
 
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]
 
+_MAX_REDIRECTS = 10  # as many as urllib's redirect handler follows
+
+# The open connection of each thread to each origin, keyed (thread id, scheme,
+# host[:port]), with the headers its requests carry for a proxy. A thread id is
+# given again only once its thread has ended, so no two running threads share a
+# connection; the lock guards the dict, not the connections.
+_connections: dict = {}
+_connections_lock = threading.Lock()
+
 
 def _http_transport(url: str, headers: dict, body: dict, timeout: float) -> tuple[int, str]:
-    """POST ``body`` as JSON on a new connection and return the reply's status and text."""
-    import http.client
-    import urllib.error
-    import urllib.request  # imported here: runs without --backend llm never pay for it
+    """POST ``body`` as JSON on this thread's connection to the URL's origin and
+    return the reply's status and text. A 301, 302 or 303 reply is followed as
+    a GET without body or headers, so the key never goes elsewhere."""
+    import http.client  # imported here: runs without --backend llm never pay for it
+    import string
+    from urllib.parse import quote, urljoin
 
+    method, target, data = "POST", url, json.dumps(body).encode()
     try:
-        request = urllib.request.Request(url, data=json.dumps(body).encode(), method="POST")
-        for name, value in headers.items():  # unredirected: a redirect never carries the key elsewhere
-            request.add_unredirected_header(name, value)
+        for hop in range(_MAX_REDIRECTS + 1):
+            status, reply, raw = _exchange(method, target, headers, data, timeout)
+            location = reply.get("Location")
+            if status not in (301, 302, 303) or not location or hop == _MAX_REDIRECTS:
+                break
+            # the header was decoded as Latin-1: quote its bytes as urllib does
+            target = urljoin(target, quote(location, encoding="iso-8859-1", safe=string.punctuation))
+            method, headers, data = "GET", {}, None
+        charset = reply.get_content_charset()
         try:
-            resp = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as exc:  # a non-2xx reply, read like any other
-            resp = exc
-        with resp:
-            data, charset = resp.read(), resp.headers.get_content_charset()
-        try:
-            return resp.status, data.decode(charset or "utf-8", "replace")
+            return status, raw.decode(charset or "utf-8", "replace")
         except LookupError:  # a charset Python does not know is read as none given
-            return resp.status, data.decode("utf-8", "replace")
-    # URLError and timeouts are OSErrors; a URL without a scheme is a ValueError
+            return status, raw.decode("utf-8", "replace")
+    # refusals and timeouts are OSErrors; a URL without a scheme is a ValueError
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise TransportError(f"{url}: {exc}") from exc
+
+
+def _exchange(method: str, url: str, headers: dict, data: Optional[bytes], timeout: float):
+    """One request on this thread's connection to ``url``'s origin; returns the
+    reply's status, headers (an ``http.client.HTTPMessage``) and body bytes.
+
+    A reused connection that the server closed while idle fails with a
+    ``ConnectionError`` before the reply's status line and headers are read.
+    The request is then sent once more, at once, on a new connection; any other
+    failure, or one on a new connection, is raised.
+    """
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        raise ValueError(f"unknown url type: {url!r}")
+    key = (threading.get_ident(), parts.scheme, parts.netloc)
+    with _connections_lock:
+        if key not in _connections:
+            _connections[key] = _open_connection(parts.scheme, parts.netloc, timeout)
+        conn, proxy_headers = _connections[key]
+    if proxy_headers is None:
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    else:  # to a proxy: the absolute URI
+        target, headers = url.partition("#")[0], {**headers, **proxy_headers}
+    conn.timeout = timeout
+    reused = conn.sock is not None
+    if reused:
+        conn.sock.settimeout(timeout)
+    try:
+        try:
+            reply = _send(conn, method, target, headers, data)
+        except ConnectionError:
+            if not reused:
+                raise
+            conn.close()
+            reply = _send(conn, method, target, headers, data)
+        with reply:
+            return reply.status, reply.headers, reply.read()
+    except BaseException:  # whatever state it was left in, the next request opens a new one
+        conn.close()
+        raise
+
+
+def _send(conn, method: str, target: str, headers: dict, data: Optional[bytes]):
+    """Send one request on ``conn``, opening it if it is closed, and read the
+    reply's status line and headers.
+
+    ``http.client`` sets ``TCP_NODELAY`` on each socket it opens, since it sends
+    headers and body in two ``send`` calls. ``TCP_QUICKACK``, set anew after
+    each request (Linux turns it off again by itself), acknowledges the reply's
+    first segment at once: a server that writes headers and body separately
+    holds the body back until then, which a delayed ACK would make about 40 ms.
+    """
+    import socket
+
+    conn.request(method, target, data, headers)
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is not None:
+        conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+    return conn.getresponse()
+
+
+def _open_connection(scheme: str, netloc: str, timeout: float):
+    """A connection (not yet open) to ``scheme://netloc``, through the proxy the
+    environment names for it, and the headers its requests carry for that proxy:
+    None when they go in origin form, directly or through a CONNECT tunnel.
+
+    The proxy is read from the environment here, once per connection, by the
+    rules urllib follows (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``), and
+    credentials in its URL are sent as urllib's ``ProxyHandler`` sends them.
+    """
+    import base64
+    import http.client
+    import urllib.request
+    from urllib.parse import unquote
+
+    classes = {"http": http.client.HTTPConnection, "https": http.client.HTTPSConnection}
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return classes[scheme](netloc, timeout=timeout), None
+    proxy_scheme, user, password, hostport = urllib.request._parse_proxy(proxy)
+    auth = {}
+    if user and password:
+        credentials = base64.b64encode(f"{unquote(user)}:{unquote(password)}".encode()).decode("ascii")
+        auth["Proxy-Authorization"] = f"Basic {credentials}"
+    if scheme == "https":  # TLS runs end to end through the tunnel, verified against netloc
+        conn = classes["https"](unquote(hostport), timeout=timeout)
+        conn.set_tunnel(netloc, headers=auth)
+        return conn, None
+    if (proxy_scheme or scheme) not in classes:
+        raise ValueError(f"unknown proxy type: {proxy!r}")
+    return classes[proxy_scheme or scheme](unquote(hostport), timeout=timeout), auth
+
+
+def close_connections() -> None:
+    """Close every connection any thread keeps open; a later request opens a new one."""
+    with _connections_lock:
+        connections = list(_connections.values())
+        _connections.clear()
+    for conn, _ in connections:
+        conn.close()
 
 
 class RateLimiter:

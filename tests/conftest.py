@@ -1,6 +1,9 @@
+import http.server
+import json
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -121,6 +124,85 @@ def clock(monkeypatch):
     fake = FakeClock()
     monkeypatch.setattr(llm_backend, "time", fake)
     return fake
+
+
+class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each request with ``server.reply`` over HTTP/1.1, keeping the
+    connection open. ``wbufsize = 0`` (the default, made plain) sends the
+    headers and the body in two writes, as ``bench/stub.py`` does."""
+
+    protocol_version = "HTTP/1.1"
+    wbufsize = 0
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections.append(self.connection)
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", "0"))
+        body = json.loads(self.rfile.read(length)) if length else None
+        with self.server.lock:
+            self.server.requests.append((self.path, dict(self.headers), body))
+        status, text = self.server.reply
+        payload = text.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def do_CONNECT(self):  # as a proxy, it reaches no server
+        with self.server.lock:
+            self.server.requests.append((self.path, dict(self.headers), None))
+        self.send_error(502)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class KeepAliveServer(http.server.ThreadingHTTPServer):
+    """A loopback chat endpoint that keeps connections open, one thread each.
+    Set ``reply`` (status, text) before a request; ``connections`` holds each
+    connection it accepted, ``requests`` each (path, headers, JSON body). As a
+    proxy it refuses each CONNECT tunnel with a 502, after noting it too."""
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.lock = threading.Lock()
+        self.connections: list[socket.socket] = []
+        self.requests: list[tuple] = []
+        self.reply = (200, json.dumps({"choices": [{"message": {"content": "No refactorings found."}}]}))
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+    def drop(self) -> None:
+        """Close every connection from the server's side, as an idle timeout does."""
+        with self.lock:
+            for conn in self.connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:  # closed already
+                    pass
+
+
+@pytest.fixture
+def keep_alive(monkeypatch):
+    """A running KeepAliveServer, reached without a proxy. At the end the
+    client's connections are closed, then the server's."""
+    from buildref import llm_backend
+
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+    server = KeepAliveServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    yield server
+    llm_backend.close_connections()
+    server.shutdown()
+    server.server_close()
+    server.drop()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.fixture

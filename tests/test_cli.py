@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import threading
+import warnings
 import weakref
 
 import pytest
@@ -749,6 +750,39 @@ def test_llm_detect_on_threads_reads_at_most_two_commits_per_thread_ahead(tmp_pa
     assert sorted(k for k, _ in read_ahead) == list(range(1, n + 1))
     assert all(read <= k + 2 * threads for k, read in read_ahead), read_ahead
     assert [json.loads(line)["Details"] for line in out.read_text().splitlines()] == [str(k) for k in range(1, n + 1)]
+
+
+def test_llm_detect_keeps_one_connection_per_thread_and_closes_them_all(tmp_path, keep_alive, monkeypatch):
+    import http.client
+
+    keep_alive.reply = (200, json.dumps({"choices": [{"message": {"content": '[{"RefactoringType": "DRY", "Details": "d"}]'}}]}))
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(_commit_lines(8)))
+    used = []  # (thread, connection) of each request
+    request = http.client.HTTPConnection.request
+
+    def noting_request(conn, *args, **kwargs):
+        used.append((threading.get_ident(), conn))
+        return request(conn, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", noting_request)
+    for threads in (1, 2):
+        used.clear()
+        accepted = len(keep_alive.connections)
+        argv = ["detect", "--commits", str(commits), "--backend", "llm", "--endpoint", keep_alive.url, "--model", "m",
+                "--no-cache", "--parallelism", str(threads), "--out", str(tmp_path / f"{threads}.jsonl")]
+        assert run(argv) == EXIT_OK
+        pairs = {(thread, id(conn)) for thread, conn in used}
+        assert len(used) == 8
+        assert len({thread for thread, _ in pairs}) == len({conn for _, conn in pairs}) == len(pairs) == threads
+        assert len(keep_alive.connections) - accepted == threads
+        assert all(conn.sock is None for _, conn in used)  # closed when run returned
+    assert (tmp_path / "2.jsonl").read_bytes() == (tmp_path / "1.jsonl").read_bytes()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        del used[:]
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("cache", [True, False])

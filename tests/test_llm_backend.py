@@ -1,8 +1,18 @@
+import base64
 import hashlib
 import http.server
 import json
+import os
+import shutil
+import socket
+import ssl
+import subprocess
+import sys
 import threading
+import time
+import urllib.parse
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +34,7 @@ from buildref.llm_backend import (
     parse_response,
     serialize_detections,
 )
-from buildref.mining import BuildSystem
+from buildref.mining import BuildSystem, commit_to_json
 from conftest import closed_port, make_commit
 
 pytestmark = pytest.mark.usefixtures("clock")  # retry backoff takes no test time
@@ -474,3 +484,126 @@ def test_http_redirect_does_not_carry_the_key(gradle_commit, endpoint, monkeypat
     (first, _), (redirected, _) = endpoint.seen
     assert first["Authorization"] == "Bearer sk-secret"
     assert "Authorization" not in redirected
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_redirect_of_the_post_is_followed_as_a_get_without_body_or_refused(gradle_commit, endpoint, status):
+    endpoint.replies = [(status, "moved", ("Location", "/elsewhere")), _ok_response("No refactorings found.")]
+    if status in (307, 308):
+        with pytest.raises(TransportError, match=f"unexpected status {status}: moved"):
+            _classify_over_http(gradle_commit, endpoint.url)
+        assert len(endpoint.seen) == 1
+        return
+    assert _classify_over_http(gradle_commit, endpoint.url) == set()
+    (_, posted), (headers, redirected) = endpoint.seen
+    assert posted is not None and redirected is None and "Content-Type" not in headers
+
+
+def test_http_follows_at_most_10_redirects(gradle_commit, endpoint):
+    endpoint.replies = [(302, "", ("Location", f"/hop{n}")) for n in range(11)]
+    with pytest.raises(TransportError, match="unexpected status 302"):
+        _classify_over_http(gradle_commit, endpoint.url, max_retries=0)
+    assert len(endpoint.seen) == 11
+
+
+@pytest.mark.parametrize("scheme, proxy, no_proxy", [
+    ("http", "HTTP_PROXY", None), ("http", "HTTP_PROXY", "127.0.0.1"), ("https", "HTTPS_PROXY", None),
+], ids=["http", "no proxy", "https tunnel"])
+def test_http_goes_through_the_proxy_the_environment_names(gradle_commit, keep_alive, tmp_path, scheme, proxy, no_proxy):
+    """The proxy gets an HTTP request with the absolute URI, and an HTTPS one as
+    a CONNECT tunnel, with the credentials of the proxy URL either way; NO_PROXY
+    covering the host sends the request direct. Each case runs `detect` in a
+    process of its own, since the environment is read there."""
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text(commit_to_json(gradle_commit) + "\n")
+    host = urllib.parse.urlsplit(keep_alive.url).netloc
+    url = keep_alive.url.replace("http:", f"{scheme}:")
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env.update({"PYTHONPATH": str(Path(llm_backend.__file__).parents[1]), proxy: f"http://us%40er:p%3Ass@{host}"})
+    if no_proxy:
+        env["NO_PROXY"] = no_proxy
+    script = "import sys; from buildref.cli import run; sys.exit(run(sys.argv[1:]))"
+    argv = ["detect", "--commits", str(commits), "--backend", "llm", "--endpoint", url, "--model", "m",
+            "--no-cache", "--max-retries", "0", "--out", str(tmp_path / "det.jsonl")]
+    code = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=60).returncode
+    ((path, headers, body),) = keep_alive.requests
+    auth = "Basic " + base64.b64encode(b"us@er:p:ss").decode()
+    if scheme == "https":  # the 502 the tunnel gets is a transport failure
+        assert (code, path, headers["Proxy-Authorization"], body) == (3, host, auth, None)
+        return
+    assert code == 0
+    assert path == ("/v1/chat" if no_proxy else url)
+    assert headers["Host"] == host and headers.get("Proxy-Authorization") == (None if no_proxy else auth)
+    assert body["messages"] == [{"role": "user", "content": build_prompt(gradle_commit, GRADLE_SPEC)}]
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="no openssl command to make a certificate with")
+def test_https_endpoint_with_a_certificate_no_one_signed_raises_transport_error(gradle_commit, keep_alive, tmp_path):
+    key, cert = tmp_path / "key.pem", tmp_path / "cert.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-keyout", str(key), "-out", str(cert),
+                    "-days", "1", "-subj", "/CN=127.0.0.1"], check=True, capture_output=True, timeout=60)
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert, key)
+    keep_alive.socket = context.wrap_socket(keep_alive.socket, server_side=True)  # same descriptor, served on
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        _classify_over_http(gradle_commit, keep_alive.url.replace("http:", "https:"), max_retries=0)
+
+
+# --- one kept-alive connection per thread and origin ----------------------------------
+
+def test_http_calls_on_one_thread_share_one_connection(gradle_commit, keep_alive):
+    for _ in range(3):
+        assert _classify_over_http(gradle_commit, keep_alive.url) == set()
+    assert len(keep_alive.connections) == 1 and len(keep_alive.requests) == 3
+
+
+def test_http_connection_the_server_closed_while_idle_is_opened_again_at_once(gradle_commit, keep_alive, clock):
+    _classify_over_http(gradle_commit, keep_alive.url)
+    keep_alive.drop()
+    stats = LlmStats()
+    assert _classify_over_http(gradle_commit, keep_alive.url, stats=stats) == set()
+    assert (stats.requests, stats.retries, clock.sleeps) == (1, 0, [])
+    assert len(keep_alive.connections) == 2 and len(keep_alive.requests) == 2
+
+
+def test_http_refused_new_connection_raises_after_the_backoff(gradle_commit, keep_alive, clock):
+    _classify_over_http(gradle_commit, keep_alive.url)
+    keep_alive.shutdown()
+    keep_alive.server_close()  # the port is closed: the new connection is refused
+    keep_alive.drop()
+    stats = LlmStats()
+    with pytest.raises(TransportError):
+        _classify_over_http(gradle_commit, keep_alive.url, stats=stats, max_retries=1)
+    assert (stats.requests, stats.retries, clock.sleeps) == (2, 1, [1])
+
+
+def test_http_on_more_threads_than_cores_each_thread_keeps_its_own_connection(keep_alive):
+    threads, calls, results = 8, 10, []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: results.extend(
+            llm_backend._http_transport(keep_alive.url, {}, {"model": "m"}, 10.0)[0] for _ in range(calls)))
+            for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [200] * threads * calls
+    assert len(keep_alive.connections) == threads and len(keep_alive.requests) == threads * calls
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="no TCP_QUICKACK on this platform")
+def test_http_reply_written_in_two_parts_does_not_wait_for_a_delayed_ack(keep_alive):
+    """The server sends each reply's headers and body in two writes, so Nagle's
+    algorithm holds the body until the headers are acknowledged; a delayed ACK
+    would make 50 requests take about 2 s."""
+    started = time.perf_counter()
+    for _ in range(50):
+        status, _ = llm_backend._http_transport(keep_alive.url, {}, {"model": "m"}, 10.0)
+        assert status == 200
+    assert time.perf_counter() - started < 1.0
+    assert len(keep_alive.connections) == 1
