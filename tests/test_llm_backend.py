@@ -555,6 +555,8 @@ def test_http_calls_on_one_thread_share_one_connection(gradle_commit, keep_alive
     for _ in range(3):
         assert _classify_over_http(gradle_commit, keep_alive.url) == set()
     assert len(keep_alive.connections) == 1 and len(keep_alive.requests) == 3
+    conn, _ = llm_backend._connections[(threading.get_ident(), "http", urllib.parse.urlsplit(keep_alive.url).netloc)]
+    assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)  # headers and body go out at once
 
 
 def test_http_connection_the_server_closed_while_idle_is_opened_again_at_once(gradle_commit, keep_alive, clock):
