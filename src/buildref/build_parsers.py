@@ -10,7 +10,6 @@ sequences so detectors can compare element identity across versions.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import posixpath
 import re
@@ -239,43 +238,19 @@ def _parse_xml(content: str) -> _XmlNode:
 
 def _xml_body_tokens(node: _XmlNode) -> tuple[str, ...]:
     """The tokens of a node's inner XML: its text, then each descendant as a
-    start tag with its attributes, its text and its end tag.
-
-    The inner XML is a text of `tokenize`'s memo. When it is not yet there,
-    each start tag, text and end tag is tokenized on its own, through the
-    memo too (so ``<groupId>`` once per commit), and the tokens are joined.
-    That equals tokenizing the inner XML unless a string literal spans
-    pieces, which needs a quote or a backslash in a text, or a ``"``,
-    backslash or newline in an attribute value; then the inner XML is
-    tokenized whole."""
+    start tag with its attributes, its text and its end tag."""
     parts = [node.text]
-    whole = _plain_text(node.text)
     stack: list = list(reversed(node.children))  # nodes to open, or end tags
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
             continue
-        attributes = ""
-        if item.attrib:
-            attributes = "".join(f' {k}="{v}"' for k, v in item.attrib.items())
-            whole = whole and not any('"' in v or "\\" in v or "\n" in v for v in item.attrib.values())
-        whole = whole and _plain_text(item.text)
+        attributes = "".join(f' {k}="{v}"' for k, v in item.attrib.items()) if item.attrib else ""
         parts += f"<{item.tag}{attributes}>", item.text
         stack.append(f"</{item.tag}>")
         stack.extend(reversed(item.children))
-    text = "".join(parts)
-    tokens = _TOKENS.get(text)
-    if tokens is None:
-        if not whole:
-            return tokenize(text)
-        tokens = _TOKENS[text] = tuple(itertools.chain.from_iterable(map(tokenize, parts)))
-    return tokens
-
-
-def _plain_text(text: str) -> bool:
-    """True when ``text`` can neither open nor close a string literal."""
-    return not ('"' in text or "'" in text or "\\" in text)
+    return tokenize("".join(parts))
 
 
 def _node_element(

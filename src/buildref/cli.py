@@ -114,7 +114,8 @@ def _apply_config_file(parsers: Sequence[_Parser], path: str) -> None:
 
     A key is a subcommand flag without its dashes. An on/off flag takes
     true/false, yes/no or 1/0 in any case, and a flag with choices one of
-    them. Any other key or value of those flags is a usage error.
+    them. Blank lines and ``#`` lines are skipped; any other line without
+    ``=``, and any other key or value of those flags, is a usage error.
     """
     flags = {
         option.lstrip("-").replace("-", "_"): action
@@ -127,8 +128,10 @@ def _apply_config_file(parsers: Sequence[_Parser], path: str) -> None:
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{number}: {line!r} is not a key=value line")
             key, value = (part.strip() for part in line.split("=", 1))
             action = flags.get(key.replace("-", "_"))
             if action is None:

@@ -83,10 +83,14 @@ def score(
 ) -> EvaluationReport:
     """Accumulate per-commit, per-type confusion counts and derive PR/RE/F1.
 
-    Every predicted commit hash must exist in the gold set; gold commits with
-    no prediction line simply count their labels as misses.
+    Each gold commit hash appears once, and every predicted commit hash must
+    exist in the gold set; gold commits with no prediction line simply count
+    their labels as misses.
     """
     gold_by_commit = {g.commit_hash: _canonical_counts(g.types) for g in gold}
+    if len(gold_by_commit) < len(gold):
+        repeated = next(h for h, n in Counter(g.commit_hash for g in gold).items() if n > 1)
+        raise DataError(f"gold: commit {repeated} is labelled twice")
     pred_by_commit: dict[str, Counter] = {h: Counter() for h in gold_by_commit}
     for commit_hash, types in pred:
         if commit_hash not in gold_by_commit:
@@ -228,8 +232,18 @@ def _labels(line: str, detections: bool = False) -> tuple[str, tuple[str, ...]]:
 
 
 def gold_from_lines(lines: Iterable[Union[str, bytes]]) -> list[GoldLabel]:
-    """One label per non-blank ``{commit_hash, types}`` line."""
-    return [label for _, label in json_lines(lines, "gold", lambda line: GoldLabel(*_labels(line)))]
+    """One label per non-blank ``{commit_hash, types}`` line; a commit
+    labelled on two lines is a DataError naming both."""
+    first_line: dict[str, int] = {}
+    labels = []
+    for number, label in json_lines(lines, "gold", lambda line: GoldLabel(*_labels(line))):
+        if label.commit_hash in first_line:
+            raise DataError(
+                f"gold line {number}: commit {label.commit_hash} is labelled on line {first_line[label.commit_hash]} too"
+            )
+        first_line[label.commit_hash] = number
+        labels.append(label)
+    return labels
 
 
 def predictions_from_lines(lines: Iterable[Union[str, bytes]]) -> list[tuple[str, list[str]]]:

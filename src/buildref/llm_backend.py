@@ -436,12 +436,12 @@ def classify_commit(
         settings = json.dumps([config.endpoint, config.model, config.temperature, config.max_output_tokens])
         # a lone surrogate, which a commits line may hold as a JSON escape, is hashed too
         digest = hashlib.sha256(settings.encode() + b"\x00" + prompt.encode("utf-8", "surrogatepass")).hexdigest()
-        os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"{digest}.json")
         cached = _read_cache(cache_path)
         if cached is not None:
             stats.cache_hits += 1
             return cached
+        os.makedirs(cache_dir, exist_ok=True)
     messages = [{"role": "user", "content": prompt}]
     try:
         detections = parse_response(_complete(messages, config, transport, stats, rate_limiter))
@@ -457,11 +457,12 @@ def classify_commit(
 def _read_cache(path: str) -> Optional[set[DetectedRefactoring]]:
     """The detections cached at ``path``, or None on a miss. A file that does
     not read back as what serialize_detections writes, or is nested too deeply
-    to decode, is a miss too."""
+    to decode, is a miss too; so, without a warning, is a cache directory
+    that is missing or is a file (which ``os.makedirs`` then reports)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return deserialize_detections(fh.read())
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None
     except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         logger.warning("unreadable cache file %s, asking again: %s", path, exc)

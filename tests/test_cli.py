@@ -530,6 +530,9 @@ def test_worker_pool_output_is_byte_identical_on_the_detection_corpus(tmp_path, 
                  "prediction line 2: nested too deeply to decode", id="deep prediction"),
     pytest.param('{"commit_hash": "%s", "types": ["Nope"]}', '{"commit_hash": "%s", "types": []}',
                  "gold line 2: unknown type Nope", id="unknown gold type"),
+    pytest.param('{"commit_hash": "%s", "types": ["DRY"]}\n{"commit_hash": "%s", "types": ["Extract Task"]}',
+                 '{"commit_hash": "%s", "types": ["DRY", "Extract Task"]}',
+                 f"gold line 3: commit {'6' * 40} is labelled on line 2 too", id="repeated gold commit"),
 ])
 def test_evaluate_line_of_the_wrong_shape_is_a_data_error_naming_it(tmp_path, capsys, gold_line, pred_line, message):
     gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
@@ -1132,7 +1135,11 @@ def test_commit_lines_end_only_at_newlines(pipeline, tmp_path):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-def test_cache_dir_naming_a_file_is_a_data_error(tmp_path, capsys):
+def test_cache_dir_naming_a_file_is_a_data_error(tmp_path, capsys, caplog, monkeypatch):
+    from buildref import llm_backend
+
+    sent = []
+    monkeypatch.setattr(llm_backend, "_http_transport", lambda *args: sent.append(args))
     commits = tmp_path / "commits.jsonl"
     commits.write_text(commit_to_json(make_commit({"pom.xml": "<project/>\n"}, {"pom.xml": "<project>\n</project>\n"})) + "\n")
     cache = tmp_path / "cache"
@@ -1142,7 +1149,9 @@ def test_cache_dir_naming_a_file_is_a_data_error(tmp_path, capsys):
         "--cache-dir", str(cache), "--out", str(tmp_path / "out.jsonl"),
     ]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+    assert "unreadable cache file" not in caplog.text
     assert cache.read_text() == "a regular file\n"
+    assert sent == []
 
 
 def _parse_with_config(tmp_path, text, *argv):
@@ -1193,9 +1202,17 @@ def test_abbreviated_config_flag_reads_the_file(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("text", [
     "no-cache=maybe\n", "no-cache=\n", "no-such-flag=1\n", "verbose=2\n", "backend=llmx\n", "format=xml\n",
+    "# a comment\n\nno-cache\n", "cache-dir .c\n",
 ])
 def test_bad_config_line_is_a_usage_error(tmp_path, capsys, text):
     cfg = tmp_path / "buildref.cfg"
     cfg.write_text(text)
     assert run(["--config", str(cfg), "taxonomy"]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_config_line_without_equals_names_its_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "buildref.cfg"
+    cfg.write_text("# a comment\n\nno-cache\n")
+    assert run(["--config", str(cfg), "taxonomy"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {cfg}:3: 'no-cache' is not a key=value line\n"

@@ -17,6 +17,7 @@ from buildref.evaluation import (
     report_to_json,
     score,
 )
+from buildref.mining import DataError
 from buildref.taxonomy import ALL_TYPE_IDS, UnknownTypeError
 
 H1, H2, H3, H4 = "1" * 40, "2" * 40, "3" * 40, "4" * 40
@@ -114,6 +115,14 @@ def test_score_invariant_under_permutation(order):
 def test_unknown_commit_rejected():
     with pytest.raises(UnknownCommitError):
         score([GoldLabel(H1, ("DRY",))], [(H2, ["DRY"])])
+
+
+def test_a_commit_labelled_twice_is_a_data_error():
+    lines = [gold_to_line(GoldLabel(H1, ("DRY",))), "", gold_to_line(GoldLabel(H1, ("Extract Task",)))]
+    with pytest.raises(DataError, match=f"^gold line 3: commit {H1} is labelled on line 1 too$"):
+        gold_from_lines(lines)
+    with pytest.raises(DataError, match=f"^gold: commit {H1} is labelled twice$"):
+        score([GoldLabel(H1, ("DRY",)), GoldLabel(H2, ()), GoldLabel(H1, ("Extract Task",))], [(H1, ["DRY"])])
 
 
 def test_gold_labels_validate_types():

@@ -344,6 +344,22 @@ def test_cache_hit_is_counted_and_sends_nothing(gradle_commit, tmp_path):
     assert stats == LlmStats(requests=0, retries=0, reprompts=0, cache_hits=1)
 
 
+def test_a_cache_hit_makes_no_directory_and_a_miss_makes_it_before_asking(gradle_commit, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "a" / "cache"
+    reply = '[{"RefactoringType": "Extract Task", "Details": "new task"}]'
+
+    def transport(url, headers, body, timeout):
+        assert cache_dir.is_dir()
+        return _ok_response(reply)
+
+    classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=transport, cache_dir=str(cache_dir))
+    made = []
+    monkeypatch.setattr(os, "makedirs", lambda *args, **kwargs: made.append(args))
+    stats = LlmStats()
+    classify_commit(gradle_commit, GRADLE_SPEC, CFG, transport=None, stats=stats, cache_dir=str(cache_dir))
+    assert stats.cache_hits == 1 and made == []
+
+
 def test_a_lone_surrogate_in_a_prompt_is_hashed_into_its_cache_file_name(tmp_path):
     """A commits line may give a lone surrogate as a JSON escape; the prompt
     holding it names its cache file, and a second call reads that file."""
