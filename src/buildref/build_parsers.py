@@ -444,7 +444,6 @@ _RE_ORDER_RAW = re.compile(
     r"^([\w.]+)\.(dependsOn|mustRunAfter|finalizedBy)\s*\(?\s*([^(){}]*?)\)?\s*$"
 )
 _RE_ORDER_STMT = re.compile(r"^(dependsOn|mustRunAfter|finalizedBy)\b[\s(:]*([^(){}]*?)\)?\s*$")
-_RE_NAMED_BLOCK = re.compile(r"^([A-Za-z_][\w.]*)\s*\{")
 _RE_LEADING_IDENT = re.compile(r"^([A-Za-z_][\w.]*)")
 _RE_ID_ENTRY = re.compile(
     r"id\s*\(?\s*[\"']([^\"']+)[\"']\s*\)?(?:\s+version\s+[\"']([^\"']+)[\"'])?"
@@ -534,7 +533,7 @@ def _value_element(kind: ElementKind, m: re.Match, span: tuple[int, int]) -> Bui
     group 2 its value."""
     value = m.group(2).strip().rstrip(";")
     literal = bool(_RE_GRADLE_LITERAL.match(value))
-    if literal and len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+    if literal and value[0] in "\"'":
         value = value[1:-1]
     return BuildElement(
         kind=kind,
@@ -646,15 +645,11 @@ class _GradleParser:
     # -- element builders --
 
     def _add_raw(self, stmt: str, span: tuple[int, int]) -> None:
-        m = _RE_NAMED_BLOCK.match(stmt)
-        name = m.group(1) if m else None
-        if name is None:
-            lead = _RE_LEADING_IDENT.match(stmt)
-            name = lead.group(1) if lead else None
+        lead = _RE_LEADING_IDENT.match(stmt)
         self.elements.append(
             BuildElement(
                 kind=ElementKind.RAW_BLOCK,
-                name=name,
+                name=lead.group(1) if lead else None,
                 body_tokens=tokenize(stmt),
                 attributes={},
                 span=span,
@@ -673,7 +668,7 @@ class _GradleParser:
         kept_lines = []
         for line in (block.body if block is not None else rest).split("\n"):
             om = _RE_ORDER_STMT.match(line.strip())
-            if om and "{" not in line:
+            if om:
                 key = om.group(1)
                 value = " ".join(tokenize(om.group(2)))
                 attrs[key] = f"{attrs[key]},{value}" if key in attrs else value
@@ -838,29 +833,29 @@ def _reaches(children: Mapping[str, Sequence[str]], src: str, dst: str) -> bool:
     return False
 
 
-_GRADLE_ROOT_NAMES = ("build.gradle", "build.gradle.kts")
-
-
-def _norm(path: str) -> str:
-    return posixpath.normpath(path)
-
-
 def _resolve(base_dir: str, target: str, default_child: Optional[str]) -> list[str]:
-    resolved = _norm(posixpath.join(base_dir, target))
+    resolved = posixpath.normpath(posixpath.join(base_dir, target))
     candidates = [resolved]
     if default_child:
-        candidates.append(_norm(posixpath.join(resolved, default_child)))
+        candidates.append(posixpath.normpath(posixpath.join(resolved, default_child)))
     return candidates
 
 
 def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
     """Directed parent->child graph over one commit-side snapshot of models.
 
-    Edges come from Maven parent/module links, Gradle settings includes plus
-    directory nesting, and Ant imports (the imported file acts as the parent).
+    Edges come from the links that POMs and Ant files declare: Maven modules
+    and parents (a parent without a relativePath is the nearest pom.xml in a
+    directory above), and Ant imports (the imported file acts as the parent).
     Cycles are broken by dropping the closing edge, with a warning.
+
+    Gradle links add no edge: a settings include and a nested build script
+    name a file in a deeper directory, which the detectors' directory rule
+    already places below. So a Gradle file is placed by directory, except
+    where a POM or Ant file links to it, and a settings include that leaves
+    the settings directory (a project name Gradle rejects) places nothing.
     """
-    paths = {_norm(p): m for p, m in models.items()}
+    paths = {posixpath.normpath(p): m for p, m in models.items()}
     edges: set[tuple[str, str]] = set()
     warnings: list[str] = []
 
@@ -870,39 +865,22 @@ def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
     for path in sorted(paths):
         model = paths[path]
         base_dir = posixpath.dirname(path)
-        basename = path.rsplit("/", 1)[-1]
         for link in model.module_links:
-            if link.relation is LinkRelation.INCLUDES:
-                if model.build_system is BuildSystem.MAVEN:
-                    child = pick(_resolve(base_dir, link.target, "pom.xml"))
-                    if child and child != path:
-                        edges.add((path, child))
-                else:
-                    # settings file: the sibling root build script owns the edge
-                    parent = pick(
-                        [posixpath.join(base_dir, n) if base_dir else n for n in _GRADLE_ROOT_NAMES]
-                    ) or path
-                    for root_name in _GRADLE_ROOT_NAMES:
-                        child = pick(_resolve(base_dir, link.target, root_name))
-                        if child and child not in (path, parent):
-                            edges.add((parent, child))
-                            break
+            if link.relation is LinkRelation.INCLUDES and model.build_system is BuildSystem.MAVEN:
+                child = pick(_resolve(base_dir, link.target, "pom.xml"))
+                if child and child != path:
+                    edges.add((path, child))
             elif link.relation is LinkRelation.PARENT_OF:
                 if "/" in link.target or link.target.endswith(".xml"):
                     parent = pick(_resolve(base_dir, link.target, "pom.xml"))
                 else:
-                    parent = _nearest_ancestor_file(path, paths, ("pom.xml",))
+                    parent = _nearest_ancestor_file(path, paths)
                 if parent and parent != path:
                     edges.add((parent, path))
             elif link.relation is LinkRelation.IMPORTS:
                 imported = pick(_resolve(base_dir, link.target, None))
                 if imported and imported != path:
                     edges.add((imported, path))
-
-        if model.build_system is BuildSystem.GRADLE and basename != "settings.gradle":
-            parent = _nearest_ancestor_file(path, paths, _GRADLE_ROOT_NAMES)
-            if parent and parent != path:
-                edges.add((parent, path))
 
     children: dict[str, list[str]] = {p: [] for p in paths}
     for parent, child in sorted(edges):  # no edge joins a file to itself
@@ -918,17 +896,14 @@ def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
     )
 
 
-def _nearest_ancestor_file(
-    path: str, paths: Mapping[str, BuildModel], basenames: Sequence[str]
-) -> Optional[str]:
-    """Closest build file in a directory strictly above the file's own."""
+def _nearest_ancestor_file(path: str, paths: Mapping[str, BuildModel]) -> Optional[str]:
+    """Closest pom.xml in a directory strictly above the file's own."""
     cur = posixpath.dirname(path)
     while cur:
         parent_dir = posixpath.dirname(cur)
-        for name in basenames:
-            candidate = _norm(posixpath.join(parent_dir, name)) if parent_dir else name
-            if candidate in paths and candidate != path:
-                return candidate
+        candidate = posixpath.join(parent_dir, "pom.xml")
+        if candidate in paths:
+            return candidate
         if parent_dir == cur:
             return None
         cur = parent_dir

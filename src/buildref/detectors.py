@@ -146,10 +146,10 @@ class _Move(NamedTuple):
 
     @property
     def family(self) -> str:
-        """The family `_HIERARCHY_TYPES` knows the move by: a property moved
-        from a script into a .properties file is externalized, whatever the relation."""
-        into_properties = self.dst_path.endswith(".properties") and not self.src_path.endswith(".properties")
-        if self.kind is ElementKind.PROPERTY and into_properties:
+        """The family `_HIERARCHY_TYPES` knows the move by: a move from a
+        script into a .properties file, which holds only properties, is
+        externalized, whatever the relation."""
+        if self.dst_path.endswith(".properties") and not self.src_path.endswith(".properties"):
             return "externalized"
         return "subroutine" if self.kind in SUBROUTINE_KINDS else self.kind.value
 
@@ -238,7 +238,7 @@ class CommitContext:
             out.extend(
                 (path, el)
                 for el in self.after_models[path].elements
-                if not el.name or (el.kind, el.name) not in b_named
+                if (el.kind, el.name) not in b_named
             )
         return out
 
@@ -246,10 +246,9 @@ class CommitContext:
     def moves(self) -> list[_Move]:
         """Each `vanished` element paired with the first arrival of its key in
         every other path (never its own, which lost the key)."""
-        arrivals: dict[tuple[ElementKind, str], dict[str, BuildElement]] = {}
+        arrivals: dict[tuple[ElementKind, Optional[str]], dict[str, BuildElement]] = {}
         for path, el in self.appeared:
-            if el.name:
-                arrivals.setdefault((el.kind, el.name), {}).setdefault(path, el)
+            arrivals.setdefault((el.kind, el.name), {}).setdefault(path, el)
         return [
             _Move(el.kind, el.name, src_path, dst_path, el, dst_el)
             for src_path, el in self.vanished
@@ -317,17 +316,15 @@ def _unpaired(elements: Sequence[BuildElement], others: Sequence[BuildElement]) 
 def _relation(ctx: CommitContext, a: str, b: str) -> str:
     """'ancestor' when a is above b, 'descendant' when below, else 'sibling'."""
     for graph in (ctx.after_hierarchy, ctx.before_hierarchy):
-        if a in graph.nodes and b in graph.nodes:
-            if graph.is_ancestor(a, b):
-                return "ancestor"
-            if graph.is_ancestor(b, a):
-                return "descendant"
-    a_dir, b_dir = posixpath.dirname(a), posixpath.dirname(b)
-    if a_dir != b_dir:
-        if _dir_contains(a_dir, b_dir):
+        if graph.is_ancestor(a, b):
             return "ancestor"
-        if _dir_contains(b_dir, a_dir):
+        if graph.is_ancestor(b, a):
             return "descendant"
+    a_dir, b_dir = posixpath.dirname(a), posixpath.dirname(b)
+    if _dir_contains(a_dir, b_dir):
+        return "ancestor"
+    if _dir_contains(b_dir, a_dir):
+        return "descendant"
     return "sibling"
 
 
@@ -433,7 +430,7 @@ def detect_clean_up(ctx: CommitContext, config: DetectorConfig = DEFAULT_CONFIG)
     # Reformat Code: same semantic element multiset, different text.
     for path in ctx.shared_paths:
         diff = ctx.diff_for(path)
-        if diff is None or diff.before_content == diff.after_content:
+        if diff.before_content == diff.after_content:
             continue
         before, after = ctx.before_models[path], ctx.after_models[path]
         if not before.elements and not after.elements:

@@ -569,7 +569,7 @@ def dumps(value) -> str:
 
 
 def json_lines(
-    lines: Iterable[Union[str, bytes]], what: str, read: Callable[[str], T] = loads, first: int = 1
+    lines: Iterable[Union[str, bytes]], what: str, read: Callable[[str], T], first: int = 1
 ) -> Iterator[tuple[int, T]]:
     """(number, ``read(line)``) of each non-blank line without its newline, the
     lines numbered from ``first`` with blank lines counted (a raw U+2028 ends

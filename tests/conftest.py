@@ -138,6 +138,7 @@ class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
         super().setup()
         with self.server.lock:
             self.server.connections.append(self.connection)
+            self.server.handlers.append(threading.current_thread())
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -164,16 +165,25 @@ class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
 class KeepAliveServer(http.server.ThreadingHTTPServer):
     """A loopback chat endpoint that keeps connections open, one thread each.
     Set ``reply`` (status, text) before a request; ``connections`` holds each
-    connection it accepted, ``requests`` each (path, headers, JSON body). As a
-    proxy it refuses each CONNECT tunnel with a 502, after noting it too."""
+    connection it accepted and ``handlers`` the thread serving it, ``requests``
+    each (path, headers, JSON body) and ``errors`` each exception a handler
+    raised. As a proxy it refuses each CONNECT tunnel with a 502, after noting
+    it too."""
 
     def __init__(self) -> None:
         super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
         self.lock = threading.Lock()
         self.connections: list[socket.socket] = []
+        self.handlers: list[threading.Thread] = []
         self.requests: list[tuple] = []
+        self.errors: list[BaseException] = []
         self.reply = (200, json.dumps({"choices": [{"message": {"content": "No refactorings found."}}]}))
         self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/chat"
+
+    def handle_error(self, request, client_address) -> None:
+        """Keep the handler's exception, which socketserver would print."""
+        with self.lock:
+            self.errors.append(sys.exc_info()[1])
 
     def drop(self) -> None:
         """Close every connection from the server's side, as an idle timeout does."""
@@ -188,7 +198,8 @@ class KeepAliveServer(http.server.ThreadingHTTPServer):
 @pytest.fixture
 def keep_alive(monkeypatch):
     """A running KeepAliveServer, reached without a proxy. At the end the
-    client's connections are closed, then the server's."""
+    client's connections are closed, then the server's; once every handler
+    has ended, the test fails if one raised anything but a ConnectionError."""
     from buildref import llm_backend
 
     for name in ("no_proxy", "NO_PROXY"):
@@ -201,8 +212,10 @@ def keep_alive(monkeypatch):
     server.shutdown()
     server.server_close()
     server.drop()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    for worker in [thread, *server.handlers]:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert [e for e in server.errors if not isinstance(e, ConnectionError)] == []
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import json
 import logging
 import random
 import re
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,9 @@ from buildref.build_parsers import (
     _xml_body_tokens,
 )
 from buildref import build_parsers
+from buildref import detectors
 from buildref.detectors import CommitContext, detect_all
-from buildref.mining import BuildSystem
+from buildref.mining import BuildSystem, classify_build_file
 from conftest import make_context
 import fixtures
 from test_detectors import detection_corpus, file_set
@@ -263,7 +265,7 @@ def test_task_ordering_attrs_leave_body_tokens():
 
 
 def test_settings_include_links():
-    model = parse_gradle("rootProject.name = 'demo'\ninclude ':core', ':web'\n")
+    model = parse_gradle("rootProject.name = 'demo'\ninclude ':core', ':web'\ninclude ':'\n")
     targets = [l.target for l in model.module_links if l.relation is LinkRelation.INCLUDES]
     assert targets == ["core", "web"]
 
@@ -283,7 +285,7 @@ def test_kotlin_dsl_forms():
 
 
 def test_gradle_properties_file():
-    model = parse_properties("# cache\norg.gradle.jvmargs=-Xmx2g\nversion: 1.2\n")
+    model = parse_properties("# cache\n#x=1\n!y=2\nflag\norg.gradle.jvmargs=-Xmx2g\nversion: 1.2\n")
     props = kinds(model, ElementKind.PROPERTY)
     assert [(p.name, p.attributes["value"]) for p in props] == [
         ("org.gradle.jvmargs", "-Xmx2g"),
@@ -956,25 +958,6 @@ def test_maven_modules_edge():
     assert not graph.is_ancestor("lib/pom.xml", "pom.xml")
 
 
-def test_gradle_settings_include_edge():
-    models = {
-        "build.gradle": parse_build_file("build.gradle", "apply plugin: 'java'\n"),
-        "settings.gradle": parse_build_file("settings.gradle", "include ':sub'\n"),
-        "sub/build.gradle": parse_build_file("sub/build.gradle", "apply plugin: 'java'\n"),
-    }
-    graph = infer_hierarchy(models)
-    assert "sub/build.gradle" in graph.children["build.gradle"]
-
-
-def test_gradle_directory_nesting_edge():
-    models = {
-        "build.gradle": parse_build_file("build.gradle", "apply plugin: 'java'\n"),
-        "sub/build.gradle": parse_build_file("sub/build.gradle", "apply plugin: 'java'\n"),
-    }
-    graph = infer_hierarchy(models)
-    assert graph.children["build.gradle"] == ("sub/build.gradle",)
-
-
 def test_same_directory_files_are_not_nested():
     models = {
         "build.gradle": parse_build_file("build.gradle", "apply plugin: 'java'\n"),
@@ -1015,6 +998,19 @@ def test_maven_parent_link_edge():
     }
     graph = infer_hierarchy(models)
     assert graph.children["pom.xml"] == ("lib/pom.xml",)
+
+
+def test_maven_parent_without_relative_path_is_the_nearest_pom_above():
+    """Not the directory rule: through agg's module, a/pom.xml is above b/pom.xml."""
+    agg = (
+        "<project><parent><groupId>g</groupId><artifactId>root</artifactId></parent>"
+        "<modules><module>../../b</module></modules></project>"
+    )
+    before = {"a/pom.xml": "<project/>", "a/agg/pom.xml": agg, "b/pom.xml": "<project/>"}
+    ctx = make_context(before, {})
+    assert ctx.before_hierarchy.children["a/pom.xml"] == ("a/agg/pom.xml",)
+    assert ctx.before_hierarchy.is_ancestor("a/pom.xml", "b/pom.xml")
+    assert detectors._relation(ctx, "a/pom.xml", "b/pom.xml") == "ancestor"
 
 
 def test_cycle_broken_with_warning():
@@ -1060,6 +1056,61 @@ def test_hierarchy_keeps_an_acyclic_graph_and_drops_only_cycle_closing_edges(imp
     for parent, child in dropped:
         assert _oracle_reaches({edge for edge in kept if edge < (parent, child)}, child, parent)
     assert all(graph.is_ancestor(a, b) == _oracle_reaches(kept, a, b) for a in _ANT_FILES for b in _ANT_FILES)
+
+
+_GRADLE_NAMES = ("build.gradle", "build.gradle.kts", "settings.gradle", "settings.gradle.kts", "gradle.properties")
+_DIRS = ("", "a", "a/b", "c")
+# relative references from one of _DIRS to another, as POMs, Ant files and settings name them
+_DIR_REFS = ("a", "b", "c", "a/b", "..", "../c", "../..", "../../c")
+_GRADLE_INCLUDES = ("a", ":a", "b", "a:b", "c", "../c", "../a/b")
+
+
+@st.composite
+def mixed_file_set(draw):
+    """Maven, Ant and Gradle files in a few nested directories. POMs and Ant
+    files link to POMs and Ant files only; settings includes may leave their
+    directory, which Gradle itself rejects."""
+    files = {}
+    for directory in draw(st.sets(st.sampled_from(_DIRS), min_size=1)):
+        prefix = f"{directory}/" if directory else ""
+        for name in draw(st.sets(st.sampled_from(("pom.xml", "build.xml") + _GRADLE_NAMES), min_size=1)):
+            refs = draw(st.lists(st.sampled_from(_DIR_REFS), max_size=2))
+            if name == "pom.xml":
+                relative = draw(st.sampled_from(("", "../pom.xml", "../..")))
+                parent = f"<artifactId>p</artifactId><relativePath>{relative}</relativePath>"
+                modules = "".join(f"<module>{ref}</module>" for ref in refs)
+                text = f"<project><parent>{parent}</parent><modules>{modules}</modules></project>"
+            elif name == "build.xml":
+                text = "<project>" + "".join(f'<import file="{ref}/build.xml"/>' for ref in refs) + "</project>"
+            elif name.startswith("settings"):
+                includes = draw(st.lists(st.sampled_from(_GRADLE_INCLUDES), max_size=3))
+                text = "".join(f"include '{ref}'\n" for ref in includes)
+            elif name.endswith(".properties"):
+                text = "x=1\n"
+            else:
+                text = "apply from: '../build.gradle'\n" if draw(st.booleans()) else "apply plugin: 'java'\n"
+            files[prefix + name] = text
+    return files
+
+
+def _directory_relation(a, b):
+    """ancestor, descendant or sibling by directory alone (a is above b when b's directory is under a's)."""
+    a_dir, b_dir = PurePosixPath(a).parent, PurePosixPath(b).parent
+    if a_dir in b_dir.parents:
+        return "ancestor"
+    if b_dir in a_dir.parents:
+        return "descendant"
+    return "sibling"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_file_set(), mixed_file_set())
+def test_a_gradle_file_is_placed_by_directory_on_drawn_file_sets(before, after):
+    ctx = make_context(before, after, keep_equal=True)
+    paths = sorted(set(before) | set(after))
+    for a, b in itertools.product(paths, repeat=2):
+        if BuildSystem.GRADLE in (classify_build_file(a), classify_build_file(b)):
+            assert detectors._relation(ctx, a, b) == _directory_relation(a, b), (a, b)
 
 
 _DEPTH = 5000

@@ -45,6 +45,7 @@ def test_jaccard_basics():
     assert jaccard(["a", "b"], ["a", "b"]) == 1.0
     assert jaccard([], []) == 1.0
     assert jaccard(["a"], ["b"]) == 0.0
+    assert jaccard((), ("a",)) == jaccard(("a",), ()) == 0.0
     assert jaccard(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)
 
 
@@ -234,6 +235,13 @@ def test_gradle_ordering_statement_is_scheduling():
     after = {
         "build.gradle": "task a {\n    doLast { println 1 }\n}\ntask b {\n    doLast { println 2 }\n}\nb.mustRunAfter(a)\n"
     }
+    assert detected_types(before, after) == {"Scheduling Tasks"}
+
+
+def test_ordering_statement_beside_an_unchanged_unnamed_block_is_scheduling():
+    loop = "['x', 'y'].each { name ->\n    task \"copy$name\"(type: Copy)\n}\n"
+    before = {"build.gradle": f"task a {{\n    doLast {{ println 1 }}\n}}\n{loop}"}
+    after = {"build.gradle": f"task a {{\n    doLast {{ println 1 }}\n}}\n{loop}b.mustRunAfter(a)\n"}
     assert detected_types(before, after) == {"Scheduling Tasks"}
 
 

@@ -596,13 +596,19 @@ def test_http_refused_new_connection_raises_after_the_backoff(gradle_commit, kee
 
 
 def test_http_on_more_threads_than_cores_each_thread_keeps_its_own_connection(keep_alive):
+    """All threads are alive before any calls: a thread that ended would hand
+    its ident, and with it its kept connection, to a thread started later."""
     threads, calls, results = 8, 10, []
+    started = threading.Barrier(threads, timeout=30)
+
+    def work():
+        started.wait()
+        results.extend(llm_backend._http_transport(keep_alive.url, {}, {"model": "m"}, 10.0)[0] for _ in range(calls))
+
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        workers = [threading.Thread(target=lambda: results.extend(
-            llm_backend._http_transport(keep_alive.url, {}, {"model": "m"}, 10.0)[0] for _ in range(calls)))
-            for _ in range(threads)]
+        workers = [threading.Thread(target=work) for _ in range(threads)]
         for worker in workers:
             worker.start()
         for worker in workers:
