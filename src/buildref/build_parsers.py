@@ -809,7 +809,6 @@ def model_to_json(model: BuildModel) -> dict:
 # --- hierarchy ----------------------------------------------------------------
 
 class HierarchyGraph(NamedTuple):
-    nodes: frozenset[str]
     children: Mapping[str, tuple[str, ...]]
     warnings: tuple[str, ...] = ()
 
@@ -890,7 +889,6 @@ def infer_hierarchy(models: Mapping[str, BuildModel]) -> HierarchyGraph:
         children[parent].append(child)
 
     return HierarchyGraph(
-        nodes=frozenset(paths),
         children={p: tuple(sorted(cs)) for p, cs in children.items()},
         warnings=tuple(warnings),
     )

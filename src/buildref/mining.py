@@ -12,6 +12,7 @@ mutated and records are immutable once constructed.
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import json
@@ -255,10 +256,12 @@ class _GitPipe:
         self.error = ""
 
     def write(self, data: bytes) -> None:
+        """Send requests. A child that has died is found by the read of the
+        first reply it did not write, after the replies it did."""
         try:
             self._proc.stdin.write(data)
         except BrokenPipeError:
-            self._died()
+            pass
 
     def _died(self) -> NoReturn:
         self.close()
@@ -331,39 +334,90 @@ _STATUS_KINDS = {
     "T": ChangeKind.MODIFIED,
 }
 
+
+class _Walked(NamedTuple):
+    commit_hash: str
+    author: str
+    timestamp: str
+    parents: str
+    message: str
+
+
+def _walked(walk: _GitPipe) -> Iterator[_Walked]:
+    """The commits of a ``rev-list --format=%an%x1f%at%x1f%P%x1f%B%x1e`` walk."""
+    while raw := walk.read_until(b"\x1e", last=True):
+        chunk = raw.decode("utf-8", errors="replace").lstrip("\n")
+        if chunk.strip():
+            header, fields = chunk.split("\n", 1)  # "commit <hash>", then the format
+            yield _Walked(header.removeprefix("commit "), *fields.split("\x1f", 3))
+
+
 # Not an object name, so ``diff-tree --stdin`` echoes it (and flushes) after
 # the output of the commit line before it: it marks where that output ends.
 # With ``--no-commit-id`` every entry of that output starts with ":".
 _SENTINEL = b"#\n"
 
+_DIFF_TREE = ("diff-tree", "--stdin", "--no-commit-id", "-r", "-M", "--root", "-z")
+
+# A run writes the diff-tree requests of up to _LOOKAHEAD matching commits
+# before it reads the first one's reply, topping them up in one write once
+# half are answered, and sends a commit's blob ids to cat-file in writes of
+# up to _BLOBS_PER_WRITE, each once every earlier reply is read. A request is
+# at most 132 bytes (two SHA-256 names and the sentinel) and a blob id 65, so
+# the requests a child has not answered stay under 16 KiB (2,112 and 8,320
+# bytes). That fits in the child's stdin pipe (64 KiB on Linux) even when
+# the child, its stdout pipe full, reads none of it: no write blocks while
+# git waits for this process to read a reply, so the two cannot deadlock.
+_LOOKAHEAD = 16
+_BLOBS_PER_WRITE = 128
+
+_Reply = Union[str, None, GitObjectCorruptError]
+
 
 class _Objects:
     """The diff-tree and cat-file children shared by one mine_commits run.
 
-    Each starts on first use and again after it dies, so an object that kills
-    one costs only the commit that needed it.
+    Each starts on first use and again after it dies, and the new one is sent
+    the requests the dead one left unanswered, so an object that kills one
+    costs only the commit that needed it.
     """
 
     def __init__(self, repo_path: str) -> None:
         self._repo_path = repo_path
         self._pipes: dict[str, _GitPipe] = {}
+        self._queued: collections.deque[bytes] = collections.deque()  # diff-tree requests unanswered, oldest first
 
     def _pipe(self, *args: str) -> _GitPipe:
         pipe = self._pipes.get(args[0])
         if pipe is None or pipe.closed:
             pipe = self._pipes[args[0]] = _GitPipe(self._repo_path, *args)
+            if args == _DIFF_TREE and self._queued:
+                pipe.write(b"".join(self._queued))
         return pipe
 
-    def changes(self, commit_hash: str, first_parent: Optional[str]) -> list[_Change]:
-        """The files a commit changes against its first parent (all added for a
-        root commit), with renames detected.
+    def request_changes(self, commits: Sequence[_Walked]) -> None:
+        """Ask, in one write, for the files each commit changes against its
+        first parent (all added for a root commit), with renames detected;
+        `changes` reads the replies in the order they were asked for.
 
         A merge is diffed against its first parent explicitly; given alone,
         diff-tree would print nothing for it.
         """
-        pipe = self._pipe("diff-tree", "--stdin", "--no-commit-id", "-r", "-M", "--root", "-z")
-        line = f"{commit_hash} {first_parent}" if first_parent else commit_hash
-        pipe.write(line.encode() + b"\n" + _SENTINEL)
+        requests = []
+        for commit in commits:
+            parents = commit.parents.split()
+            line = f"{commit.commit_hash} {parents[0]}" if parents else commit.commit_hash
+            requests.append(line.encode() + b"\n" + _SENTINEL)
+        if requests:
+            pipe = self._pipe(*_DIFF_TREE)
+            self._queued.extend(requests)
+            pipe.write(b"".join(requests))
+
+    def changes(self) -> list[_Change]:
+        """The reply to the oldest request not yet read. A child that ends
+        before the reply does fails this request alone."""
+        pipe = self._pipe(*_DIFF_TREE)
+        self._queued.popleft()
         changes = []
         while pipe.peek() != _SENTINEL[:1]:  # output that ends instead fails the read
             _, _, old_blob, new_blob, status = pipe.read_until(b"\0").decode().split(" ")
@@ -378,39 +432,63 @@ class _Objects:
         pipe.skip(len(_SENTINEL))
         return changes
 
-    def read_text(self, blob: str) -> Optional[str]:
-        """A blob's text; None for a binary or oversized blob, which is not decoded."""
-        pipe = self._pipe("cat-file", "--batch")
-        pipe.write(blob.encode() + b"\n")
-        header = pipe.read_until(b"\n").split(b" ")
-        if len(header) != 3:  # "<name> missing"
-            raise GitObjectCorruptError(b" ".join(header).decode("utf-8", errors="replace"))
-        size = int(header[2])
-        if size > MAX_BUILD_FILE_BYTES:
-            pipe.skip(size + 1)
-            return None
-        data = pipe.read_exact(size)
-        pipe.skip(1)  # the newline after the contents
-        if b"\x00" in data:
-            return None
-        return data.decode("utf-8", errors="replace")
-
-    def file_diff(self, change: _Change, system: BuildSystem) -> Optional[FileDiff]:
-        """Read both versions of a changed build file; None when either is binary or oversized."""
-        before = after = None
-        if change.kind is not ChangeKind.DELETED:
-            after = self.read_text(change.new_blob)
-            if after is None:
-                return None
-        if change.kind is not ChangeKind.ADDED:
-            before = self.read_text(change.old_blob)
-            if before is None:
-                return None
-        return FileDiff(change.path, system, change.kind, change.old_path, before, after)
+    def texts(self, blobs: Sequence[str]) -> list[_Reply]:
+        """Each blob's reply, in order: its text, None for a binary or
+        oversized blob, which is not decoded, or the error of one git cannot
+        read (missing, or its child died answering it; the blobs after it go
+        to a new child)."""
+        replies: list[_Reply] = []
+        while len(replies) < len(blobs):
+            batch = blobs[len(replies) : len(replies) + _BLOBS_PER_WRITE]
+            pipe = self._pipe("cat-file", "--batch")
+            pipe.write("".join(f"{blob}\n" for blob in batch).encode())
+            try:
+                for _ in batch:
+                    replies.append(_read_blob(pipe))
+            except GitObjectCorruptError as exc:
+                replies.append(exc)
+        return replies
 
     def close(self) -> None:
         for pipe in self._pipes.values():
             pipe.close()
+
+
+def _read_blob(pipe: _GitPipe) -> _Reply:
+    """One reply of ``cat-file --batch``, as `_Objects.texts` gives it."""
+    header = pipe.read_until(b"\n").split(b" ")
+    if len(header) != 3:  # "<name> missing"
+        return GitObjectCorruptError(b" ".join(header).decode("utf-8", errors="replace"))
+    size = int(header[2])
+    if size > MAX_BUILD_FILE_BYTES:
+        pipe.skip(size + 1)
+        return None
+    data = pipe.read_exact(size)
+    pipe.skip(1)  # the newline after the contents
+    if b"\x00" in data:
+        return None
+    return data.decode("utf-8", errors="replace")
+
+
+def _reply_text(reply: _Reply) -> Optional[str]:
+    if isinstance(reply, GitObjectCorruptError):
+        raise reply
+    return reply
+
+
+def _file_diff(change: _Change, system: BuildSystem, texts: dict[str, _Reply]) -> Optional[FileDiff]:
+    """A changed build file from its blobs' replies, the after version looked
+    at first: None when the first one looked at is binary or oversized."""
+    before = after = None
+    if change.kind is not ChangeKind.DELETED:
+        after = _reply_text(texts[change.new_blob])
+        if after is None:
+            return None
+    if change.kind is not ChangeKind.ADDED:
+        before = _reply_text(texts[change.old_blob])
+        if before is None:
+            return None
+    return FileDiff(change.path, system, change.kind, change.old_path, before, after)
 
 
 def mine_commits(
@@ -431,9 +509,22 @@ def mine_commits(
     unborn HEAD ends the run there, with nothing yielded), the streamed
     ``rev-list`` walk, one ``diff-tree --stdin`` fed the matching commits and
     one ``cat-file --batch`` fed their build files' blobs (one more each time
-    one of the last two dies and is started again). All of them end when the
-    generator does. RepoUnreadableError is raised when the path is no
-    repository or the walk cannot read HEAD's commit.
+    one of the last two dies and is started again, with the requests it left
+    unanswered). All of them end when the generator does.
+    RepoUnreadableError is raised when the path is no repository or the walk
+    cannot read HEAD's commit.
+
+    The walk is read ahead: the diff-tree requests of up to 16 matching
+    commits are written before the first one's reply is read, and topped up
+    in one write once half are answered, so git works on the next commits
+    while this one is read and yielded. A commit's blob ids go to cat-file
+    in one write, or one per 128 ids, and all of a write's replies are read
+    before the next one. Neither child is ever sent 16 KiB of requests it
+    has not answered, well within a pipe's capacity, so no write blocks
+    while git waits for a reply to be read: the run cannot deadlock. Memory
+    holds one commit's files and the headers, messages included, of up to
+    16 commits read ahead. ``stats.commits_scanned`` counts the commits the
+    run has reached, not those read ahead.
     """
     import subprocess  # imported here: `detect`, `evaluate` and `report` never start git
 
@@ -462,52 +553,68 @@ def mine_commits(
     objects = _Objects(repo_path)
     try:
         yielded = 0
-        while raw := walk.read_until(b"\x1e", last=True):
+        walked = _walked(walk)
+        window: collections.deque[tuple[int, _Walked]] = collections.deque()  # (commits it reaches, a commit asked for)
+        passed = 0  # commits walked since the last one asked for, none of them matching
+        while True:
             if mining_filter.max_commits is not None and yielded >= mining_filter.max_commits:
                 return
-            chunk = raw.decode("utf-8", errors="replace").lstrip("\n")
-            if not chunk.strip():
-                continue
-            stats.commits_scanned += 1
-            header, fields = chunk.split("\n", 1)  # "commit <hash>", then the format
-            commit_hash = header.removeprefix("commit ")
-            author, ts, parents, message = fields.split("\x1f", 3)
-            if not mining_filter.matches_message(message):
-                continue
-            first_parent = parents.split()[0] if parents.strip() else None
+            if len(window) <= _LOOKAHEAD // 2:  # top it up in one write, while git still has work
+                asked = []
+                while len(window) < _LOOKAHEAD and (commit := next(walked, None)) is not None:
+                    passed += 1
+                    if mining_filter.matches_message(commit.message):
+                        window.append((passed, commit))
+                        asked.append(commit)
+                        passed = 0
+                objects.request_changes(asked)
+            if not window:
+                break
+            reached, commit = window.popleft()
+            stats.commits_scanned += reached
             try:
+                changes = [
+                    (change, system)
+                    for change in objects.changes()
+                    if (system := classify_build_file(change.path)) in mining_filter.build_systems
+                ]
+                blobs: dict[str, None] = {}  # each blob once, in the order first needed
+                for change, _ in changes:
+                    if change.kind is not ChangeKind.DELETED:
+                        blobs[change.new_blob] = None
+                    if change.kind is not ChangeKind.ADDED:
+                        blobs[change.old_blob] = None
+                texts = dict(zip(blobs, objects.texts(list(blobs))))
                 diffs = []
-                for change in objects.changes(commit_hash, first_parent):
-                    system = classify_build_file(change.path)
-                    if system is None or system not in mining_filter.build_systems:
-                        continue
-                    diff = objects.file_diff(change, system)
+                for change, system in changes:
+                    diff = _file_diff(change, system, texts)
                     if diff is None:
                         stats.files_skipped += 1
                         stats.warnings += 1
                         logger.warning(
-                            "skipping binary or oversized build file %s in %s", change.path, commit_hash
+                            "skipping binary or oversized build file %s in %s", change.path, commit.commit_hash
                         )
                         continue
                     diffs.append(diff)
             except GitObjectCorruptError as exc:
                 stats.commits_skipped_corrupt += 1
                 stats.warnings += 1
-                logger.warning("skipping corrupt commit %s: %s", commit_hash, exc)
+                logger.warning("skipping corrupt commit %s: %s", commit.commit_hash, exc)
                 continue
             if not diffs:
                 continue
             record = CommitRecord(
                 repo_id=repo_id,
-                commit_hash=commit_hash,
-                message=message.rstrip("\n"),
-                author=author,
-                timestamp=int(ts),
+                commit_hash=commit.commit_hash,
+                message=commit.message.rstrip("\n"),
+                author=commit.author,
+                timestamp=int(commit.timestamp),
                 file_diffs=tuple(sorted(diffs, key=lambda d: d.path)),
             )
             stats.commits_yielded += 1
             yield record
             yielded += 1
+        stats.commits_scanned += passed
         if walk.wait() != 0:
             walk.close()
             if not stats.commits_scanned:  # HEAD names a commit git cannot read

@@ -1,6 +1,7 @@
 import difflib
 import os
 import random
+import signal
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildref import linediff
+from buildref import linediff, mining
 from buildref.mining import (
     BuildSystem,
     ChangeKind,
@@ -310,6 +311,11 @@ def test_max_commits_truncates(tmp_repo):
     build_git_repo(tmp_repo, TEN_COMMITS)
     mined = list(mine_commits(tmp_repo, MiningFilter(max_commits=2)))
     assert len(mined) == 2
+    # commits read ahead of the last one yielded are not counted as scanned
+    for max_commits, counts in ((0, (0, 0)), (1, (3, 1)), (2, (5, 2)), (4, (9, 4)), (5, (10, 4))):
+        stats = MiningStats()
+        list(mine_commits(tmp_repo, MiningFilter(max_commits=max_commits), stats))
+        assert (stats.commits_scanned, stats.commits_yielded) == counts, max_commits
 
 
 def test_file_contents_and_change_kinds(tmp_repo):
@@ -501,6 +507,102 @@ def test_replies_longer_than_one_read_mine_back_byte_exact(tmp_repo):
     )
 
 
+def _within(seconds, call):
+    """``call()``, stopped by a TimeoutError after ``seconds``: a read that
+    waits for a reply git will never write fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _recorded_pipes(monkeypatch) -> list:
+    """(git command, "write" or "read", the bytes written) of each request
+    written to a git child and each reply read from one, in order."""
+    events = []
+    write, peek, read_until = mining._GitPipe.write, mining._GitPipe.peek, mining._GitPipe.read_until
+
+    def recorded_write(pipe, data):
+        events.append((pipe._proc.args[3], "write", data))
+        write(pipe, data)
+
+    def recorded_peek(pipe):
+        events.append((pipe._proc.args[3], "read", b""))
+        return peek(pipe)
+
+    def recorded_read_until(pipe, *args, **kwargs):
+        events.append((pipe._proc.args[3], "read", b""))
+        return read_until(pipe, *args, **kwargs)
+
+    monkeypatch.setattr(mining._GitPipe, "write", recorded_write)
+    monkeypatch.setattr(mining._GitPipe, "peek", recorded_peek)
+    monkeypatch.setattr(mining._GitPipe, "read_until", recorded_read_until)
+    return events
+
+
+def test_a_commit_with_more_blob_ids_than_one_write_mines_byte_exact(tmp_repo, monkeypatch):
+    # 90 modified poms: 180 blob ids, two writes, and about 180 KiB of replies,
+    # more than a pipe holds, so git waits for them to be read mid-commit
+    poms = {f"m{i}/pom.xml": f"<project><!-- {i} ü -->\n{'<v/>' * 250}\n</project>\n" for i in range(90)}
+    edited = {path: text.replace("<v/>", "<w/>", 1) for path, text in poms.items()}
+    assert 2 * len(poms) > mining._BLOBS_PER_WRITE
+    assert sum(len(t.encode()) for t in [*poms.values(), *edited.values()]) > 128 * 1024
+    hashes = build_git_repo(tmp_repo, [("refactor: add", poms), ("refactor: edit", edited)])
+    events = _recorded_pipes(monkeypatch)
+    record, _ = _within(30, lambda: list(mine_commits(tmp_repo, MiningFilter())))
+    assert record.commit_hash == hashes[1]
+    assert record.file_diffs == tuple(
+        FileDiff(path, BuildSystem.MAVEN, ChangeKind.MODIFIED, before_content=poms[path], after_content=edited[path])
+        for path in sorted(poms)
+    )
+    writes = [data for name, op, data in events if name == "cat-file" and op == "write"]
+    assert [data.count(b"\n") for data in writes] == [mining._BLOBS_PER_WRITE, 180 - mining._BLOBS_PER_WRITE, 90]
+    assert max(len(data) for data in writes) < 16 * 1024
+
+
+def test_requests_are_written_ahead_of_the_replies_read(tmp_repo, monkeypatch):
+    hashes = build_git_repo(
+        tmp_repo,
+        [("refactor: add", {"pom.xml": "<project>1</project>\n", "app/pom.xml": "<project>a1</project>\n"}),
+         ("refactor: edit", {"pom.xml": "<project>2</project>\n", "app/pom.xml": "<project>a2</project>\n"})],
+    )
+    events = _recorded_pipes(monkeypatch)
+    assert len(list(mine_commits(tmp_repo, MiningFilter()))) == 2
+    diff_tree = [(op, data) for name, op, data in events if name == "diff-tree"]
+    second_asked = next(n for n, (op, data) in enumerate(diff_tree) if hashes[0].encode() in data)
+    first_read = next(n for n, (op, _) in enumerate(diff_tree) if op == "read")
+    assert second_asked < first_read
+    blobs = {_git_out(tmp_repo, "rev-parse", f"{hashes[1]}:{path}") for path in ("pom.xml", "app/pom.xml")}
+    blobs |= {_git_out(tmp_repo, "rev-parse", f"{hashes[0]}:{path}") for path in ("pom.xml", "app/pom.xml")}
+    writes = [data for name, op, data in events if name == "cat-file" and op == "write"]
+    assert len(writes) == 2  # one per commit: the newest one's four blobs, then the root's two
+    assert set(writes[0].decode().split()) == blobs and len(set(writes[1].decode().split())) == 2
+
+
+def test_trees_missing_across_the_look_ahead_window_cost_one_commit_each(tmp_repo):
+    # each refactoring commit's parent is a commit that does not match, so a
+    # missing tree fails only the one diff that reads it
+    steps = [("base", {"pom.xml": "<project/>\n"})]
+    for i in range(2 * mining._LOOKAHEAD + 8):
+        steps.append((f"bump {i}", {"pom.xml": f"<project><version>{i}.0</version></project>\n"}))
+        steps.append((f"refactor {i}", {"pom.xml": f"<project><version>{i}.1</version></project>\n"}))
+    matching = build_git_repo(tmp_repo, steps)[:0:-2]  # newest first, as mined
+    lost = [matching[0], matching[mining._LOOKAHEAD // 2], matching[mining._LOOKAHEAD - 1]]
+    for commit in lost:
+        _delete_loose_object(tmp_repo, f"{commit}^{{tree}}")
+    stats = MiningStats()
+    started, mined = _git_children(lambda: _within(30, lambda: list(mine_commits(tmp_repo, stats=stats))))
+    assert [r.commit_hash for r in mined] == [c for c in matching if c not in lost]
+    assert (stats.commits_scanned, stats.commits_skipped_corrupt, stats.warnings) == (len(steps), 3, 3)
+    assert started == 4 + len(lost)
+
+
 def test_a_blob_cut_short_in_its_reply_costs_only_its_commit(tmp_repo):
     # cat-file sends the header and part of the contents, then dies
     rng = random.Random(1)
@@ -570,13 +672,20 @@ def test_merge_is_diffed_against_its_first_parent(tmp_repo):
 _POPEN_EVENTS: list = []  # argv of every subprocess.Popen audit event, once the hook is on
 
 
-def _count_git_processes(repo) -> int:
+def _git_children(call):
+    """How many git processes ``call()`` starts, and what it returns."""
     if not _POPEN_EVENTS:
         _POPEN_EVENTS.append(None)
         sys.addaudithook(lambda event, args: _POPEN_EVENTS.append(args[1]) if event == "subprocess.Popen" else None)
     before = len(_POPEN_EVENTS)
-    assert list(mine_commits(repo, MiningFilter()))
-    return sum(1 for argv in _POPEN_EVENTS[before:] if argv[0] == "git")
+    result = call()
+    return sum(1 for argv in _POPEN_EVENTS[before:] if argv[0] == "git"), result
+
+
+def _count_git_processes(repo) -> int:
+    started, mined = _git_children(lambda: list(mine_commits(repo, MiningFilter())))
+    assert mined
+    return started
 
 
 def test_git_process_count_does_not_grow_with_history(tmp_path):

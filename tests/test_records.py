@@ -122,7 +122,7 @@ _RECORDS = {
     "BuildElement": (BuildElement(ElementKind.TASK, "t", ("a",), {}, (1, 1)), "name"),
     "ModuleLink": (ModuleLink(LinkRelation.INCLUDES, "app"), "target"),
     "BuildModel": (BuildModel(BuildSystem.GRADLE, (), (), "build.gradle"), "source_path"),
-    "HierarchyGraph": (HierarchyGraph(frozenset(), {}), "warnings"),
+    "HierarchyGraph": (HierarchyGraph({}), "warnings"),
     "RefactoringType": (get_type("DRY"), "examples"),
     "Evidence": (Evidence("a", (1, 1), "source"), "span"),
     "DetectedRefactoring": (_det(), "type"),
