@@ -106,7 +106,7 @@ def tokenize(text: str) -> tuple[str, ...]:
     tuple too."""
     tokens = _TOKENS.get(text)
     if tokens is None:
-        tokens = _TOKENS[text] = tuple(map(sys.intern, map("".join, _TOKEN_RE.findall(text))))
+        tokens = _TOKENS[text] = tuple(sys.intern(m[m.lastindex]) for m in _TOKEN_RE.finditer(text))
     return tokens
 
 

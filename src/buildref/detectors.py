@@ -21,7 +21,7 @@ import posixpath
 
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .build_parsers import (
     ORDERING_KEYWORDS,
@@ -43,6 +43,7 @@ SUBROUTINE_KINDS = (ElementKind.TASK, ElementKind.TARGET, ElementKind.METHOD)
 VALUE_KINDS = (ElementKind.VARIABLE, ElementKind.PROPERTY)
 MIN_FRAGMENT_TOKENS = 5  # smallest new unit or unnamed block that counts as extracted
 _KIND_VALUES = {kind: kind.value for kind in ElementKind}  # a lookup here is quicker than Enum.value
+_NO_NAMES: Mapping[str, BuildElement] = {}  # never written
 
 
 class DetectorConfig(NamedTuple):
@@ -79,12 +80,31 @@ class _ModelIndex:
         self.model = model
 
     @cached_property
-    def named(self) -> dict[tuple[ElementKind, str], list[BuildElement]]:
-        index: dict[tuple[ElementKind, str], list[BuildElement]] = {}
+    def _names(self) -> dict[ElementKind, dict[str, Union[BuildElement, list[BuildElement]]]]:
+        """Each kind's named elements by name: the element itself, or a list
+        of them in file order for a name the model declares more than once.
+        One dict slot per element, and only the kinds the model has; read
+        through `named`."""
+        index: dict[ElementKind, dict] = {}
         for el in self.model.elements:
             if el.name:
-                index.setdefault((el.kind, el.name), []).append(el)
+                names = index.get(el.kind)
+                if names is None:
+                    names = index[el.kind] = {}
+                first = names.setdefault(el.name, el)
+                if first is not el:
+                    if type(first) is list:
+                        first.append(el)
+                    else:
+                        names[el.name] = [first, el]
         return index
+
+    def named(self, kind: ElementKind, name: Optional[str]) -> Sequence[BuildElement]:
+        """The elements of the (kind, name) key in file order; none for an unnamed key."""
+        found = self._names.get(kind, _NO_NAMES).get(name)
+        if found is None:
+            return ()
+        return found if type(found) is list else (found,)
 
     @cached_property
     def tokens(self) -> Counter:
@@ -218,11 +238,11 @@ class CommitContext:
         out = []
         for path in sorted(self.before_index):
             a_index = self.after_index.get(path)
-            a_named = a_index.named if a_index else {}
             out.extend(
                 (path, el)
                 for el in self.before_models[path].elements
-                if el.name and el.kind is not ElementKind.RAW_BLOCK and (el.kind, el.name) not in a_named
+                if el.name and el.kind is not ElementKind.RAW_BLOCK
+                and not (a_index and a_index.named(el.kind, el.name))
             )
         return out
 
@@ -234,11 +254,10 @@ class CommitContext:
         out = []
         for path in sorted(self.after_index):
             b_index = self.before_index.get(path)
-            b_named = b_index.named if b_index else {}
             out.extend(
                 (path, el)
                 for el in self.after_models[path].elements
-                if (el.kind, el.name) not in b_named
+                if not (b_index and b_index.named(el.kind, el.name))
             )
         return out
 
@@ -280,16 +299,15 @@ def _ordering_attrs(el: BuildElement) -> dict[str, str]:
 def _element_changes(before: _ModelIndex, after: _ModelIndex) -> _FileChanges:
     """Pair elements across versions by (kind, name); unnamed ones by exact body."""
     changes = _FileChanges()
-    b_index = before.named
-    a_index = after.named
-    for key in sorted(set(b_index) | set(a_index), key=lambda k: (_KIND_VALUES[k[0]], k[1])):
-        b_els = b_index.get(key, [])
-        a_els = a_index.get(key, [])
-        for b_el, a_el in zip(b_els, a_els):
-            if b_el.body_tokens != a_el.body_tokens or dict(b_el.attributes) != dict(a_el.attributes):
-                changes.modified.append((b_el, a_el))
-        changes.removed.extend(b_els[len(a_els):])
-        changes.added.extend(a_els[len(b_els):])
+    for kind in sorted(before._names.keys() | after._names.keys(), key=_KIND_VALUES.get):
+        for name in sorted(before._names.get(kind, _NO_NAMES).keys() | after._names.get(kind, _NO_NAMES).keys()):
+            b_els = before.named(kind, name)
+            a_els = after.named(kind, name)
+            for b_el, a_el in zip(b_els, a_els):
+                if b_el.body_tokens != a_el.body_tokens or dict(b_el.attributes) != dict(a_el.attributes):
+                    changes.modified.append((b_el, a_el))
+            changes.removed.extend(b_els[len(a_els):])
+            changes.added.extend(a_els[len(b_els):])
 
     # unnamed elements pair only on an exact body match
     changes.removed.extend(_unpaired(before.model.elements, after.model.elements))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import fixtures
 from buildref import detectors
-from buildref.build_parsers import BuildElement, BuildModel, ElementKind, tokenize
+from buildref.build_parsers import BuildElement, BuildModel, ElementKind, parse_build_file, tokenize
 from buildref.detectors import (
     CommitContext,
     DetectedRefactoring,
@@ -603,6 +604,71 @@ def test_reference_count_equals_token_predicate(tokens, values, data):
     from_other = sum(detectors._token_matches_name(t, name) for t in tokens)
     assert index.reference_count(name) == own + from_other
     assert index.reference_count(name, exclude=user) == from_other
+
+
+def _pom_declaring_twice(versions, extra=""):
+    props = "".join(f"<lib.version>{v}</lib.version>\n" for v in versions) + extra
+    deps = "".join(
+        f"<dependency><groupId>org.x</groupId><artifactId>lib</artifactId><version>{v}</version></dependency>\n"
+        for v in versions
+    )
+    return f"<project>\n<properties>\n{props}</properties>\n<dependencies>\n{deps}</dependencies>\n</project>\n"
+
+
+def _gradle_declaring_twice(versions, extra=""):
+    props = "".join(f"ext.libVersion = '{v}'\n" for v in versions) + extra
+    deps = "".join(f"    implementation 'org.x:lib:{v}'\n" for v in versions)
+    return f"{props}dependencies {{\n{deps}}}\n"
+
+
+# (path, before, after, pairs in `changes`, detections as (type, spans)); each
+# file declares one dependency and one property twice, then once or three times
+_OLD_PROPERTY = "<old.version>9</old.version>\n"
+_CONFIG_READ = 'ext.configFile = file "build.properties"\n'
+_REPEATED_KEYS = [
+    ("pom.xml", _pom_declaring_twice(["1", "2"], _OLD_PROPERTY), _pom_declaring_twice(["3"]),
+     {"modified": [(8, 6), (3, 3)], "removed": [9, 4, 5], "added": []},
+     [("Remove Unused Code", [(5, 5)])]),
+    ("pom.xml", _pom_declaring_twice(["1", "2"], _OLD_PROPERTY), _pom_declaring_twice(["3", "4", "5"]),
+     {"modified": [(8, 8), (9, 9), (3, 3), (4, 4)], "removed": [5], "added": [10, 5]},
+     [("Remove Unused Code", [(5, 5)])]),
+    ("build.gradle", _gradle_declaring_twice(["1", "2"]), _gradle_declaring_twice(["3"], _CONFIG_READ),
+     {"modified": [(4, 4), (1, 1)], "removed": [5, 2], "added": [2]},
+     [("Externalize Properties", [(2, 2)])]),
+    ("build.gradle", _gradle_declaring_twice(["1", "2"]), _gradle_declaring_twice(["3", "4", "5"], _CONFIG_READ),
+     {"modified": [(4, 6), (5, 7), (1, 1), (2, 2)], "removed": [], "added": [8, 4, 3]},
+     []),
+]
+
+
+@pytest.mark.parametrize("path, before, after, pairs, expected", _REPEATED_KEYS)
+def test_repeated_keys_pair_their_copies_in_file_order(path, before, after, pairs, expected):
+    ctx = make_context({path: before}, {path: after})
+    changes = ctx.changes[path]
+    assert {
+        "modified": [(b.span[0], a.span[0]) for b, a in changes.modified],
+        "removed": [el.span[0] for el in changes.removed],
+        "added": [el.span[0] for el in changes.added],
+    } == pairs
+    repeated = {(ElementKind.DEPENDENCY, "org.x:lib"), (ElementKind.PROPERTY, "lib.version"),
+                (ElementKind.PROPERTY, "libVersion")}
+    assert not [el for _, el in ctx.vanished + ctx.appeared if (el.kind, el.name) in repeated]
+    found = sorted(detect_all(ctx), key=sort_key)
+    assert [(d.type, [e.span for e in d.evidence]) for d in found] == expected
+
+
+def test_name_index_holds_a_dict_slot_per_named_element():
+    count = 4000
+    model = parse_build_file("gradle.properties", "".join(f"key{i} = value{i}\n" for i in range(count)))
+    index = detectors._ModelIndex(model)
+    tracemalloc.start()
+    try:
+        index.named(ElementKind.PROPERTY, "key0")  # builds the name index
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert index.named(ElementKind.PROPERTY, f"key{count - 1}") == (model.elements[-1],)
+    assert held / count < 64
 
 
 def test_failing_detector_is_logged_and_skipped(monkeypatch, caplog):
